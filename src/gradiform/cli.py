@@ -18,12 +18,12 @@ from . import __version__
 from .dynamics import (euler_maruyama_ensemble, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
-from .fields import FieldEvalError, eval_field, jacobian
+from .fields import FieldEvalError, jacobian
 from .gradientize import (GeneralSolveConfig, GradientizeError, MatrixFamily,
                           solve_consistency_constant, solve_general,
                           solve_symmetrizer, transform_field)
 from .homotopy import OneForm, QuadratureRule, decompose, potential
-from .integrability import Verdict, circle_loop, classify
+from .integrability import circle_loop, classify
 from .sampling import sample_ball
 from .zoo import REGISTRY, SystemSpec, analytic_potential, build_system
 
@@ -54,7 +54,7 @@ def _merge(defaults, overrides, path=""):
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(defaults[key], dict) and key != "system":
+        if isinstance(defaults[key], dict) and key != "params":
             if not isinstance(val, dict):
                 raise ConfigError(f"{where} must be an object")
             out[key] = _merge(defaults[key], val, where)
@@ -105,19 +105,66 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
+# numeric config values: (kind, requirement, test, keys)
+_NUMBERS = [
+    (int, "at least 1", lambda v: v >= 1,
+     ["samples.count", "quadrature_order", "solver.collocation",
+      "simulation.steps", "simulation.ensemble", "simulation.grid_bins"]),
+    (int, "nonnegative", lambda v: v >= 0,
+     ["samples.seed", "solver.family_degree", "solver.max_iter"]),
+    # the Philox key of the per-trajectory noise streams is 128 bits
+    (int, "in [0, 2**128)", lambda v: 0 <= v < 2 ** 128,
+     ["simulation.master_seed"]),
+    (float, "positive", lambda v: v > 0, ["samples.radius", "simulation.dt"]),
+    (float, "nonnegative", lambda v: v >= 0,
+     ["tolerances.closedness", "tolerances.solver", "tolerances.consistency",
+      "simulation.x0_radius"]),
+    (float, "in [0, 1)", lambda v: 0 <= v < 1,
+     ["simulation.burn_in_fraction"]),
+]
+
+
+def _is_number(v, kind=float) -> bool:
+    """A finite number of the kind: an int is a float, a bool is neither."""
+    return (isinstance(v, int if kind is int else (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
 def _validate(cfg):
-    if cfg["system"]["name"] not in REGISTRY:
-        raise ConfigError(f"unknown system {cfg['system']['name']!r}; "
+    """Check the type and range of every config value."""
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not (
+                isinstance(cfg[section], dict)
+                and set(cfg[section]) == set(default)):
+            raise ConfigError(f"{section} must be an object with keys "
+                              f"{sorted(default)}")
+    system = cfg["system"]
+    if not isinstance(system["name"], str) or system["name"] not in REGISTRY:
+        raise ConfigError(f"unknown system {system['name']!r}; "
                           f"known: {sorted(REGISTRY)}")
-    if cfg["samples"]["count"] < 1:
-        raise ConfigError("samples.count must be at least 1")
-    if cfg["quadrature_order"] < 1:
-        raise ConfigError("quadrature_order must be at least 1")
+    if not isinstance(system["params"], dict) or not all(
+            _is_number(v) for v in system["params"].values()):
+        raise ConfigError("system.params must map names to finite numbers")
+    for kind, requirement, test, keys in _NUMBERS:
+        for key in keys:
+            section, _, leaf = key.rpartition(".")
+            val = cfg[section][leaf] if section else cfg[leaf]
+            if not (_is_number(val, kind) and test(val)):
+                noun = "an integer" if kind is int else "a finite number"
+                raise ConfigError(f"{key} must be {noun}, {requirement}; "
+                                  f"got {val!r}")
     sim = cfg["simulation"]
-    if not sim["dt"] > 0:
-        raise ConfigError("simulation.dt must be positive")
-    if not isinstance(sim["eps"], list) or not sim["eps"]:
-        raise ConfigError("simulation.eps must be a nonempty list")
+    if not (isinstance(sim["eps"], list) and sim["eps"]
+            and all(_is_number(e) and e > 0 for e in sim["eps"])):
+        raise ConfigError("simulation.eps must be a nonempty list of "
+                          "positive numbers")
+    grid = sim["grid_range"]
+    if not (isinstance(grid, list) and len(grid) == 2
+            and all(_is_number(v) for v in grid) and grid[0] < grid[1]):
+        raise ConfigError("simulation.grid_range must be [low, high] with "
+                          "low < high")
+    if not isinstance(cfg["solver"]["run_general"], bool):
+        raise ConfigError("solver.run_general must be true or false")
     if cfg["potential_source"] not in ("homotopy", "gradientize"):
         raise ConfigError("potential_source must be 'homotopy' or "
                           "'gradientize'")
@@ -331,12 +378,9 @@ def cmd_graham(cfg):
         if analytic is not None and field.dim == 1:
             centers = density.centers(0)
             ref = np.array([analytic(np.array([c])) for c in centers])
-            ref = ref - np.min(ref[np.isfinite(estimate)]) \
-                if np.any(np.isfinite(estimate)) else ref
-            diff = np.abs(estimate - (ref - np.nanmin(
-                ref[np.isfinite(estimate)])))
-            block["sup_error_vs_analytic"] = float(np.nanmax(diff)) \
-                if np.any(np.isfinite(diff)) else None
+            ref = ref - np.min(ref[np.isfinite(estimate)])
+            block["sup_error_vs_analytic"] = float(
+                np.nanmax(np.abs(estimate - ref)))
         blocks.append(block)
     return {"estimates": blocks}
 

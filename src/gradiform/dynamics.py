@@ -3,13 +3,14 @@ ensembles, and the small-noise stationary-distribution potential."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import VectorField, eval_field, fd_step
+from .fields import (FieldEvalError, VectorField, _central_difference,
+                     eval_field, fd_step)
 
 BURN_IN_FRACTION = 0.2
 
@@ -66,7 +67,7 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
             k2 = eval_field(field, x + 0.5 * dt * k1)
             k3 = eval_field(field, x + 0.5 * dt * k2)
             k4 = eval_field(field, x + dt * k3)
-        except Exception:
+        except FieldEvalError:
             completed = False
             break
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -97,12 +98,7 @@ def orthogonality_residual(field: VectorField, V, S, x) -> float:
     x = np.asarray(x, dtype=float)
     S = np.asarray(S, dtype=float)
     f = eval_field(field, x)
-    h = fd_step(x)
-    grad = np.empty(field.dim)
-    for i in range(field.dim):
-        e = np.zeros(field.dim)
-        e[i] = h[i]
-        grad[i] = (V(x + e) - V(x - e)) / (2.0 * h[i])
+    grad = _central_difference(V, x, fd_step(x))
     return float((f + S @ grad) @ grad)
 
 
@@ -138,7 +134,7 @@ def euler_maruyama(field: VectorField, eps: float, x0, dt: float,
     for k in range(steps):
         try:
             drift = eval_field(field, x)
-        except Exception:
+        except FieldEvalError:
             completed = False
             break
         x = x + dt * drift

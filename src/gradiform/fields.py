@@ -60,15 +60,6 @@ class SecondOrderSystem:
         object.__setattr__(self, "damping", damp)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Field value and Jacobian at a point."""
-
-    point: np.ndarray
-    value: np.ndarray
-    jacobian: np.ndarray
-
-
 def eval_field(field: VectorField, x) -> np.ndarray:
     """Evaluate g(x), checking shapes and finiteness."""
     x = np.asarray(x, dtype=float)
@@ -87,6 +78,17 @@ def eval_field(field: VectorField, x) -> np.ndarray:
 def fd_step(x: np.ndarray) -> np.ndarray:
     """Per-coordinate central-difference step h = cbrt(eps)*max(1, |x_i|)."""
     return _H0 * np.maximum(1.0, np.abs(x))
+
+
+def _central_difference(f, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Derivative of f at x by central differences: the last axis of the
+    result holds (f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j)."""
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = steps[j]
+        cols.append((f(x + e) - f(x - e)) / (2.0 * steps[j]))
+    return np.stack(cols, axis=-1)
 
 
 def jacobian(field: VectorField, x, scheme: str = "auto",
@@ -116,21 +118,10 @@ def jacobian(field: VectorField, x, scheme: str = "auto",
             steps = np.full(field.dim, float(h))
         else:
             steps = fd_step(x)
-        J = np.empty((field.dim, field.dim))
-        for j in range(field.dim):
-            e = np.zeros(field.dim)
-            e[j] = steps[j]
-            J[:, j] = (eval_field(field, x + e) - eval_field(field, x - e)) \
-                / (2.0 * steps[j])
+        J = _central_difference(lambda p: eval_field(field, p), x, steps)
     if not np.all(np.isfinite(J)):
         raise FieldEvalError(f"non-finite Jacobian entry at x={x}")
     return J
-
-
-def jet(field: VectorField, x, scheme: str = "auto") -> Jet:
-    x = np.asarray(x, dtype=float)
-    return Jet(point=x, value=eval_field(field, x),
-               jacobian=jacobian(field, x, scheme=scheme))
 
 
 def reduce_second_order(sos: SecondOrderSystem) -> VectorField:

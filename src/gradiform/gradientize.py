@@ -4,15 +4,17 @@ solver for position-dependent D, and potential extraction."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .fields import VectorField, eval_field, fd_step, jacobian
+from .fields import (VectorField, _central_difference, eval_field, fd_step,
+                     jacobian)
 from .homotopy import OneForm, QuadratureRule, potential
+from .integrability import _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
 DET_FLOOR = 1e-10
@@ -47,14 +49,6 @@ class ConstantSolveReport:
     identity_solves_necessary: bool = False
 
 
-def _rel(x, scale):
-    return float(x) / (1.0 + float(scale))
-
-
-def _asymmetry(A: np.ndarray) -> float:
-    return _rel(np.max(np.abs(A - A.T)), np.max(np.abs(A)))
-
-
 def check_necessary_constant(D: np.ndarray, J: np.ndarray) -> float:
     """Max-norm of D^T D J - J^T D^T D (necessary closedness condition)."""
     D = np.asarray(D, dtype=float)
@@ -65,6 +59,46 @@ def check_necessary_constant(D: np.ndarray, J: np.ndarray) -> float:
         raise ValueError("D is singular")
     S = D.T @ D
     return float(np.max(np.abs(S @ J - J.T @ S)))
+
+
+def _square(J) -> np.ndarray:
+    J = np.asarray(J, dtype=float)
+    n = J.shape[0]
+    if J.shape != (n, n) or not np.all(np.isfinite(J)):
+        raise ValueError("J must be a finite square matrix")
+    return J
+
+
+def _constant_solve_report(J: np.ndarray, basis: list,
+                           D: Optional[np.ndarray],
+                           tol: float) -> ConstantSolveReport:
+    """Residuals and verdict of a constant solve that chose D, or found
+    no invertible D (None): the Infeasible report."""
+    det_gap = abs(np.linalg.det(J) - 1.0)
+    identity_ok = float(np.max(np.abs(J - J.T))) \
+        <= tol * (1.0 + np.max(np.abs(J)))
+    if D is None:
+        return ConstantSolveReport(
+            nullspace_basis=basis, chosen_D=None,
+            necessary_residual=np.inf, transformed_asymmetry=np.inf,
+            consistency_residual=np.inf, verdict=ConstantVerdict.INFEASIBLE,
+            det_precondition_gap=det_gap,
+            identity_solves_necessary=identity_ok)
+    necessary = check_necessary_constant(D, J)
+    A = D @ J @ np.linalg.inv(D)
+    asym = _relative_asymmetry(A)
+    # for a linear field the exact-part gradient is sym(A) x
+    consistency = 0.5 * float(np.max(np.abs(A - A.T)))
+    if (float(necessary) / (1.0 + float(np.max(np.abs(J)))) <= tol
+            and asym <= tol):
+        verdict = ConstantVerdict.GRADIENTIZED
+    else:
+        verdict = ConstantVerdict.CONSISTENCY_ONLY
+    return ConstantSolveReport(
+        nullspace_basis=basis, chosen_D=D, necessary_residual=necessary,
+        transformed_asymmetry=asym, consistency_residual=consistency,
+        verdict=verdict, det_precondition_gap=det_gap,
+        identity_solves_necessary=identity_ok)
 
 
 def _null_basis(M: np.ndarray) -> list[np.ndarray]:
@@ -84,10 +118,8 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL,
     The equation is the constant-matrix consistency relation
     D (D^T)^{-1} = J^T written as a homogeneous linear system.
     """
-    J = np.asarray(J, dtype=float)
+    J = _square(J)
     n = J.shape[0]
-    if J.shape != (n, n) or not np.all(np.isfinite(J)):
-        raise ValueError("J must be a finite square matrix")
     # vec ordering (i, j) -> i*n + j; (J^T D^T)_{ij} = sum_k J[k, i] D[j, k]
     M = np.eye(n * n)
     for i in range(n):
@@ -95,10 +127,6 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL,
             for k in range(n):
                 M[i * n + j, j * n + k] -= J[k, i]
     basis = [v.reshape(n, n) for v in _null_basis(M)]
-    det_gap = abs(np.linalg.det(J) - 1.0)
-
-    identity_ok = float(np.max(np.abs(J - J.T))) \
-        <= tol * (1.0 + np.max(np.abs(J)))
 
     chosen = None
     if basis:
@@ -114,29 +142,7 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL,
                 best_det, chosen = d, D
         if best_det <= DET_FLOOR:
             chosen = None
-
-    if chosen is None:
-        return ConstantSolveReport(
-            nullspace_basis=basis, chosen_D=None,
-            necessary_residual=np.inf, transformed_asymmetry=np.inf,
-            consistency_residual=np.inf, verdict=ConstantVerdict.INFEASIBLE,
-            det_precondition_gap=det_gap,
-            identity_solves_necessary=identity_ok)
-
-    necessary = check_necessary_constant(chosen, J)
-    A = chosen @ J @ np.linalg.inv(chosen)
-    asym = _asymmetry(A)
-    # for a linear field the exact-part gradient is sym(A) x
-    consistency = 0.5 * float(np.max(np.abs(A - A.T)))
-    if _rel(necessary, np.max(np.abs(J))) <= tol and asym <= tol:
-        verdict = ConstantVerdict.GRADIENTIZED
-    else:
-        verdict = ConstantVerdict.CONSISTENCY_ONLY
-    return ConstantSolveReport(
-        nullspace_basis=basis, chosen_D=chosen, necessary_residual=necessary,
-        transformed_asymmetry=asym, consistency_residual=consistency,
-        verdict=verdict, det_precondition_gap=det_gap,
-        identity_solves_necessary=identity_ok)
+    return _constant_solve_report(J, basis, chosen, tol)
 
 
 def _sym_basis(n: int) -> list[np.ndarray]:
@@ -159,18 +165,12 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL,
     S exists iff J is similar to a symmetric matrix; a defective or
     complex spectrum yields the Infeasible verdict.
     """
-    J = np.asarray(J, dtype=float)
+    J = _square(J)
     n = J.shape[0]
-    if J.shape != (n, n) or not np.all(np.isfinite(J)):
-        raise ValueError("J must be a finite square matrix")
     sym_basis = _sym_basis(n)
     M = np.column_stack([(B @ J - J.T @ B).ravel() for B in sym_basis])
     coeffs = _null_basis(M)
     basis = [sum(ci * Bi for ci, Bi in zip(c, sym_basis)) for c in coeffs]
-
-    identity_ok = float(np.max(np.abs(J - J.T))) \
-        <= tol * (1.0 + np.max(np.abs(J)))
-    det_gap = abs(np.linalg.det(J) - 1.0)
 
     best_S, best_min = None, -np.inf
     if basis:
@@ -197,28 +197,11 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL,
                 best_S = sum(ci * Bi for ci, Bi in zip(c, basis))
 
     if best_S is None or best_min <= 1e-8:
-        return ConstantSolveReport(
-            nullspace_basis=basis, chosen_D=None,
-            necessary_residual=np.inf, transformed_asymmetry=np.inf,
-            consistency_residual=np.inf, verdict=ConstantVerdict.INFEASIBLE,
-            det_precondition_gap=det_gap,
-            identity_solves_necessary=identity_ok)
-
+        return _constant_solve_report(J, basis, None, tol)
     S = 0.5 * (best_S + best_S.T)
     S /= np.linalg.eigvalsh(S)[-1]
     D = np.linalg.cholesky(S).T  # S = D^T D with D upper triangular
-    necessary = check_necessary_constant(D, J)
-    A = D @ J @ np.linalg.inv(D)
-    asym = _asymmetry(A)
-    consistency = 0.5 * float(np.max(np.abs(A - A.T)))
-    verdict = (ConstantVerdict.GRADIENTIZED
-               if asym <= tol and _rel(necessary, np.max(np.abs(J))) <= tol
-               else ConstantVerdict.CONSISTENCY_ONLY)
-    return ConstantSolveReport(
-        nullspace_basis=basis, chosen_D=D, necessary_residual=necessary,
-        transformed_asymmetry=asym, consistency_residual=consistency,
-        verdict=verdict, det_precondition_gap=det_gap,
-        identity_solves_necessary=identity_ok)
+    return _constant_solve_report(J, basis, D, tol)
 
 
 def transform_field(field: VectorField, D) -> VectorField:
@@ -376,17 +359,17 @@ def solve_general(field: VectorField, family: MatrixFamily,
         r = general_residual(field, family, theta, samples)
         return np.concatenate([r, _barrier_terms(family, theta, samples, cfg)])
 
-    def rms(theta):
-        r = general_residual(field, family, theta, samples)
-        return float(np.sqrt(np.mean(r * r)))
+    # r stacks the general residual, then one barrier term per sample
+    def rms(r):
+        general = r[:r.size - len(samples)]
+        return float(np.sqrt(np.mean(general * general)))
 
     theta = family.identity_params()
     r = full_residual(theta)
     lam = cfg.damping0
     nu = 2.0
     iterations = 0
-    converged = rms(theta) < cfg.target_rms
-    while not converged and iterations < cfg.max_iter:
+    while not rms(r) < cfg.target_rms and iterations < cfg.max_iter:
         iterations += 1
         # forward-difference Jacobian in theta; problems are small
         Jr = np.empty((r.size, theta.size))
@@ -417,15 +400,13 @@ def solve_general(field: VectorField, family: MatrixFamily,
             r = r_new
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
-            if rms(theta) < cfg.target_rms or np.linalg.norm(step) < 1e-14:
-                converged = rms(theta) < cfg.target_rms
-                if converged or np.linalg.norm(step) < 1e-14:
-                    break
+            if np.linalg.norm(step) < 1e-14:
+                break
         else:
             lam *= nu
             nu *= 2.0
 
-    final_rms = rms(theta)
+    final_rms = rms(r)
     converged = final_rms < cfg.target_rms
     tfield = transform_field_general(field, family, theta)
     try:
@@ -477,13 +458,9 @@ def consistency_check(tfield: VectorField, samples,
     worst = 0.0
     for x in samples:
         f = eval_field(tfield, x)
-        h = fd_step(x)
-        for i in range(tfield.dim):
-            e = np.zeros(tfield.dim)
-            e[i] = h[i]
-            dV = (potential(form, x + e, quad)
-                  - potential(form, x - e, quad)) / (2.0 * h[i])
-            worst = max(worst, abs(dV - f[i]))
+        dV = _central_difference(lambda p: potential(form, p, quad), x,
+                                 fd_step(x))
+        worst = max(worst, *np.abs(dV - f))
     return worst
 
 
@@ -498,8 +475,8 @@ def potential_via_transform(field: VectorField, D, x,
     checks += [0.5 * checks[0], 0.1 * checks[0] + 1e-3]
     for p in checks:
         J = jacobian(tfield, p)
-        if _asymmetry(J) > tol:
+        if _relative_asymmetry(J) > tol:
             raise GradientizeError(
-                "transformed form is not closed "
-                f"(asymmetry {_asymmetry(J):.3e} > {tol:.1e} at {p})")
+                "transformed form is not closed (asymmetry "
+                f"{_relative_asymmetry(J):.3e} > {tol:.1e} at {p})")
     return potential(OneForm(tfield), x, quad)

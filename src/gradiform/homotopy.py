@@ -2,6 +2,7 @@
 exact/antiexact decomposition g = exact + antiexact."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,22 +81,46 @@ def _adaptive(evaluate, quad):
         order *= 2
         cur = evaluate(QuadratureRule.gauss_legendre(order))
         scale = 1.0 + float(np.max(np.abs(cur)))
-        if float(np.max(np.abs(cur - prev))) < ADAPT_RTOL * scale:
+        change = float(np.max(np.abs(cur - prev)))
+        if change < ADAPT_RTOL * scale:
             return cur
         prev = cur
+    warnings.warn(f"ray quadrature not converged at {MAX_ORDER} nodes "
+                  f"(last change {change:.3e}, tolerance "
+                  f"{ADAPT_RTOL * scale:.3e})", RuntimeWarning, stacklevel=3)
     return prev
+
+
+# The ray samples g(t x) and J(t x) at the rule's nodes t, and the
+# integrands built from them; each part samples only what it integrates
+def _ray_values(field: VectorField, x: np.ndarray, rule) -> list:
+    return [eval_field(field, t * x) for t in rule.nodes]
+
+
+def _ray_jacobians(field: VectorField, x: np.ndarray, rule,
+                   scheme: str) -> list:
+    return [jacobian(field, t * x, scheme=scheme) for t in rule.nodes]
+
+
+def _potential_integral(x, rule, G):
+    return rule.integrate(np.array([np.dot(x, g) for g in G]))
+
+
+def _exact_integral(x, rule, G, Js):
+    return rule.integrate(np.array([t * (J.T @ x) + g
+                                    for t, g, J in zip(rule.nodes, G, Js)]))
+
+
+def _antiexact_integral(x, rule, Js):
+    return rule.integrate(np.array([t * ((J - J.T) @ x)
+                                    for t, J in zip(rule.nodes, Js)]))
 
 
 def potential(form: OneForm, x, quad: QuadratureRule | None = None) -> float:
     """k(G)(x) = integral_0^1 sum_i x_i g_i(t x) dt along the ray to x."""
     x = np.asarray(x, dtype=float)
-
-    def evaluate(rule):
-        vals = np.array([np.dot(x, eval_field(form.field, t * x))
-                         for t in rule.nodes])
-        return rule.integrate(vals)
-
-    return float(_adaptive(evaluate, quad))
+    return float(_adaptive(lambda rule: _potential_integral(
+        x, rule, _ray_values(form.field, x, rule)), quad))
 
 
 def exact_part(form: OneForm, x, quad: QuadratureRule | None = None,
@@ -105,15 +130,9 @@ def exact_part(form: OneForm, x, quad: QuadratureRule | None = None,
     Component j is integral_0^1 [ t (J(tx)^T x)_j + g_j(tx) ] dt.
     """
     x = np.asarray(x, dtype=float)
-
-    def evaluate(rule):
-        vals = np.array([
-            t * (jacobian(form.field, t * x, scheme=scheme).T @ x)
-            + eval_field(form.field, t * x)
-            for t in rule.nodes])
-        return rule.integrate(vals)
-
-    return np.asarray(_adaptive(evaluate, quad))
+    return np.asarray(_adaptive(lambda rule: _exact_integral(
+        x, rule, _ray_values(form.field, x, rule),
+        _ray_jacobians(form.field, x, rule, scheme)), quad))
 
 
 def antiexact_part(form: OneForm, x, quad: QuadratureRule | None = None,
@@ -124,25 +143,26 @@ def antiexact_part(form: OneForm, x, quad: QuadratureRule | None = None,
     product with x vanishes by antisymmetry of the integrand kernel.
     """
     x = np.asarray(x, dtype=float)
-
-    def evaluate(rule):
-        vals = []
-        for t in rule.nodes:
-            J = jacobian(form.field, t * x, scheme=scheme)
-            vals.append(t * ((J - J.T) @ x))
-        return rule.integrate(np.array(vals))
-
-    return np.asarray(_adaptive(evaluate, quad))
+    return np.asarray(_adaptive(lambda rule: _antiexact_integral(
+        x, rule, _ray_jacobians(form.field, x, rule, scheme)), quad))
 
 
 def decompose(form: OneForm, x, quad: QuadratureRule | None = None,
               scheme: str = "auto") -> Decomposition:
-    """Bundle potential, exact and antiexact parts at x."""
+    """Potential, exact and antiexact parts at x from one pass over the
+    ray; with quad=None the three are refined together."""
     x = np.asarray(x, dtype=float)
     g = eval_field(form.field, x)
-    pot = potential(form, x, quad)
-    ex = exact_part(form, x, quad, scheme=scheme)
-    ae = antiexact_part(form, x, quad, scheme=scheme)
+
+    def evaluate(rule):
+        G = _ray_values(form.field, x, rule)
+        Js = _ray_jacobians(form.field, x, rule, scheme)
+        return np.concatenate([[_potential_integral(x, rule, G)],
+                               _exact_integral(x, rule, G, Js),
+                               _antiexact_integral(x, rule, Js)])
+
+    parts = _adaptive(evaluate, quad)
+    pot, ex, ae = float(parts[0]), parts[1:1 + x.size], parts[1 + x.size:]
     res = float(np.max(np.abs(g - ex - ae)))
     return Decomposition(point=x, potential=pot, exact_part=ex,
                          antiexact_part=ae, reconstruction_residual=res)

@@ -128,12 +128,9 @@ def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
              scheme: str = "auto") -> ClosednessReport:
     """Closed, else FrobeniusIntegrable (local) when the wedge obstruction
     vanishes at every sample, else NonIntegrable."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("at least one sample point is required")
-    asym = max(_relative_asymmetry(jacobian(field, x, scheme=scheme))
-               for x in samples)
-    defect = max(frobenius_defect(field, x, scheme=scheme) for x in samples)
+    asym = closedness(field, samples, scheme=scheme).max_asymmetry
+    defect = max(frobenius_defect(field, x, scheme=scheme)
+                 for x in np.atleast_2d(np.asarray(samples, dtype=float)))
     if asym <= tol:
         verdict = Verdict.CLOSED
     elif defect <= tol:

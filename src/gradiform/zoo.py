@@ -2,8 +2,7 @@
 test fields, all with analytic Jacobians."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,33 +125,6 @@ def ou(theta: float = 1.0):
         return 0.5 * theta * x0 ** 2
 
     return field, V
-
-
-def jja_interface(phi: Optional[Callable] = None,
-                  omega_matrix=None, M: int = 0, N: int = 0) -> VectorField:
-    """Two-dimensional Josephson-array field a_{ik} = 1/2 sum_j D_ij w_jk.
-
-    The phase functions Phi_k and the auxiliary matrix come from external
-    reference data; without both, the constructor refuses.
-    """
-    if phi is None or omega_matrix is None:
-        raise ValueError(
-            "external reference data required: jja_interface needs the "
-            "phase functions Phi_k and the auxiliary omega matrix")
-    omega_matrix = np.asarray(omega_matrix, dtype=float)
-    dim = omega_matrix.shape[0]
-    if omega_matrix.shape != (dim, dim):
-        raise ValueError("omega matrix must be square")
-
-    def func(y):
-        vals = np.asarray(phi(y), dtype=float)
-        if vals.shape != (dim,):
-            raise ValueError(
-                f"Phi returned shape {vals.shape}, expected ({dim},)")
-        return 0.5 * omega_matrix @ vals
-
-    return VectorField(dim=dim, func=func, jac=None, domain_radius=100.0,
-                       name=f"jja({M},{N})")
 
 
 def _build_quadratic(params, dim=None):

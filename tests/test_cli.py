@@ -1,11 +1,15 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, load_config,
                            main)
+from gradiform.zoo import REGISTRY
 
 
 def run_cli(tmp_path, *argv, name="report.json"):
@@ -40,6 +44,11 @@ class TestConfig:
                                      "samples.count=5"])
         assert cfg["system"]["name"] == "rotation"
         assert cfg["samples"]["count"] == 5
+
+    def test_system_params_default_when_omitted(self, tmp_path):
+        path = write_config(tmp_path, {"system": {"name": "rotation"}})
+        assert load_config(path)["system"] == {"name": "rotation",
+                                               "params": {}}
 
     def test_set_string_fallback(self):
         cfg = load_config(overrides=["potential_source=homotopy"])
@@ -86,6 +95,22 @@ class TestExitCodes:
         code = main(["classify", "--set", "system.name=lorenz",
                      "--set", "system.params.sigma=-1"])
         assert code == 2
+
+    @pytest.mark.parametrize("override", [
+        "samples.count=abc", "samples.count=true", "samples.count=2.5",
+        "samples.radius=-1", "samples.seed=-1", "simulation.ensemble=0",
+        "simulation.steps=0", "simulation.dt=NaN", "simulation.eps=[-0.1]",
+        "simulation.eps=[]", "simulation.grid_range=[2, -2]",
+        "simulation.burn_in_fraction=1", "solver.run_general=1",
+        "samples={}", "system=3", 'system.params.sigma="a"'])
+    def test_bad_value_two(self, override, capsys):
+        assert main(["classify", "--set", override]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_int_accepted_for_float(self):
+        cfg = load_config(overrides=["simulation.dt=1", "samples.radius=2",
+                                     "simulation.eps=[1, 0.5]"])
+        assert cfg["simulation"]["dt"] == 1
 
     def test_numerical_abort_three(self, tmp_path, capsys):
         # gradientized potential requested for a field with no
@@ -287,3 +312,38 @@ class TestDeterminism:
         _, b = run_cli(tmp_path, *args, name="b.json")
         assert b["config"]["simulation"]["master_seed"] == 31337
         assert a["result"] != b["result"]
+
+
+def _config_keys(node, prefix=""):
+    for key, val in node.items():
+        path = prefix + key
+        yield path
+        if isinstance(val, dict):
+            yield from _config_keys(val, path + ".")
+
+
+FUZZ_KEYS = sorted(_config_keys(DEFAULT_CONFIG)) + [
+    "system.params.sigma", "system.params.q_0_1", "bogus", "samples.bogus"]
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(),
+    st.sampled_from(sorted(REGISTRY)),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3)), max_size=3),
+    st.dictionaries(st.sampled_from(["count", "name", "params"]),
+                    st.integers(-1, 3), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sets=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                               st.one_of(FUZZ_VALUES.map(json.dumps),
+                                         st.text(max_size=4))),
+                     max_size=3))
+def test_config_fuzz_exit_codes(sets):
+    # any override either runs, is a config error (2) or a numerical
+    # abort (3); never a traceback.  Few samples keep each run small.
+    argv = ["classify", "--set", "samples.count=3",
+            "--set", "quadrature_order=8"]
+    for key, raw in sets:
+        argv += ["--set", f"{key}={raw}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(argv + ["--out", os.path.join(tmp, "report.json")])
+    assert code in (0, 2, 3)

@@ -40,6 +40,24 @@ class TestRK4:
         assert len(traj.states) < 101
 
 
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_rk4(f, [1.0], dt=0.1, steps=20),
+    lambda f: euler_maruyama(f, 0.0, [1.0], dt=0.1, steps=20)],
+    ids=["rk4", "euler_maruyama"])
+def test_integrators_stop_only_on_field_errors(integrate):
+    def broken(x):
+        raise TypeError("bug in the field")
+
+    with pytest.raises(TypeError, match="bug in the field"):
+        integrate(VectorField(dim=1, func=broken))
+    # decays from 1.0; the value turns NaN once the state is below 0.5
+    nan_below = VectorField(
+        dim=1, func=lambda x: np.array([-x[0] if x[0] > 0.5 else np.nan]))
+    traj = integrate(nan_below)
+    assert not traj.completed
+    assert 1 < len(traj.states) < 21
+
+
 class TestLyapunov:
     def test_gradient_flow_monotone(self):
         # xdot = -grad V for V = |x|^2/2

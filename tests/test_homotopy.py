@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from gradiform import (OneForm, QuadratureRule, VectorField, antiexact_part,
                        decompose, dG_matrix, exact_part, potential)
-from gradiform.zoo import jj_circuit_linear, lorenz, quadratic, rotation
+from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
+                          rotation)
 
 RULE = QuadratureRule.gauss_legendre(64)
 
@@ -55,8 +58,17 @@ class TestPotential:
     def test_adaptive_matches_fixed(self):
         form = OneForm(lorenz())
         x = np.array([0.3, -1.2, 0.7])
-        assert potential(form, x) == pytest.approx(potential(form, x, RULE),
-                                                   abs=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # converges before the cap
+            adaptive = potential(form, x)
+        assert adaptive == pytest.approx(potential(form, x, RULE), abs=1e-10)
+
+    def test_adaptive_cap_warns(self):
+        # a kink at t = 0.3 on the ray keeps Gauss-Legendre from converging
+        kink = VectorField(dim=1, func=lambda x: np.abs(x - 0.3))
+        with pytest.warns(RuntimeWarning, match="not converged at 256"):
+            V = potential(OneForm(kink), [1.0])
+        assert V == pytest.approx(0.29, abs=1e-4)
 
 
 class TestExactAntiexact:
@@ -178,3 +190,17 @@ def test_reconstruction_and_radial_annihilation(seed, coords):
     assert d.reconstruction_residual < 1e-8 * (1 + np.max(np.abs(d.point)))
     assert abs(np.dot(d.antiexact_part, x)) < 1e-10 * (
         1 + np.max(np.abs(d.antiexact_part)) * np.max(np.abs(x)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["lorenz", "jj_circuit"]),
+       coords=st.lists(st.floats(-3, 3), min_size=3, max_size=3))
+def test_decompose_matches_separate_parts(name, coords):
+    # decompose samples the ray once; the parts computed one by one must
+    # agree to the last bit
+    form = OneForm(lorenz() if name == "lorenz" else jj_circuit(i=0.3))
+    x = np.array(coords)
+    d = decompose(form, x, RULE)
+    assert d.potential == potential(form, x, RULE)
+    assert np.array_equal(d.exact_part, exact_part(form, x, RULE))
+    assert np.array_equal(d.antiexact_part, antiexact_part(form, x, RULE))

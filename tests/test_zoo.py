@@ -4,7 +4,7 @@ import pytest
 from gradiform import (SystemSpec, analytic_potential, build_system,
                        eval_field, jacobian, sample_ball)
 from gradiform.zoo import (REGISTRY, double_well, jj_circuit,
-                           jj_circuit_linear, jja_interface, lorenz, ou,
+                           jj_circuit_linear, lorenz, ou,
                            quadratic, rotation)
 
 
@@ -93,30 +93,6 @@ class TestAnalyticJacobians:
             Ja = jacobian(field, x, scheme="analytic")
             Jc = jacobian(field, x, scheme="central", h=1e-5)
             assert np.max(np.abs(Ja - Jc)) < 1e-5 * (1 + np.max(np.abs(Ja)))
-
-
-class TestJJAInterface:
-    def test_refuses_without_reference_data(self):
-        with pytest.raises(ValueError, match="external reference data"):
-            jja_interface()
-        with pytest.raises(ValueError):
-            jja_interface(phi=lambda y: y)
-        with pytest.raises(ValueError):
-            jja_interface(omega_matrix=np.eye(2))
-
-    def test_linear_phase_smoke(self):
-        omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        field = jja_interface(phi=lambda y: np.sin(y), omega_matrix=omega,
-                              M=1, N=2)
-        y = np.array([0.5, -0.3])
-        assert np.allclose(eval_field(field, y),
-                           0.5 * omega @ np.sin(y))
-
-    def test_shape_mismatch_flagged(self):
-        field = jja_interface(phi=lambda y: np.ones(3),
-                              omega_matrix=np.eye(2))
-        with pytest.raises(ValueError):
-            eval_field(field, np.zeros(2))
 
 
 class TestRegistry:
