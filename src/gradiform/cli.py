@@ -225,21 +225,21 @@ def cmd_decompose(cfg):
     field, _ = _system(cfg)
     samples = _samples(cfg, field.dim)
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
-    form = OneForm(field)
+    d = decompose(OneForm(field), samples, quad)
     rows = []
     max_res = 0.0
     max_radial = 0.0
-    for x in samples:
-        d = decompose(form, x, quad)
-        max_res = max(max_res, d.reconstruction_residual)
+    for m, x in enumerate(d.point):
+        res = float(d.reconstruction_residual[m])
+        max_res = max(max_res, res)
         max_radial = max(max_radial,
-                         abs(float(np.dot(d.antiexact_part, d.point))))
+                         abs(float(np.dot(d.antiexact_part[m], x))))
         rows.append({
-            "point": d.point,
-            "potential": d.potential,
-            "exact_part": d.exact_part,
-            "antiexact_part": d.antiexact_part,
-            "reconstruction_residual": d.reconstruction_residual,
+            "point": x,
+            "potential": float(d.potential[m]),
+            "exact_part": d.exact_part[m],
+            "antiexact_part": d.antiexact_part[m],
+            "reconstruction_residual": res,
         })
     return {
         "n_samples": len(rows),
@@ -326,7 +326,7 @@ def cmd_simulate(cfg, traj_dir=None):
     n_monotone = 0
     for idx, x0 in enumerate(x0s):
         traj = integrate_rk4(flow, x0, sim["dt"], sim["steps"])
-        rep_l = lyapunov_check(candidate, traj)
+        rep_l = lyapunov_check(-potential(form, traj.states, quad), traj)
         ortho = orthogonality_residual(flow, candidate, np.eye(field.dim),
                                        traj.states[-1])
         n_monotone += rep_l.monotone
@@ -356,10 +356,10 @@ def cmd_graham(cfg):
     ranges = [(lo, hi)] * field.dim
     bins = sim["grid_bins"]
     analytic = analytic_potential(spec)
+    x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
+                      sim["master_seed"])
     blocks = []
     for eps in sim["eps"]:
-        x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
-                          sim["master_seed"])
         ens = euler_maruyama_ensemble(field, eps, x0s, sim["dt"],
                                       sim["steps"],
                                       master_seed=sim["master_seed"])

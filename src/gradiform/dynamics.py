@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .fields import (FieldEvalError, VectorField, _central_difference,
-                     eval_field, fd_step)
+                     eval_field, eval_points, fd_step)
 
 BURN_IN_FRACTION = 0.2
 
@@ -80,11 +80,21 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     return Trajectory(times=times, states=states, dt=dt, completed=completed)
 
 
-def lyapunov_check(V: Callable[[np.ndarray], float], traj: Trajectory,
+def lyapunov_check(V, traj: Trajectory,
                    tol_scale: float = 10.0) -> LyapunovReport:
     """Largest per-step increase of V along the trajectory; monotone when
-    it stays below tol_scale * dt**2 (integrator-error allowance)."""
-    vals = np.array([V(x) for x in traj.states])
+    it stays below tol_scale * dt**2 (integrator-error allowance).
+
+    V is a callable on single states, or its values at traj.states, one
+    per state (for a candidate evaluated on all states in one batch).
+    """
+    if callable(V):
+        vals = np.array([V(x) for x in traj.states])
+    else:
+        vals = np.asarray(V, dtype=float)
+        if vals.shape != (len(traj.states),):
+            raise ValueError(f"{vals.shape} values of V for "
+                             f"{len(traj.states)} states")
     if len(vals) < 2:
         return LyapunovReport(max_increase=0.0, monotone=True)
     max_inc = float(np.max(np.diff(vals)))
@@ -98,7 +108,8 @@ def orthogonality_residual(field: VectorField, V, S, x) -> float:
     x = np.asarray(x, dtype=float)
     S = np.asarray(S, dtype=float)
     f = eval_field(field, x)
-    grad = _central_difference(V, x, fd_step(x))
+    grad = _central_difference(lambda P: np.array([V(p) for p in P]), x,
+                               fd_step(x))
     return float((f + S @ grad) @ grad)
 
 
@@ -117,53 +128,69 @@ def euler_maruyama(field: VectorField, eps: float, x0, dt: float,
     The noise convention matches <z z'> = 2 eps delta(t - t'); eps = 0
     reduces exactly to forward Euler.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     if rng is None:
         rng = _trajectory_rng(seed, 0)
-    x = np.asarray(x0, dtype=float).copy()
-    n = x.size
-    sigma = np.sqrt(2.0 * eps * dt)
-    noise = rng.standard_normal((steps, n)) if eps > 0 else None
-    states = np.empty((steps + 1, n))
-    states[0] = x
-    completed = True
-    count = 1
-    for k in range(steps):
-        try:
-            drift = eval_field(field, x)
-        except FieldEvalError:
-            completed = False
-            break
-        x = x + dt * drift
-        if noise is not None:
-            x = x + sigma * noise[k]
-        if not np.all(np.isfinite(x)):
-            completed = False
-            break
-        states[count] = x
-        count += 1
-    states = states[:count]
-    times = dt * np.arange(count)
-    return Trajectory(times=times, states=states, dt=dt, completed=completed)
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    return _euler_maruyama_lockstep(field, eps, x0, dt, steps, [rng])[0]
 
 
 def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
                             steps: int, master_seed: int = 0
                             ) -> TrajectoryEnsemble:
-    """Independent trajectories with per-index counter-based RNG streams."""
+    """Independent trajectories with per-index counter-based RNG streams,
+    stepped in lockstep: one field evaluation per step for all of them."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    trajectories = []
-    seeds = []
-    for idx, x0 in enumerate(x0s):
-        rng = _trajectory_rng(master_seed, idx)
-        trajectories.append(
-            euler_maruyama(field, eps, x0, dt, steps, rng=rng))
-        seeds.append((master_seed, idx))
-    return TrajectoryEnsemble(trajectories=trajectories, seeds=seeds,
-                              noise_eps=eps)
+    rngs = [_trajectory_rng(master_seed, idx) for idx in range(len(x0s))]
+    return TrajectoryEnsemble(
+        trajectories=_euler_maruyama_lockstep(field, eps, x0s, dt, steps,
+                                              rngs),
+        seeds=[(master_seed, idx) for idx in range(len(x0s))],
+        noise_eps=eps)
+
+
+def _euler_maruyama_lockstep(field: VectorField, eps: float, x0s: np.ndarray,
+                             dt: float, steps: int, rngs: list) -> list:
+    """Euler-Maruyama from each row of x0s, trajectory m drawing its noise
+    from rngs[m].  A non-finite drift or state ends that trajectory alone,
+    cut before the offending state; a FieldEvalError raised by the field
+    ends every trajectory still running."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    count, n = x0s.shape
+    sigma = np.sqrt(2.0 * eps * dt)
+    noise = None
+    if eps > 0:  # each stream draws its whole path, as a lone trajectory
+        noise = np.empty((count, steps, n))
+        for m, rng in enumerate(rngs):
+            noise[m] = rng.standard_normal((steps, n))
+    states = np.empty((count, steps + 1, n))
+    states[:, 0] = x0s
+    lengths = np.full(count, steps + 1)
+    live = slice(None)  # rows still running; an index array once one ends
+    x = x0s
+    for k in range(steps):
+        try:
+            drift = eval_points(field, x, check_finite=False)
+        except FieldEvalError:
+            lengths[live] = k + 1
+            break
+        # a non-finite drift leaves a non-finite state
+        x = x + dt * drift
+        if noise is not None:
+            x = x + sigma * noise[live, k]
+        if not np.isfinite(x).all():
+            ok = np.isfinite(x).all(axis=1)
+            rows = np.arange(count)[live]
+            lengths[rows[~ok]] = k + 1
+            live, x = rows[ok], x[ok]
+            if not live.size:
+                break
+        states[live, k + 1] = x
+    return [Trajectory(times=dt * np.arange(length), states=states[m, :length],
+                       dt=dt, completed=bool(length == steps + 1))
+            for m, length in enumerate(lengths)]
 
 
 def stationary_density(ens: TrajectoryEnsemble, bins, ranges,

@@ -22,6 +22,12 @@ class VectorField:
     ``func`` maps a point in R^dim to a vector in R^dim.  ``jac``, when
     present, returns the matrix of partial derivatives with row i,
     column j holding d g_i / d x_j.
+
+    With ``vectorized=True`` both also take stacked points: ``func`` maps
+    (M, dim) to (M, dim) and ``jac`` maps (M, dim) to (M, dim, dim), row
+    by row, while a single point (dim,) still gives (dim,) and
+    (dim, dim).  ``eval_points`` and ``jacobian_points`` then evaluate a
+    whole batch in one call; other fields are called point by point.
     """
 
     dim: int
@@ -29,6 +35,7 @@ class VectorField:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_radius: float = 10.0
     name: str = ""
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -60,19 +67,68 @@ class SecondOrderSystem:
         object.__setattr__(self, "damping", damp)
 
 
-def eval_field(field: VectorField, x) -> np.ndarray:
-    """Evaluate g(x), checking shapes and finiteness."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.dim,):
+def _as_points(field: VectorField, X, stacked: bool = True) -> np.ndarray:
+    """X as a float array of one point (dim,) or, when stacked is true,
+    also of stacked points (M, dim); any other shape is a ValueError."""
+    X = np.asarray(X, dtype=float)
+    ndims = (1, 2) if stacked else (1,)
+    if X.ndim not in ndims or X.shape[-1] != field.dim:
         raise ValueError(
-            f"point has shape {x.shape}, field dimension is {field.dim}")
-    g = np.asarray(field.func(x), dtype=float)
-    if g.shape != (field.dim,):
-        raise FieldEvalError(
-            f"field returned shape {g.shape}, expected ({field.dim},)")
-    if not np.all(np.isfinite(g)):
-        raise FieldEvalError(f"non-finite field value at x={x}")
+            f"point has shape {X.shape}, field dimension is {field.dim}")
+    return X
+
+
+def _apply(field: VectorField, fn, X: np.ndarray, shape: tuple,
+           what: str) -> np.ndarray:
+    """fn at the points X, each value of the given shape.  A vectorized
+    field, or a single point, takes one call; any other field is called
+    row by row, the only pointwise evaluation path."""
+    if field.vectorized or X.ndim == 1:
+        out = np.asarray(fn(X), dtype=float)
+    else:
+        out = np.empty((len(X),) + shape)
+        for m, x in enumerate(X):
+            val = np.asarray(fn(x), dtype=float)
+            if val.shape != shape:
+                raise FieldEvalError(
+                    f"{what} returned shape {val.shape}, expected {shape}")
+            out[m] = val
+    if out.shape != X.shape[:-1] + shape:
+        raise FieldEvalError(f"{what} returned shape {out.shape}, "
+                             f"expected {X.shape[:-1] + shape}")
+    return out
+
+
+def _check_finite(X: np.ndarray, values: np.ndarray, what: str) -> None:
+    """FieldEvalError naming the first point whose values are not finite."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        bad = ~ok.reshape(X.shape[:-1] + (-1,)).all(axis=-1)
+        x = X[bad][0] if X.ndim == 2 else X
+        raise FieldEvalError(f"non-finite {what} at x={x}")
+
+
+def eval_field(field: VectorField, x) -> np.ndarray:
+    """Evaluate g(x) at one point, checking shapes and finiteness."""
+    x = _as_points(field, x, stacked=False)
+    g = _apply(field, field.func, x, (field.dim,), "field")
+    _check_finite(x, g, "field value")
     return g
+
+
+def eval_points(field: VectorField, X, check_finite: bool = True
+                ) -> np.ndarray:
+    """g at stacked points X (M, dim) -> (M, dim), or at one point (dim,).
+
+    The shape and finiteness checks run once per batch.  With
+    check_finite=False non-finite rows are returned as they are, for
+    callers that handle them row by row.
+    """
+    X = _as_points(field, X)
+    G = _apply(field, field.func, X, (field.dim,), "field")
+    if check_finite:
+        _check_finite(X, G, "field value")
+    return G
 
 
 def fd_step(x: np.ndarray) -> np.ndarray:
@@ -80,48 +136,77 @@ def fd_step(x: np.ndarray) -> np.ndarray:
     return _H0 * np.maximum(1.0, np.abs(x))
 
 
-def _central_difference(f, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Derivative of f at x by central differences: the last axis of the
-    result holds (f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j)."""
-    cols = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = steps[j]
-        cols.append((f(x + e) - f(x - e)) / (2.0 * steps[j]))
-    return np.stack(cols, axis=-1)
+def _central_difference(f, X: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Derivative of f at the points X (..., n) by central differences,
+    from one call of f on all 2n shifted copies of every point: the last
+    axis of the result holds (f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j).
+
+    f maps stacked points (K, n) to values (K, ...).
+    """
+    n = X.shape[-1]
+    shifts = np.moveaxis(steps[..., :, None] * np.eye(n), -2, 0)  # h_j e_j
+    P = np.stack([X + shifts, X - shifts])  # (2, n, ..., n)
+    F = np.asarray(f(P.reshape(-1, n)), dtype=float)
+    F = F.reshape(P.shape[:-1] + F.shape[1:])
+    diff = np.moveaxis(F[0] - F[1], 0, -1)  # (..., values, n)
+    return diff / (2.0 * steps.reshape(
+        X.shape[:-1] + (1,) * (diff.ndim - X.ndim) + (n,)))
+
+
+def jacobian_points(field: VectorField, X, scheme: str = "auto",
+                    h: Optional[float] = None) -> np.ndarray:
+    """J at stacked points X (M, dim) -> (M, dim, dim), or at one point.
+
+    scheme as in ``jacobian``.  Without an analytic Jacobian, central
+    differences evaluate all 2*dim*M shifted points in one
+    ``eval_points`` call.
+    """
+    return _jacobian(field, _as_points(field, X), scheme, h)
 
 
 def jacobian(field: VectorField, x, scheme: str = "auto",
              h: Optional[float] = None) -> np.ndarray:
-    """Matrix J with J[i, j] = d g_i / d x_j at x.
+    """Matrix J with J[i, j] = d g_i / d x_j at the point x.
 
     scheme: "analytic" requires field.jac; "central" forces finite
     differences (step h, default per-coordinate fd_step); "auto" uses
     the analytic Jacobian when available.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.dim,):
-        raise ValueError(
-            f"point has shape {x.shape}, field dimension is {field.dim}")
+    return _jacobian(field, _as_points(field, x, stacked=False), scheme, h)
+
+
+def _jacobian(field: VectorField, X: np.ndarray, scheme: str,
+              h: Optional[float]) -> np.ndarray:
     if scheme not in ("auto", "analytic", "central"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "analytic" and field.jac is None:
         raise ValueError("field has no analytic Jacobian")
     if field.jac is not None and scheme in ("auto", "analytic"):
-        J = np.asarray(field.jac(x), dtype=float)
-        if J.shape != (field.dim, field.dim):
-            raise FieldEvalError(f"analytic Jacobian has shape {J.shape}")
+        J = _apply(field, field.jac, X, (field.dim, field.dim),
+                   "analytic Jacobian")
     else:
         if h is not None:
             if not h > 0:
                 raise ValueError("finite-difference step must be positive")
-            steps = np.full(field.dim, float(h))
+            steps = np.full(X.shape, float(h))
         else:
-            steps = fd_step(x)
-        J = _central_difference(lambda p: eval_field(field, p), x, steps)
-    if not np.all(np.isfinite(J)):
-        raise FieldEvalError(f"non-finite Jacobian entry at x={x}")
+            steps = fd_step(X)
+        J = _central_difference(lambda P: eval_points(field, P), X, steps)
+    _check_finite(X, J, "Jacobian entry")
     return J
+
+
+def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x at one point, or at each row of stacked points (M, n).
+
+    A single point takes the BLAS product.  Stacked rows are summed
+    elementwise instead, because a batched BLAS product rounds each row
+    differently with the number of rows; this way a row's bits do not
+    depend on the batch it is in.
+    """
+    if X.ndim == 1:
+        return A @ X
+    return (X[:, None, :] * A).sum(axis=-1)
 
 
 def reduce_second_order(sos: SecondOrderSystem) -> VectorField:
@@ -136,18 +221,19 @@ def reduce_second_order(sos: SecondOrderSystem) -> VectorField:
     inner = sos.field
 
     def func(z):
-        x, xbar = z[:n], z[n:]
-        g = eval_field(inner, x)
-        return np.concatenate([xbar / beta, -damp * xbar / beta - g])
+        x, xbar = z[..., :n], z[..., n:]
+        g = eval_points(inner, x, check_finite=False)
+        return np.concatenate([xbar / beta, -damp * xbar / beta - g],
+                              axis=-1)
 
     def jac(z):
-        x = z[:n]
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, n:] = np.diag(1.0 / beta)
-        J[n:, :n] = -jacobian(inner, x)
-        J[n:, n:] = np.diag(-damp / beta)
+        J = np.zeros(z.shape + (2 * n,))
+        J[..., :n, n:] = np.diag(1.0 / beta)
+        J[..., n:, :n] = -jacobian_points(inner, z[..., :n])
+        J[..., n:, n:] = np.diag(-damp / beta)
         return J
 
     return VectorField(dim=2 * n, func=func, jac=jac,
                        domain_radius=inner.domain_radius,
-                       name=f"{inner.name}+reduced" if inner.name else "reduced")
+                       name=f"{inner.name}+reduced" if inner.name else "reduced",
+                       vectorized=True)

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .fields import (VectorField, _central_difference, eval_field, fd_step,
-                     jacobian)
+from .fields import (VectorField, _central_difference, _matvec, eval_field,
+                     eval_points, fd_step, jacobian, jacobian_points)
 from .homotopy import OneForm, QuadratureRule, potential
 from .integrability import _relative_asymmetry
 
@@ -205,7 +206,11 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL,
 
 
 def transform_field(field: VectorField, D) -> VectorField:
-    """f(x) = D g(D^{-1} x); Jacobian D J_g(D^{-1} x) D^{-1}."""
+    """f(x) = D g(D^{-1} x); Jacobian D J_g(D^{-1} x) D^{-1}.
+
+    The transformed field is vectorized: stacked points go through the
+    base field in one ``eval_points`` batch.
+    """
     D = np.asarray(D, dtype=float)
     n = field.dim
     if D.shape != (n, n):
@@ -213,14 +218,16 @@ def transform_field(field: VectorField, D) -> VectorField:
     Dinv = np.linalg.inv(D)  # raises LinAlgError when singular
 
     def func(x):
-        return D @ eval_field(field, Dinv @ x)
+        return _matvec(D, eval_points(field, _matvec(Dinv, x),
+                                      check_finite=False))
 
     def jac(x):
-        return D @ jacobian(field, Dinv @ x) @ Dinv
+        return D @ jacobian_points(field, _matvec(Dinv, x)) @ Dinv
 
     radius = field.domain_radius / np.linalg.norm(Dinv, 2)
     return VectorField(dim=n, func=func, jac=jac, domain_radius=radius,
-                       name=f"{field.name}@D" if field.name else "transformed")
+                       name=f"{field.name}@D" if field.name else "transformed",
+                       vectorized=True)
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,7 @@ class MatrixFamily:
     dim: int
     degree: int = 1
 
-    @property
+    @cached_property
     def monomials(self) -> list[tuple[int, ...]]:
         mono = [tuple()]  # constant term first
         def rec(prefix, remaining, start):
@@ -315,14 +322,23 @@ def general_residual(field: VectorField, family: MatrixFamily, theta,
     per collocation sample.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    return _residual_sweep(field, family, theta, samples)[0]
+
+
+def _residual_sweep(field: VectorField, family: MatrixFamily, theta,
+                    samples: np.ndarray):
+    """The general residual and |det D(y)| at each sample, from one D(y)
+    per sample."""
     n = field.dim
     out = []
+    dets = []
     for y in samples:
         g = eval_field(field, y)
         Jg = jacobian(field, y)
         Dm = family.value(y, theta)
         dD = family.grad(y, theta)
-        if abs(np.linalg.det(Dm)) <= 1e-12:
+        det = abs(np.linalg.det(Dm))
+        if det <= 1e-12:
             raise BarrierViolation(f"singular D(y) at sample {y}")
         # M[i, q] = d x_i / d y_q for x = D(y) y
         M = Dm + np.einsum("ijq,j->iq", dD, y)
@@ -332,19 +348,15 @@ def general_residual(field: VectorField, family: MatrixFamily, theta,
         A = B @ np.linalg.inv(M)
         out.extend(A[i, k] - A[k, i]
                    for i in range(n) for k in range(i + 1, n))
-    return np.array(out)
+        dets.append(det)
+    return np.array(out), np.array(dets)
 
 
-def _barrier_terms(family: MatrixFamily, theta, samples,
-                   cfg: GeneralSolveConfig) -> np.ndarray:
-    vals = []
-    for y in samples:
-        d = abs(np.linalg.det(family.value(y, theta)))
-        if d <= 1e-300:
-            raise BarrierViolation(f"singular D(y) at sample {y}")
-        vals.append(cfg.barrier_weight
-                    * max(0.0, np.log(cfg.barrier_det_floor / d)))
-    return np.array(vals)
+def _barrier_terms(dets: np.ndarray, cfg: GeneralSolveConfig) -> np.ndarray:
+    """Log-barrier per sample from |det D(y)|, zero above the floor."""
+    return np.array([cfg.barrier_weight
+                     * max(0.0, np.log(cfg.barrier_det_floor / d))
+                     for d in dets])
 
 
 def solve_general(field: VectorField, family: MatrixFamily,
@@ -356,8 +368,8 @@ def solve_general(field: VectorField, family: MatrixFamily,
         raise ValueError("cfg.samples must be nonempty")
 
     def full_residual(theta):
-        r = general_residual(field, family, theta, samples)
-        return np.concatenate([r, _barrier_terms(family, theta, samples, cfg)])
+        r, dets = _residual_sweep(field, family, theta, samples)
+        return np.concatenate([r, _barrier_terms(dets, cfg)])
 
     # r stacks the general residual, then one barrier term per sample
     def rms(r):
@@ -455,13 +467,10 @@ def consistency_check(tfield: VectorField, samples,
     potential of the transformed field from the field itself."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     form = OneForm(tfield)
-    worst = 0.0
-    for x in samples:
-        f = eval_field(tfield, x)
-        dV = _central_difference(lambda p: potential(form, p, quad), x,
-                                 fd_step(x))
-        worst = max(worst, *np.abs(dV - f))
-    return worst
+    f = eval_points(tfield, samples)
+    dV = _central_difference(lambda P: potential(form, P, quad), samples,
+                             fd_step(samples))
+    return float(np.max(np.abs(dV - f)))
 
 
 def potential_via_transform(field: VectorField, D, x,

@@ -1,12 +1,19 @@
 """Concrete systems: Lorenz, Josephson-junction circuits, and synthetic
-test fields, all with analytic Jacobians."""
+test fields, all with analytic Jacobians.
+
+Every field here is vectorized: it takes a single point or stacked
+points (see ``VectorField``).  The nonlinear fields unpack components
+with ``p.T``, so a single point computes on scalars at the cost of a
+pointwise function, and stacked points compute the same expressions on
+columns; the linear fields multiply through ``fields._matvec``.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import VectorField, _matvec
 
 
 @dataclass(frozen=True)
@@ -23,18 +30,24 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0,
         raise ValueError("lorenz parameters must be positive")
 
     def func(p):
-        x, y, z = p
+        x, y, z = p.T
         return np.array([sigma * (y - x), rho * x - y - x * z,
-                         -beta * z + x * y])
+                         -beta * z + x * y]).T
 
     def jac(p):
-        x, y, z = p
-        return np.array([[-sigma, sigma, 0.0],
-                         [rho - z, -1.0, -x],
-                         [y, x, -beta]])
+        x, y, z = p.T
+        J = np.empty(p.shape + (3,))
+        J[..., 0, :] = (-sigma, sigma, 0.0)
+        J[..., 1, 0] = rho - z
+        J[..., 1, 1] = -1.0
+        J[..., 1, 2] = -x
+        J[..., 2, 0] = y
+        J[..., 2, 1] = x
+        J[..., 2, 2] = -beta
+        return J
 
     return VectorField(dim=3, func=func, jac=jac, domain_radius=100.0,
-                       name="lorenz")
+                       name="lorenz", vectorized=True)
 
 
 def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -46,20 +59,23 @@ def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
         raise ValueError("beta_c and beta_L must be positive")
 
     def func(p):
-        y, delta, zeta = p
+        y, delta, zeta = p.T
         return np.array([y,
                          (-r * y + i - np.sin(delta) - zeta) / beta_c,
-                         (-zeta + y) / beta_L])
+                         (-zeta + y) / beta_L]).T
+
+    const = np.array([[1.0, 0.0, 0.0],
+                      [-r / beta_c, 0.0, -1.0 / beta_c],
+                      [1.0 / beta_L, 0.0, -1.0 / beta_L]])
 
     def jac(p):
-        _, delta, _ = p
-        return np.array([[1.0, 0.0, 0.0],
-                         [-r / beta_c, -np.cos(delta) / beta_c,
-                          -1.0 / beta_c],
-                         [1.0 / beta_L, 0.0, -1.0 / beta_L]])
+        J = np.empty(p.shape + (3,))
+        J[...] = const
+        J[..., 1, 1] = -np.cos(p.T[1]) / beta_c
+        return J
 
     return VectorField(dim=3, func=func, jac=jac, domain_radius=100.0,
-                       name="jj_circuit")
+                       name="jj_circuit", vectorized=True)
 
 
 def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -72,8 +88,9 @@ def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
                   [1.0 / beta_L, 0.0, -1.0 / beta_L]])
     b = np.array([0.0, i / beta_c, 0.0])
 
-    return VectorField(dim=3, func=lambda p: J @ p + b, jac=lambda p: J,
-                       domain_radius=100.0, name="jj_circuit_linear")
+    return VectorField(dim=3, func=lambda p: _matvec(J, p) + b,
+                       jac=_constant_jacobian(J), domain_radius=100.0,
+                       name="jj_circuit_linear", vectorized=True)
 
 
 def quadratic(Q) -> VectorField:
@@ -81,33 +98,45 @@ def quadratic(Q) -> VectorField:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
-    return VectorField(dim=Q.shape[0], func=lambda x: Q @ x,
-                       jac=lambda x: Q, domain_radius=100.0,
-                       name="quadratic")
+    return VectorField(dim=Q.shape[0], func=lambda x: _matvec(Q, x),
+                       jac=_constant_jacobian(Q), domain_radius=100.0,
+                       name="quadratic", vectorized=True)
+
+
+def _constant_jacobian(Q):
+    """Jacobian of a linear field: Q at one point, Q broadcast over the
+    rows of stacked points."""
+    return lambda x: Q if x.ndim == 1 else np.broadcast_to(
+        Q, x.shape[:1] + Q.shape)
 
 
 def rotation() -> VectorField:
     """Planar rotation g = (-y, x): fully antiexact, potential 0."""
     vf = quadratic(np.array([[0.0, -1.0], [1.0, 0.0]]))
     return VectorField(dim=2, func=vf.func, jac=vf.jac,
-                       domain_radius=100.0, name="rotation")
+                       domain_radius=100.0, name="rotation", vectorized=True)
 
 
 def double_well():
     """1-d field g = -dV/dx for V = x^4/4 - x^2/2; returns (field, V)."""
 
+    # x ** 3 on an array rounds differently from x ** 3 on a scalar (by at
+    # most one unit in the last place), so a single point and the same
+    # point inside a batch can differ in the last bit
     def func(x):
-        return np.array([x[0] - x[0] ** 3])
+        x0 = x.T[0]
+        return np.array([x0 - x0 ** 3]).T
 
     def jac(x):
-        return np.array([[1.0 - 3.0 * x[0] ** 2]])
+        x0 = x.T[0]
+        return np.array([[1.0 - 3.0 * x0 ** 2]]).T
 
     def V(x):
         x0 = np.asarray(x, dtype=float).reshape(-1)[0]
         return 0.25 * x0 ** 4 - 0.5 * x0 ** 2
 
     return VectorField(dim=1, func=func, jac=jac, domain_radius=100.0,
-                       name="double_well"), V
+                       name="double_well", vectorized=True), V
 
 
 def ou(theta: float = 1.0):
@@ -117,8 +146,8 @@ def ou(theta: float = 1.0):
         raise ValueError("theta must be positive")
 
     field = VectorField(dim=1, func=lambda x: -theta * x,
-                        jac=lambda x: np.array([[-theta]]),
-                        domain_radius=100.0, name="ou")
+                        jac=lambda x: np.full(x.shape + (1,), -theta),
+                        domain_radius=100.0, name="ou", vectorized=True)
 
     def V(x):
         x0 = np.asarray(x, dtype=float).reshape(-1)[0]

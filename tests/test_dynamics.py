@@ -7,6 +7,7 @@ from gradiform import (VectorField, euler_maruyama, euler_maruyama_ensemble,
                        graham_estimate, integrate_rk4, lyapunov_check,
                        orthogonality_residual, stationary_density,
                        write_trajectory_csv)
+from gradiform.dynamics import _trajectory_rng
 from gradiform.zoo import double_well, ou, rotation
 
 
@@ -42,8 +43,10 @@ class TestRK4:
 
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_rk4(f, [1.0], dt=0.1, steps=20),
-    lambda f: euler_maruyama(f, 0.0, [1.0], dt=0.1, steps=20)],
-    ids=["rk4", "euler_maruyama"])
+    lambda f: euler_maruyama(f, 0.0, [1.0], dt=0.1, steps=20),
+    lambda f: euler_maruyama_ensemble(f, 0.0, [[1.0], [0.2]], dt=0.1,
+                                      steps=20).trajectories[0]],
+    ids=["rk4", "euler_maruyama", "euler_maruyama_ensemble"])
 def test_integrators_stop_only_on_field_errors(integrate):
     def broken(x):
         raise TypeError("bug in the field")
@@ -79,6 +82,15 @@ class TestLyapunov:
         rep = lyapunov_check(lambda x: 0.5 * np.dot(x, x), traj)
         assert rep.monotone
         assert abs(rep.max_increase) < 1e-10
+
+
+    def test_values_in_place_of_V(self):
+        field, V = double_well()
+        traj = integrate_rk4(field, [0.1], dt=0.01, steps=200)
+        vals = np.array([V(x) for x in traj.states])
+        assert lyapunov_check(vals, traj) == lyapunov_check(V, traj)
+        with pytest.raises(ValueError):
+            lyapunov_check(vals[1:], traj)
 
 
 class TestOrthogonality:
@@ -223,3 +235,39 @@ def test_trajectory_csv_roundtrip(tmp_path):
     t, x = lines[2].split(",")
     assert float(t) == pytest.approx(0.1)
     assert float(x) == pytest.approx(traj.states[1][0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["ou", "double_well"]),
+       seed=st.integers(0, 2 ** 31), count=st.integers(1, 6),
+       steps=st.integers(1, 300), eps=st.sampled_from([0.0, 0.05, 0.5]))
+def test_lockstep_ensemble_equals_lone_trajectories(name, seed, count, steps,
+                                                    eps):
+    field = ou()[0] if name == "ou" else double_well()[0]
+    x0s = np.linspace(-1.5, 1.5, count)[:, None]
+    ens = euler_maruyama_ensemble(field, eps, x0s, 1e-2, steps,
+                                  master_seed=seed)
+    assert ens.seeds == [(seed, m) for m in range(count)]
+    for m, traj in enumerate(ens.trajectories):
+        lone = euler_maruyama(field, eps, x0s[m], 1e-2, steps,
+                              rng=_trajectory_rng(seed, m))
+        assert np.array_equal(traj.states, lone.states)
+        assert np.array_equal(traj.times, lone.times)
+        assert traj.completed and lone.completed
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_nonfinite_row_ends_only_its_trajectory(vectorized):
+    # x grows by 10% a step and the drift is NaN from x = 2 on: the start
+    # at 1.9 ends after one step, the others run to the end
+    field = VectorField(dim=1, func=lambda x: np.where(x < 2.0, x, np.nan),
+                        vectorized=vectorized)
+    x0s = np.array([[0.1], [1.9], [-0.5]])
+    ens = euler_maruyama_ensemble(field, 0.0, x0s, 0.1, 5)
+    assert [t.completed for t in ens.trajectories] == [True, False, True]
+    assert [len(t.states) for t in ens.trajectories] == [6, 2, 6]
+    for x0, traj in zip(x0s, ens.trajectories):
+        lone = euler_maruyama(field, 0.0, x0, 0.1, 5)
+        assert np.array_equal(traj.states, lone.states)
+        assert traj.completed == lone.completed
+    assert np.isfinite(ens.trajectories[1].states).all()

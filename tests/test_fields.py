@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradiform import (FieldEvalError, SecondOrderSystem, VectorField,
-                       eval_field, jacobian, reduce_second_order)
-from gradiform.zoo import jj_circuit, lorenz
+from gradiform import (FieldEvalError, OneForm, QuadratureRule,
+                       SecondOrderSystem, SystemSpec, VectorField,
+                       antiexact_part, build_system, classify,
+                       consistency_check, decompose, euler_maruyama_ensemble,
+                       eval_field, eval_points, exact_part, integrate_rk4,
+                       jacobian, jacobian_points, lyapunov_check, potential,
+                       reduce_second_order, sample_ball, transform_field)
+from gradiform.zoo import (REGISTRY, jj_circuit, jj_circuit_linear, lorenz,
+                           quadratic)
 
 
 def identity_field(n=2):
@@ -124,3 +132,138 @@ def test_second_order_residual_roundtrip():
     assert np.allclose(out[:3], xd)
     xdd = out[3:] / beta
     assert np.max(np.abs(beta * xdd + xd + Q @ x)) < 1e-12
+
+
+# -- the batched evaluation path --------------------------------------------
+
+def _zoo_fields():
+    fields = {name: build_system(SystemSpec(name, {}, 0))
+              for name in REGISTRY}
+    rng = np.random.default_rng(11)
+    fields["jj_circuit_biased"] = jj_circuit(i=0.3, r=1.2, beta_c=0.7,
+                                             beta_L=1.9)
+    fields["jj_circuit_linear_biased"] = jj_circuit_linear(
+        i=0.3, r=1.2, beta_c=0.7, beta_L=1.9)
+    fields["quadratic3"] = quadratic(rng.standard_normal((3, 3)))
+    return fields
+
+
+ZOO_FIELDS = _zoo_fields()
+EPS = np.finfo(float).eps
+
+
+def _single_point_bound(name, field, X, G):
+    """Allowed |eval_points - eval_field| per entry, given the single-point
+    values G: 0 where the batch computes exactly what a single point
+    computes.
+
+    double_well: x ** 3 rounds by up to 1 ulp differently on arrays than
+    on scalars, which moves g = x - x ** 3 by at most that ulp plus one
+    ulp of g.  Linear fields: a single point takes the BLAS product Q x,
+    stacked rows an elementwise sum; each is within n eps sum_j |Q_ij x_j|
+    of the exact value, so they differ by at most twice that.
+    """
+    if name == "double_well":
+        return EPS * (np.abs(X) ** 3 + np.abs(G))
+    if name.startswith(("quadratic", "jj_circuit_linear", "rotation")):
+        Q = field.jac(X[0])
+        return 2 * field.dim * EPS * (np.abs(X) @ np.abs(Q).T)
+    return np.zeros_like(X)
+
+
+def points(dim, max_rows=12):
+    return st.integers(1, max_rows).flatmap(lambda m: st.lists(
+        st.lists(st.floats(-3, 3), min_size=dim, max_size=dim),
+        min_size=m, max_size=m)).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(ZOO_FIELDS)))
+def test_zoo_batch_matches_single_points(data, name):
+    field = ZOO_FIELDS[name]
+    assert field.vectorized
+    X = data.draw(points(field.dim))
+    G = eval_points(field, X)
+    single = np.array([eval_field(field, x) for x in X])
+    assert np.all(np.abs(G - single)
+                  <= _single_point_bound(name, field, X, single))
+    # a row's bits do not depend on the batch it is in
+    assert np.array_equal(G[-1:], eval_points(field, X[-1:]))
+    for scheme in ("analytic", "central"):
+        J = jacobian_points(field, X, scheme=scheme)
+        assert np.array_equal(J, np.array([jacobian(field, x, scheme=scheme)
+                                           for x in X]))
+
+
+def test_eval_points_shapes_and_errors():
+    f = identity_field(2)
+    X = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(eval_points(f, X), X)
+    assert np.array_equal(eval_points(f, X[0]), X[0])
+    for bad in (np.ones((3, 3)), np.ones((2, 2, 2)), np.ones(3)):
+        with pytest.raises(ValueError):
+            eval_points(f, bad)
+    wrong = VectorField(dim=2, func=lambda x: x[..., :1], vectorized=True)
+    with pytest.raises(FieldEvalError, match="returned shape"):
+        eval_points(wrong, X)
+    with pytest.raises(FieldEvalError, match="returned shape"):
+        eval_points(VectorField(dim=2, func=lambda x: x[:1]), X)
+    blows = VectorField(dim=1, func=lambda x: 1.0 / (x - 1.0),
+                        vectorized=True)
+    with pytest.raises(FieldEvalError, match=r"non-finite.*\[1\.\]"):
+        with np.errstate(divide="ignore"):
+            eval_points(blows, [[0.0], [1.0], [2.0]])
+    with np.errstate(divide="ignore"):
+        G = eval_points(blows, [[0.0], [1.0], [2.0]], check_finite=False)
+    assert np.isfinite(G[[0, 2]]).all() and not np.isfinite(G[1]).any()
+
+
+def test_central_jacobian_one_batched_call():
+    calls = []
+
+    def func(X):
+        calls.append(X.shape)
+        return np.sin(X)
+
+    f = VectorField(dim=3, func=func, vectorized=True)
+    X = sample_ball(3, 5, 1.0, seed=2)
+    J = jacobian_points(f, X)
+    assert calls == [(2 * 3 * 5, 3)]
+    for Jm, x in zip(J, X):
+        assert np.allclose(Jm, np.diag(np.cos(x)), atol=1e-9)
+
+
+def test_pointwise_callable_through_every_entry_point():
+    # a field written for single points only takes the pointwise fallback;
+    # its vectorized twin computes the same numbers in batches
+    plain = VectorField(dim=2, func=lambda x: x.copy())
+    twin = VectorField(dim=2, func=lambda x: x.copy(), vectorized=True)
+    X = sample_ball(2, 7, 1.5, seed=4)
+    rule = QuadratureRule.gauss_legendre(16)
+    D = np.array([[2.0, 0.5], [0.0, 1.0]])
+    sos = lambda f: reduce_second_order(SecondOrderSystem([1.0, 2.0], f))
+
+    def through(f):
+        form = OneForm(f)
+        d = decompose(form, X, rule)
+        traj = integrate_rk4(f, X[0], 0.01, 20)
+        return [eval_points(f, X), jacobian_points(f, X),
+                potential(form, X, rule), potential(form, X),
+                exact_part(form, X, rule), antiexact_part(form, X, rule),
+                d.potential, d.exact_part, d.antiexact_part,
+                eval_points(transform_field(f, D), X),
+                jacobian_points(transform_field(f, D), X),
+                eval_points(sos(f), np.hstack([X, X])),
+                jacobian_points(sos(f), np.hstack([X, X])),
+                [t.states for t in euler_maruyama_ensemble(
+                    f, 0.1, X, 0.01, 30, master_seed=3).trajectories],
+                traj.states,
+                lyapunov_check(-potential(form, traj.states, rule),
+                               traj).max_increase,
+                classify(f, X).max_asymmetry,
+                consistency_check(f, X[:3], rule)]
+
+    for a, b in zip(through(plain), through(twin)):
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+    assert np.allclose(potential(OneForm(plain), X, rule),
+                       0.5 * np.sum(X * X, axis=1))

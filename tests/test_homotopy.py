@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradiform import (OneForm, QuadratureRule, VectorField, antiexact_part,
-                       decompose, dG_matrix, exact_part, potential)
+                       decompose, dG_matrix, eval_field, exact_part, potential,
+                       sample_ball, transform_field)
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                           rotation)
 
@@ -204,3 +205,68 @@ def test_decompose_matches_separate_parts(name, coords):
     assert d.potential == potential(form, x, RULE)
     assert np.array_equal(d.exact_part, exact_part(form, x, RULE))
     assert np.array_equal(d.antiexact_part, antiexact_part(form, x, RULE))
+
+
+def _stack_fields():
+    cubic = random_cubic_field(3)
+    return {
+        "lorenz": lorenz(), "jj_circuit": jj_circuit(i=0.3),
+        "quadratic": quadratic([[1.0, 2.0, 0.5], [-1.0, 0.3, 2.0],
+                                [0.7, -0.2, -1.5]]),
+        "lorenz@D": transform_field(lorenz(), np.diag([1.0, 0.8, 1.3])),
+        # written for single points: the pointwise fallback
+        "cubic": VectorField(dim=3, func=cubic.func, jac=cubic.jac),
+    }
+
+
+STACK_FIELDS = _stack_fields()
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(STACK_FIELDS)),
+       adaptive=st.booleans(),
+       X=st.integers(1, 40).flatmap(lambda m: st.lists(
+           st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+           min_size=m, max_size=m)).map(np.array))
+def test_stacked_rows_equal_single_points(name, adaptive, X):
+    # each point's ray quadrature, and with quad=None its refinement, does
+    # not depend on how many points share the batch
+    form = OneForm(STACK_FIELDS[name])
+    quad = None if adaptive else RULE
+    V = potential(form, X, quad)
+    d = decompose(form, X, quad)
+    assert V.shape == (len(X),)
+    for m, x in enumerate(X):
+        assert V[m] == potential(form, x, quad)
+        one = decompose(form, x, quad)
+        assert d.potential[m] == one.potential
+        assert np.array_equal(d.exact_part[m], one.exact_part)
+        assert np.array_equal(d.antiexact_part[m], one.antiexact_part)
+        assert d.reconstruction_residual[m] == one.reconstruction_residual
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FIELDS))
+def test_potential_matches_pointwise_loop(name):
+    # reference: the integrand node by node through eval_field; the batch
+    # sums nodes and coordinates in another order, so the two agree to
+    # within the rounding of K + N terms of the integrand's magnitude
+    field = STACK_FIELDS[name]
+    X = sample_ball(3, 16, 2.0, seed=8)
+    V = potential(OneForm(field), X, RULE)
+    for x, v in zip(X, V):
+        terms = np.array([w * x * eval_field(field, t * x)
+                          for t, w in zip(RULE.nodes, RULE.weights)])
+        bound = 2 * (len(RULE.nodes) + 3) * np.finfo(float).eps \
+            * np.abs(terms).sum()
+        assert abs(v - terms.sum()) <= bound
+
+
+def test_adaptive_refines_each_point_on_its_own():
+    # the kinked field needs all 256 nodes at x = 1 but converges at 0.2
+    kink = OneForm(VectorField(dim=1, func=lambda x: np.abs(x - 0.3)))
+    with pytest.warns(RuntimeWarning, match="at 1 point"):
+        V = potential(kink, [[0.2], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert V[0] == potential(kink, [0.2])
+    assert V[0] == pytest.approx(0.04, abs=1e-12)  # 0.2 * (0.3 - 0.1)
