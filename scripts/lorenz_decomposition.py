@@ -36,17 +36,12 @@ def main():
     print(f"max Jacobian asymmetry: {rep.max_asymmetry:.3e}")
     print(f"max Frobenius defect:   {rep.frobenius_defect_max:.3e}")
 
-    worst = 0.0
-    ex_norm = np.zeros(args.count)
-    ae_norm = np.zeros(args.count)
+    d = decompose(form, pts, quad)  # all points in one batch
+    ex_norm = np.linalg.norm(d.exact_part, axis=1)
+    ae_norm = np.linalg.norm(d.antiexact_part, axis=1)
     radii = np.linalg.norm(pts, axis=1)
-    for k, x in enumerate(pts):
-        d = decompose(form, x, quad)
-        worst = max(worst, d.reconstruction_residual)
-        ex_norm[k] = np.linalg.norm(d.exact_part)
-        ae_norm[k] = np.linalg.norm(d.antiexact_part)
     print(f"max reconstruction residual over {args.count} points: "
-          f"{worst:.3e}")
+          f"{np.max(d.reconstruction_residual):.3e}")
 
     order = np.argsort(radii)
     print("\n    |x|    |exact|   |antiexact|   antiexact share")

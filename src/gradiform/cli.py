@@ -18,7 +18,7 @@ from . import __version__
 from .dynamics import (euler_maruyama_ensemble, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
-from .fields import FieldEvalError, jacobian
+from .fields import FieldEvalError, jacobian, jacobian_points
 from .gradientize import (GeneralSolveConfig, GradientizeError, MatrixFamily,
                           solve_consistency_constant, solve_general,
                           solve_symmetrizer, transform_field)
@@ -191,7 +191,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        if obj.dtype.kind == "f":  # masked/failed entries become null
+            obj = np.where(np.isfinite(obj), obj, None)
+        return obj.tolist()
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return f if np.isfinite(f) else None  # masked/failed entries
@@ -226,29 +228,20 @@ def cmd_decompose(cfg):
     samples = _samples(cfg, field.dim)
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     d = decompose(OneForm(field), samples, quad)
-    rows = []
-    max_res = 0.0
-    max_radial = 0.0
-    for m, x in enumerate(d.point):
-        res = float(d.reconstruction_residual[m])
-        max_res = max(max_res, res)
-        max_radial = max(max_radial,
-                         abs(float(np.dot(d.antiexact_part[m], x))))
-        rows.append({
-            "point": x,
-            "potential": float(d.potential[m]),
-            "exact_part": d.exact_part[m],
-            "antiexact_part": d.antiexact_part[m],
-            "reconstruction_residual": res,
-        })
+    rows = [{"point": x, "potential": float(v), "exact_part": ex,
+             "antiexact_part": ae, "reconstruction_residual": float(res)}
+            for x, v, ex, ae, res in zip(d.point, d.potential, d.exact_part,
+                                         d.antiexact_part,
+                                         d.reconstruction_residual)]
+    # x . antiexact(x) per point, the same dot product as for one point
+    radial = np.matmul(d.antiexact_part[:, None, :], d.point[:, :, None])
     return {
         "n_samples": len(rows),
-        "max_reconstruction_residual": max_res,
-        "max_radial_annihilation_violation": max_radial,
-        "max_exact_norm": max(float(np.max(np.abs(r["exact_part"])))
-                              for r in rows),
-        "max_antiexact_norm": max(float(np.max(np.abs(r["antiexact_part"])))
-                                  for r in rows),
+        "max_reconstruction_residual": float(
+            np.max(d.reconstruction_residual)),
+        "max_radial_annihilation_violation": float(np.max(np.abs(radial))),
+        "max_exact_norm": float(np.max(np.abs(d.exact_part))),
+        "max_antiexact_norm": float(np.max(np.abs(d.antiexact_part))),
         "decompositions": rows,
     }
 
@@ -274,8 +267,7 @@ def cmd_gradientize(cfg):
     J0 = jacobian(field, origin)
     samples = sample_ball(field.dim, cfg["solver"]["collocation"],
                           cfg["samples"]["radius"], cfg["samples"]["seed"])
-    jac_spread = max(float(np.max(np.abs(jacobian(field, x) - J0)))
-                     for x in samples)
+    jac_spread = float(np.max(np.abs(jacobian_points(field, samples) - J0)))
     consistency_rep = solve_consistency_constant(J0, tol=tol)
     symmetrizer_rep = solve_symmetrizer(J0, tol=tol)
     out = {
@@ -317,8 +309,8 @@ def cmd_simulate(cfg, traj_dir=None):
         flow = field
     form = OneForm(flow)
 
-    def candidate(x):  # descends along xdot = g when the form is closed
-        return -potential(form, x, quad)
+    def candidate(X):  # descends along xdot = g when the form is closed
+        return -potential(form, X, quad)
 
     x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
                       sim["master_seed"])
@@ -326,7 +318,7 @@ def cmd_simulate(cfg, traj_dir=None):
     n_monotone = 0
     for idx, x0 in enumerate(x0s):
         traj = integrate_rk4(flow, x0, sim["dt"], sim["steps"])
-        rep_l = lyapunov_check(-potential(form, traj.states, quad), traj)
+        rep_l = lyapunov_check(candidate(traj.states), traj)
         ortho = orthogonality_residual(flow, candidate, np.eye(field.dim),
                                        traj.states[-1])
         n_monotone += rep_l.monotone

@@ -85,16 +85,12 @@ def lyapunov_check(V, traj: Trajectory,
     """Largest per-step increase of V along the trajectory; monotone when
     it stays below tol_scale * dt**2 (integrator-error allowance).
 
-    V is a callable on single states, or its values at traj.states, one
-    per state (for a candidate evaluated on all states in one batch).
+    V holds the candidate's values at traj.states, one per state.
     """
-    if callable(V):
-        vals = np.array([V(x) for x in traj.states])
-    else:
-        vals = np.asarray(V, dtype=float)
-        if vals.shape != (len(traj.states),):
-            raise ValueError(f"{vals.shape} values of V for "
-                             f"{len(traj.states)} states")
+    vals = np.asarray(V, dtype=float)
+    if vals.shape != (len(traj.states),):
+        raise ValueError(f"{vals.shape} values of V for "
+                         f"{len(traj.states)} states")
     if len(vals) < 2:
         return LyapunovReport(max_increase=0.0, monotone=True)
     max_inc = float(np.max(np.diff(vals)))
@@ -104,12 +100,12 @@ def lyapunov_check(V, traj: Trajectory,
 
 
 def orthogonality_residual(field: VectorField, V, S, x) -> float:
-    """(f + S grad V)^T grad V with a finite-difference gradient of V."""
+    """(f + S grad V)^T grad V with a finite-difference gradient of V,
+    which maps stacked points (K, dim) to values (K,)."""
     x = np.asarray(x, dtype=float)
     S = np.asarray(S, dtype=float)
     f = eval_field(field, x)
-    grad = _central_difference(lambda P: np.array([V(p) for p in P]), x,
-                               fd_step(x))
+    grad = _central_difference(V, x, fd_step(x))
     return float((f + S @ grad) @ grad)
 
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .fields import (VectorField, _central_difference, _matvec, eval_field,
-                     eval_points, fd_step, jacobian, jacobian_points)
+from .fields import (VectorField, _central_difference, _matvec, eval_points,
+                     fd_step, jacobian_points)
 from .homotopy import OneForm, QuadratureRule, potential
 from .integrability import _relative_asymmetry
 
@@ -21,6 +21,12 @@ NULLSPACE_RTOL = 1e-10
 DET_FLOOR = 1e-10
 SEARCH_DRAWS = 64
 DEFAULT_TOL = 1e-8
+# solve_general: LM start damping and stopping rms, log-barrier, theta FD step
+DAMPING0 = 1e-3
+TARGET_RMS = 1e-10
+BARRIER_DET_FLOOR = 1e-6
+BARRIER_WEIGHT = 1.0
+FD_THETA_STEP = 1e-6
 
 
 class GradientizeError(RuntimeError):
@@ -122,11 +128,8 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL,
     J = _square(J)
     n = J.shape[0]
     # vec ordering (i, j) -> i*n + j; (J^T D^T)_{ij} = sum_k J[k, i] D[j, k]
-    M = np.eye(n * n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                M[i * n + j, j * n + k] -= J[k, i]
+    M = np.eye(n * n) - np.einsum("ja,bi->ijab", np.eye(n), J).reshape(
+        n * n, n * n)
     basis = [v.reshape(n, n) for v in _null_basis(M)]
 
     chosen = None
@@ -235,7 +238,8 @@ class MatrixFamily:
     """Matrix function D(y) with polynomial entries up to total degree d.
 
     Parameters theta are ordered entry-major: for each (i, j) the
-    monomial coefficients in the order of self.monomials.
+    monomial coefficients in the order of self.monomials.  ``value`` and
+    ``grad`` take one point y (dim,) or stacked points (..., dim).
     """
 
     dim: int
@@ -243,16 +247,10 @@ class MatrixFamily:
 
     @cached_property
     def monomials(self) -> list[tuple[int, ...]]:
-        mono = [tuple()]  # constant term first
-        def rec(prefix, remaining, start):
-            for q in range(start, self.dim):
-                cand = prefix + (q,)
-                mono.append(cand)
-                if remaining > 1:
-                    rec(cand, remaining - 1, q)
-        if self.degree >= 1:
-            rec(tuple(), self.degree, 0)
-        return mono
+        # constant term first, then each index tuple before its extensions
+        return [()] + sorted(chain.from_iterable(
+            combinations_with_replacement(range(self.dim), d)
+            for d in range(1, self.degree + 1)))
 
     @property
     def n_params(self) -> int:
@@ -272,35 +270,40 @@ class MatrixFamily:
                 f"theta must have shape ({self.n_params},)")
         return theta.reshape(self.dim, self.dim, len(self.monomials))
 
-    def value(self, y, theta) -> np.ndarray:
+    def _tables(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Each monomial at points y (..., dim), (..., n_mono), and its
+        derivatives (..., n_mono, dim); they do not depend on theta."""
         y = np.asarray(y, dtype=float)
-        mono_vals = np.array([np.prod([y[q] for q in m]) if m else 1.0
-                              for m in self.monomials])
-        return self._coeffs(theta) @ mono_vals
+        mono = np.stack([np.prod(y[..., list(m)], axis=-1)
+                         for m in self.monomials], axis=-1)
+        dmono = np.zeros(mono.shape + (self.dim,))
+        for k, m in enumerate(self.monomials):
+            for pos, q in enumerate(m):
+                rest = list(m[:pos] + m[pos + 1:])
+                dmono[..., k, q] += np.prod(y[..., rest], axis=-1)
+        return mono, dmono
+
+    def _evaluate(self, theta, tables) -> tuple[np.ndarray, np.ndarray]:
+        """D (..., dim, dim) and its gradient (..., dim, dim, dim) from the
+        monomial tables; D takes one matrix-vector product per point and
+        row block, so a point's bits do not depend on its batch."""
+        c = self._coeffs(theta)
+        mono, dmono = tables
+        return (np.matmul(c, mono[..., None, :, None])[..., 0],
+                np.einsum("ijk,...kq->...ijq", c, dmono))
+
+    def value(self, y, theta) -> np.ndarray:
+        return self._evaluate(theta, self._tables(y))[0]
 
     def grad(self, y, theta) -> np.ndarray:
-        """dD[i, j, q] = d D_{ij} / d y_q."""
-        y = np.asarray(y, dtype=float)
-        c = self._coeffs(theta)
-        mono = self.monomials
-        dmono = np.zeros((len(mono), self.dim))
-        for k, m in enumerate(mono):
-            for pos in range(len(m)):
-                rest = m[:pos] + m[pos + 1:]
-                val = np.prod([y[q] for q in rest]) if rest else 1.0
-                dmono[k, m[pos]] += val
-        return np.einsum("ijk,kq->ijq", c, dmono)
+        """dD[..., i, j, q] = d D_{ij} / d y_q."""
+        return self._evaluate(theta, self._tables(y))[1]
 
 
 @dataclass(frozen=True)
 class GeneralSolveConfig:
     samples: np.ndarray
     max_iter: int = 200
-    damping0: float = 1e-3
-    target_rms: float = 1e-10
-    barrier_det_floor: float = 1e-6
-    barrier_weight: float = 1.0
-    fd_theta_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -322,41 +325,37 @@ def general_residual(field: VectorField, family: MatrixFamily, theta,
     per collocation sample.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return _residual_sweep(field, family, theta, samples)[0]
+    return _residual_sweep(field, family, samples)(theta)[:-len(samples)]
 
 
-def _residual_sweep(field: VectorField, family: MatrixFamily, theta,
+def _residual_sweep(field: VectorField, family: MatrixFamily,
                     samples: np.ndarray):
-    """The general residual and |det D(y)| at each sample, from one D(y)
-    per sample."""
-    n = field.dim
-    out = []
-    dets = []
-    for y in samples:
-        g = eval_field(field, y)
-        Jg = jacobian(field, y)
-        Dm = family.value(y, theta)
-        dD = family.grad(y, theta)
-        det = abs(np.linalg.det(Dm))
-        if det <= 1e-12:
-            raise BarrierViolation(f"singular D(y) at sample {y}")
-        # M[i, q] = d x_i / d y_q for x = D(y) y
-        M = Dm + np.einsum("ijq,j->iq", dD, y)
-        if abs(np.linalg.det(M)) <= 1e-12:
-            raise BarrierViolation(f"singular dx/dy at sample {y}")
-        B = np.einsum("ijq,j->iq", dD, g) + Dm @ Jg
+    """sweep(theta) -> the general residual, then one log-barrier term per
+    sample, for all samples at once.  g, its Jacobian and the monomial
+    tables do not depend on theta: they are computed here, once."""
+    G = eval_points(field, samples)
+    Jg = jacobian_points(field, samples)
+    tables = family._tables(samples)
+    upper = np.triu_indices(field.dim, 1)
+
+    def sweep(theta):
+        D, dD = family._evaluate(theta, tables)
+        dets = np.abs(np.linalg.det(D))
+        # M[s, i, q] = d x_i / d y_q for x = D(y) y
+        M = D + np.einsum("sijq,sj->siq", dD, samples)
+        singular = (dets <= 1e-12) | (np.abs(np.linalg.det(M)) <= 1e-12)
+        if singular.any():
+            raise BarrierViolation("singular D(y) or dx/dy at sample "
+                                   f"{samples[np.argmax(singular)]}")
+        B = np.einsum("sijq,sj->siq", dD, G) + D @ Jg
         A = B @ np.linalg.inv(M)
-        out.extend(A[i, k] - A[k, i]
-                   for i in range(n) for k in range(i + 1, n))
-        dets.append(det)
-    return np.array(out), np.array(dets)
+        # the barrier is zero while |det D(y)| is above its floor
+        return np.concatenate([
+            (A - np.swapaxes(A, 1, 2))[:, upper[0], upper[1]].ravel(),
+            BARRIER_WEIGHT
+            * np.maximum(0.0, np.log(BARRIER_DET_FLOOR / dets))])
 
-
-def _barrier_terms(dets: np.ndarray, cfg: GeneralSolveConfig) -> np.ndarray:
-    """Log-barrier per sample from |det D(y)|, zero above the floor."""
-    return np.array([cfg.barrier_weight
-                     * max(0.0, np.log(cfg.barrier_det_floor / d))
-                     for d in dets])
+    return sweep
 
 
 def solve_general(field: VectorField, family: MatrixFamily,
@@ -366,30 +365,26 @@ def solve_general(field: VectorField, family: MatrixFamily,
     samples = np.atleast_2d(np.asarray(cfg.samples, dtype=float))
     if samples.size == 0:
         raise ValueError("cfg.samples must be nonempty")
+    full_residual = _residual_sweep(field, family, samples)
 
-    def full_residual(theta):
-        r, dets = _residual_sweep(field, family, theta, samples)
-        return np.concatenate([r, _barrier_terms(dets, cfg)])
-
-    # r stacks the general residual, then one barrier term per sample
     def rms(r):
         general = r[:r.size - len(samples)]
         return float(np.sqrt(np.mean(general * general)))
 
     theta = family.identity_params()
     r = full_residual(theta)
-    lam = cfg.damping0
+    lam = DAMPING0
     nu = 2.0
     iterations = 0
-    while not rms(r) < cfg.target_rms and iterations < cfg.max_iter:
+    while not rms(r) < TARGET_RMS and iterations < cfg.max_iter:
         iterations += 1
         # forward-difference Jacobian in theta; problems are small
         Jr = np.empty((r.size, theta.size))
         for p in range(theta.size):
             tp = theta.copy()
-            tp[p] += cfg.fd_theta_step
+            tp[p] += FD_THETA_STEP
             try:
-                Jr[:, p] = (full_residual(tp) - r) / cfg.fd_theta_step
+                Jr[:, p] = (full_residual(tp) - r) / FD_THETA_STEP
             except BarrierViolation:
                 Jr[:, p] = 0.0
         H = Jr.T @ Jr
@@ -419,7 +414,7 @@ def solve_general(field: VectorField, family: MatrixFamily,
             nu *= 2.0
 
     final_rms = rms(r)
-    converged = final_rms < cfg.target_rms
+    converged = final_rms < TARGET_RMS
     tfield = transform_field_general(field, family, theta)
     try:
         consistency = consistency_check(tfield, samples[: min(8, len(samples))])
@@ -434,31 +429,39 @@ def transform_field_general(field: VectorField, family: MatrixFamily,
                             theta) -> VectorField:
     """Transformed field f(x) = D(y) g(y) with y solving x = D(y) y.
 
-    The inverse map is computed by damped Newton iteration from y = x.
+    A vectorized field: Newton iteration from y = x inverts all points in
+    lockstep, each stopping at its own tolerance.
     """
     n = field.dim
 
-    def invert(x):
-        y = np.asarray(x, dtype=float).copy()
+    def invert(X):
+        Y = X.copy()
+        todo = np.arange(len(X))
         for _ in range(50):
-            Dm = family.value(y, theta)
-            res = Dm @ y - x
-            if np.max(np.abs(res)) < 1e-13 * (1.0 + np.max(np.abs(x))):
-                return y
-            M = Dm + np.einsum("ijq,j->iq", family.grad(y, theta), y)
+            D, dD = family._evaluate(theta, family._tables(Y[todo]))
+            res = np.matmul(D, Y[todo, :, None])[:, :, 0] - X[todo]
+            done = np.max(np.abs(res), axis=1) \
+                < 1e-13 * (1.0 + np.max(np.abs(X[todo]), axis=1))
+            todo, D, dD, res = todo[~done], D[~done], dD[~done], res[~done]
+            if not todo.size:
+                return Y
+            M = D + np.einsum("sijq,sj->siq", dD, Y[todo])
             try:
-                y = y - np.linalg.solve(M, res)
+                Y[todo] -= np.linalg.solve(M, res[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                raise BarrierViolation(f"singular dx/dy while inverting {x}")
-        raise RuntimeError(f"coordinate inversion did not converge at {x}")
+                raise BarrierViolation("singular dx/dy while inverting")
+        raise RuntimeError("coordinate inversion did not converge at "
+                           f"{X[todo[0]]}")
 
     def func(x):
-        y = invert(x)
-        return family.value(y, theta) @ eval_field(field, y)
+        Y = invert(np.reshape(x, (-1, n)))
+        f = np.matmul(family.value(Y, theta),
+                      eval_points(field, Y)[:, :, None])[:, :, 0]
+        return f.reshape(np.shape(x))
 
     return VectorField(dim=n, func=func, jac=None,
                        domain_radius=field.domain_radius,
-                       name="general-transformed")
+                       name="general-transformed", vectorized=True)
 
 
 def consistency_check(tfield: VectorField, samples,
@@ -480,12 +483,12 @@ def potential_via_transform(field: VectorField, D, x,
     transform fails to close the form."""
     x = np.asarray(x, dtype=float)
     tfield = transform_field(field, D)
-    checks = [x] if np.any(x != 0) else [np.ones(field.dim)]
-    checks += [0.5 * checks[0], 0.1 * checks[0] + 1e-3]
-    for p in checks:
-        J = jacobian(tfield, p)
-        if _relative_asymmetry(J) > tol:
-            raise GradientizeError(
-                "transformed form is not closed (asymmetry "
-                f"{_relative_asymmetry(J):.3e} > {tol:.1e} at {p})")
+    p = x if np.any(x != 0) else np.ones(field.dim)
+    checks = np.array([p, 0.5 * p, 0.1 * p + 1e-3])
+    asym = _relative_asymmetry(jacobian_points(tfield, checks))
+    if np.any(asym > tol):
+        k = int(np.argmax(asym > tol))
+        raise GradientizeError(
+            "transformed form is not closed (asymmetry "
+            f"{asym[k]:.3e} > {tol:.1e} at {checks[k]})")
     return potential(OneForm(tfield), x, quad)

@@ -8,7 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import VectorField, eval_field, jacobian
+from .fields import (VectorField, eval_field, eval_points, jacobian,
+                     jacobian_points)
 from .homotopy import OneForm, QuadratureRule, _resolve
 
 DEFAULT_TOL = 1e-8
@@ -67,18 +68,36 @@ def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
     return Loop(gamma=gamma, dgamma=dgamma, label=f"circle(r={radius})")
 
 
-def _relative_asymmetry(J: np.ndarray) -> float:
-    return float(np.max(np.abs(J - J.T)) / (1.0 + np.max(np.abs(J))))
+def _relative_asymmetry(J: np.ndarray):
+    """max|J - J^T| / (1 + max|J|) of each matrix J (..., n, n)."""
+    return (np.max(np.abs(J - np.swapaxes(J, -1, -2)), axis=(-2, -1))
+            / (1.0 + np.max(np.abs(J), axis=(-2, -1))))
+
+
+def _sample_points(samples) -> np.ndarray:
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.size == 0:
+        raise ValueError("at least one sample point is required")
+    return samples
+
+
+def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Max over index triples l < k < i of the wedge obstruction
+    |g_l (J_ik - J_ki) + g_k (J_li - J_il) + g_i (J_kl - J_lk)| at each
+    point, from values g (..., n) and Jacobians J (..., n, n)."""
+    l, k, i = np.array(list(combinations(range(g.shape[-1]), 3)),
+                       dtype=int).reshape(-1, 3).T
+    term = (g[..., l] * (J[..., i, k] - J[..., k, i])
+            + g[..., k] * (J[..., l, i] - J[..., i, l])
+            + g[..., i] * (J[..., k, l] - J[..., l, k]))
+    return np.max(np.abs(term), axis=-1, initial=0.0)  # 0 when N < 3
 
 
 def closedness(field: VectorField, samples, tol: float = DEFAULT_TOL,
                scheme: str = "auto") -> ClosednessReport:
     """Max relative Jacobian asymmetry over samples; Closed iff below tol."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("at least one sample point is required")
-    worst = max(_relative_asymmetry(jacobian(field, x, scheme=scheme))
-                for x in samples)
+    J = jacobian_points(field, _sample_points(samples), scheme=scheme)
+    worst = float(np.max(_relative_asymmetry(J)))
     verdict = Verdict.CLOSED if worst <= tol else Verdict.NON_INTEGRABLE
     return ClosednessReport(max_asymmetry=worst, frobenius_defect_max=None,
                             verdict=verdict)
@@ -89,18 +108,8 @@ def frobenius_defect(field: VectorField, x, scheme: str = "auto") -> float:
 
     For N = 3 this equals |f . curl f|; identically 0 for N < 3.
     """
-    x = np.asarray(x, dtype=float)
-    if field.dim < 3:
-        return 0.0
-    f = eval_field(field, x)
-    J = jacobian(field, x, scheme=scheme)
-    worst = 0.0
-    for l, k, i in combinations(range(field.dim), 3):
-        term = (f[l] * (J[i, k] - J[k, i])
-                + f[k] * (J[l, i] - J[i, l])
-                + f[i] * (J[k, l] - J[l, k]))
-        worst = max(worst, abs(term))
-    return worst
+    return float(_wedge_defect(eval_field(field, x),
+                               jacobian(field, x, scheme=scheme)))
 
 
 def loop_integral(form: OneForm, loop: Loop,
@@ -112,15 +121,13 @@ def loop_integral(form: OneForm, loop: Loop,
     if np.max(np.abs(start - end)) > 1e-9 * (1.0 + np.max(np.abs(start))):
         raise ValueError("loop is not closed: gamma(0) != gamma(1)")
     rule = _resolve(quad)
-    total = 0.0
     width = 1.0 / panels
-    for p in range(panels):
-        for t, w in zip(rule.nodes, rule.weights):
-            s = (p + t) * width
-            point = np.asarray(loop.gamma(s), dtype=float)
-            total += w * width * float(
-                np.dot(eval_field(form.field, point), loop.velocity(s)))
-    return total
+    s = ((np.arange(panels)[:, None] + rule.nodes) * width).ravel()
+    points = np.array([loop.gamma(si) for si in s], dtype=float)
+    velocity = np.array([loop.velocity(si) for si in s])
+    terms = (np.tile(rule.weights, panels) * width
+             * (eval_points(form.field, points) * velocity).sum(axis=1))
+    return float(np.cumsum(terms)[-1])  # in node order, one after another
 
 
 def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
@@ -128,9 +135,10 @@ def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
              scheme: str = "auto") -> ClosednessReport:
     """Closed, else FrobeniusIntegrable (local) when the wedge obstruction
     vanishes at every sample, else NonIntegrable."""
-    asym = closedness(field, samples, scheme=scheme).max_asymmetry
-    defect = max(frobenius_defect(field, x, scheme=scheme)
-                 for x in np.atleast_2d(np.asarray(samples, dtype=float)))
+    samples = _sample_points(samples)
+    J = jacobian_points(field, samples, scheme=scheme)
+    asym = float(np.max(_relative_asymmetry(J)))
+    defect = float(np.max(_wedge_defect(eval_points(field, samples), J)))
     if asym <= tol:
         verdict = Verdict.CLOSED
     elif defect <= tol:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, load_config,
-                           main)
+from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _jsonable,
+                           load_config, main)
 from gradiform.zoo import REGISTRY
 
 
@@ -279,6 +279,37 @@ class TestReports:
         for b in blocks:
             assert b["occupied_cells"] > 0
             assert "sup_error_vs_analytic" in b
+
+
+def jsonable_reference(obj):
+    """Report values element by element: non-finite floats become None."""
+    if isinstance(obj, dict):
+        return {k: jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable_reference(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        return f if np.isfinite(f) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def test_jsonable_matches_elementwise_reference():
+    a = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
+                  [1e308, -2.5, 1.0 / 3.0]])
+    cases = [a, a[:, 1], a[:2].astype(np.float32), np.array(-0.0),
+             np.array(np.nan), np.arange(6).reshape(2, 3), a > 0,
+             np.empty((0, 3)), np.float64(-0.0), np.int64(7), np.bool_(True),
+             {"grid": a, "rows": [a[0], (np.float64(np.inf), -0.0)]}]
+    for obj in cases:
+        got = json.dumps(_jsonable(obj), sort_keys=True)
+        assert got == json.dumps(jsonable_reference(obj), sort_keys=True)
+    assert json.dumps(_jsonable(a[0])) == "[0.0, -0.0, null]"
 
 
 def _strip_timings(report):

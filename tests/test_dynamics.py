@@ -61,62 +61,79 @@ def test_integrators_stop_only_on_field_errors(integrate):
     assert 1 < len(traj.states) < 21
 
 
+def half_square(X):
+    """V = |x|^2 / 2 at one point or at each row of stacked points."""
+    X = np.asarray(X, dtype=float)
+    return 0.5 * np.sum(X * X, axis=-1)
+
+
 class TestLyapunov:
     def test_gradient_flow_monotone(self):
         # xdot = -grad V for V = |x|^2/2
         field = VectorField(dim=2, func=lambda x: -x)
         traj = integrate_rk4(field, [1.0, 0.5], dt=0.01, steps=500)
-        rep = lyapunov_check(lambda x: 0.5 * np.dot(x, x), traj)
+        rep = lyapunov_check(half_square(traj.states), traj)
         assert rep.monotone
 
     def test_double_well_descent(self):
         field, V = double_well()
         traj = integrate_rk4(field, [0.1], dt=0.01, steps=2000)
         # field is -dV/dx, so V decreases into the well at x=1
-        rep = lyapunov_check(V, traj)
+        rep = lyapunov_check(np.array([V(x) for x in traj.states]), traj)
         assert rep.monotone
         assert traj.states[-1][0] == pytest.approx(1.0, abs=1e-3)
 
     def test_rotation_conserves(self):
         traj = integrate_rk4(rotation(), [1.0, 0.0], dt=0.01, steps=1000)
-        rep = lyapunov_check(lambda x: 0.5 * np.dot(x, x), traj)
+        rep = lyapunov_check(half_square(traj.states), traj)
         assert rep.monotone
         assert abs(rep.max_increase) < 1e-10
-
 
     def test_values_in_place_of_V(self):
         field, V = double_well()
         traj = integrate_rk4(field, [0.1], dt=0.01, steps=200)
         vals = np.array([V(x) for x in traj.states])
-        assert lyapunov_check(vals, traj) == lyapunov_check(V, traj)
+        rep = lyapunov_check(vals, traj)
+        # reference: the largest step of V between consecutive states
+        inc = max(b - a for a, b in zip(vals[:-1], vals[1:]))
+        assert rep.max_increase == inc
+        assert rep.monotone == (
+            inc <= 10.0 * traj.dt ** 2 * (1.0 + np.max(np.abs(vals))))
         with pytest.raises(ValueError):
             lyapunov_check(vals[1:], traj)
 
 
 class TestOrthogonality:
     def test_pure_gradient(self):
-        V = lambda x: 0.5 * np.dot(x, x)
         field = VectorField(dim=2, func=lambda x: -x)
-        assert abs(orthogonality_residual(field, V, np.eye(2),
+        assert abs(orthogonality_residual(field, half_square, np.eye(2),
                                           [0.7, -0.2])) < 1e-8
 
     def test_rotated_residual_orthogonal(self):
-        V = lambda x: 0.5 * np.dot(x, x)
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
 
         def func(x):
             return -x + R @ x  # v = R grad V is orthogonal to grad V
 
         field = VectorField(dim=2, func=func)
-        assert abs(orthogonality_residual(field, V, np.eye(2),
+        assert abs(orthogonality_residual(field, half_square, np.eye(2),
                                           [0.4, 0.9])) < 1e-8
 
     def test_violation_witness(self):
-        V = lambda x: 0.5 * np.dot(x, x)
         zero = VectorField(dim=2, func=lambda x: np.zeros(2))
         x = np.array([1.0, 1.0])
-        val = orthogonality_residual(zero, V, np.eye(2), x)
+        val = orthogonality_residual(zero, half_square, np.eye(2), x)
         assert val == pytest.approx(np.dot(x, x), rel=1e-6)
+
+    def test_one_call_of_V(self):
+        calls = []
+
+        def V(X):
+            calls.append(X.shape)
+            return half_square(X)
+
+        orthogonality_residual(decay_field(), V, np.eye(1), [0.3])
+        assert calls == [(2, 1)]
 
 
 class TestEulerMaruyama:

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (ConstantVerdict, GeneralSolveConfig, GradientizeError,
-                       MatrixFamily, OneForm, QuadratureRule, VectorField,
-                       check_necessary_constant, consistency_check,
-                       eval_field, general_residual, jacobian,
-                       potential_via_transform, sample_ball,
-                       solve_consistency_constant, solve_general,
-                       solve_symmetrizer, transform_field)
+from gradiform import (BarrierViolation, ConstantVerdict, GeneralSolveConfig,
+                       GradientizeError, MatrixFamily, OneForm,
+                       QuadratureRule, VectorField, check_necessary_constant,
+                       consistency_check, eval_field, eval_points,
+                       general_residual, jacobian, potential_via_transform,
+                       sample_ball, solve_consistency_constant, solve_general,
+                       solve_symmetrizer, transform_field,
+                       transform_field_general)
+from gradiform.gradientize import _null_basis
 from gradiform.homotopy import dG_matrix
-from gradiform.zoo import jj_circuit_linear, lorenz, quadratic, rotation
+from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
+                           rotation)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 RULE = QuadratureRule.gauss_legendre(64)
@@ -26,7 +29,28 @@ def random_real_diagonalizable(rng, n=3, cond_cap=50.0):
     return P @ np.diag(lam) @ np.linalg.inv(P)
 
 
+def consistency_matrix_reference(J):
+    """The n^2 x n^2 matrix of D -> D - J^T D^T, entry by entry."""
+    n = J.shape[0]
+    M = np.eye(n * n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                M[i * n + j, j * n + k] -= J[k, i]
+    return M
+
+
 class TestConsistencyConstant:
+    @pytest.mark.parametrize("J", [ROT, np.eye(3), np.random.default_rng(
+        1).standard_normal((3, 3)), np.random.default_rng(2).standard_normal(
+            (4, 4))])
+    def test_nullspace_matches_entrywise_reference(self, J):
+        ref = _null_basis(consistency_matrix_reference(J))
+        basis = solve_consistency_constant(J).nullspace_basis
+        assert len(basis) == len(ref)
+        for B, v in zip(basis, ref):
+            assert np.array_equal(B, v.reshape(J.shape))
+
     def test_rotation_nullspace_span(self):
         rep = solve_consistency_constant(ROT)
         assert len(rep.nullspace_basis) == 1
@@ -170,7 +194,134 @@ def test_gauge_invariance(c):
     assert np.allclose(A1, A2)
 
 
+def monomials_reference(dim, degree):
+    """Exponent tuples by recursive enumeration: each tuple, then its
+    extensions by indices not below its last."""
+    out = [()]
+
+    def extend(prefix, remaining, start):
+        for q in range(start, dim):
+            out.append(prefix + (q,))
+            if remaining > 1:
+                extend(prefix + (q,), remaining - 1, q)
+
+    if degree >= 1:
+        extend((), degree, 0)
+    return out
+
+
+def family_reference(family, y, theta):
+    """D(y) and dD/dy at one point, monomial by monomial."""
+    c = np.asarray(theta, dtype=float).reshape(family.dim, family.dim, -1)
+    mono = np.array([np.prod([y[q] for q in m]) if m else 1.0
+                     for m in family.monomials])
+    dmono = np.zeros((len(family.monomials), family.dim))
+    for k, m in enumerate(family.monomials):
+        for pos in range(len(m)):
+            rest = m[:pos] + m[pos + 1:]
+            dmono[k, m[pos]] += np.prod([y[q] for q in rest]) if rest else 1.0
+    return c @ mono, np.einsum("ijk,kq->ijq", c, dmono)
+
+
+def residual_reference(field, family, theta, samples):
+    """The general residual sample by sample."""
+    n = field.dim
+    out = []
+    for y in samples:
+        Dm, dD = family_reference(family, y, theta)
+        M = Dm + np.einsum("ijq,j->iq", dD, y)
+        B = np.einsum("ijq,j->iq", dD, eval_field(field, y)) \
+            + Dm @ jacobian(field, y)
+        A = B @ np.linalg.inv(M)
+        out.extend(A[i, k] - A[k, i]
+                   for i in range(n) for k in range(i + 1, n))
+    return np.array(out)
+
+
+def perturbed_identity(family, seed, scale=0.05):
+    rng = np.random.default_rng(seed)
+    return family.identity_params() \
+        + scale * rng.standard_normal(family.n_params)
+
+
+def counting(field):
+    """A vectorized copy of field that records each call of func."""
+    calls = []
+
+    def func(x):
+        calls.append(np.shape(x))
+        return field.func(x)
+
+    return VectorField(dim=field.dim, func=func, jac=field.jac,
+                       vectorized=True), calls
+
+
+class TestMatrixFamily:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_stacked_equals_rows(self, dim, degree):
+        family = MatrixFamily(dim=dim, degree=degree)
+        assert family.monomials == monomials_reference(dim, degree)
+        rng = np.random.default_rng(10 * dim + degree)
+        Y = rng.standard_normal((7, dim))
+        theta = rng.standard_normal(family.n_params)
+        D, dD = family.value(Y, theta), family.grad(Y, theta)
+        assert D.shape == (7, dim, dim) and dD.shape == (7, dim, dim, dim)
+        for m, y in enumerate(Y):
+            ref_D, ref_dD = family_reference(family, y, theta)
+            assert np.array_equal(D[m], ref_D)
+            assert np.array_equal(D[m], family.value(y, theta))
+            assert np.array_equal(dD[m], ref_dD)
+            assert np.array_equal(dD[m], family.grad(y, theta))
+
+    def test_grad_matches_central_differences(self):
+        family = MatrixFamily(dim=3, degree=2)
+        rng = np.random.default_rng(3)
+        theta = rng.standard_normal(family.n_params)
+        h = 1e-5
+        for y in rng.standard_normal((5, 3)):
+            for q in range(3):
+                e = np.zeros(3)
+                e[q] = h
+                # exact for quadratics up to rounding
+                fd = (family.value(y + e, theta)
+                      - family.value(y - e, theta)) / (2 * h)
+                assert np.allclose(family.grad(y, theta)[:, :, q], fd,
+                                   rtol=0, atol=1e-9)
+
+
 class TestGeneralResidual:
+    @pytest.mark.parametrize("make", [lorenz, jj_circuit])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_matches_per_sample_reference(self, make, degree):
+        field = make()
+        family = MatrixFamily(dim=3, degree=degree)
+        theta = perturbed_identity(family, seed=degree)
+        samples = sample_ball(3, 16, 1.0, seed=degree)
+        assert np.array_equal(
+            general_residual(field, family, theta, samples),
+            residual_reference(field, family, theta, samples))
+
+    def test_singular_D_is_barrier_violation(self):
+        family = MatrixFamily(dim=3, degree=1)
+        with pytest.raises(BarrierViolation):
+            general_residual(lorenz(), family, np.zeros(family.n_params),
+                             sample_ball(3, 4, 1.0, seed=1))
+
+    @pytest.mark.parametrize("jac", [True, False])
+    def test_field_calls_do_not_grow_with_samples(self, jac):
+        lor = lorenz()
+        family = MatrixFamily(dim=3, degree=1)
+        counts = []
+        for n_samples in (4, 32):
+            field, calls = counting(VectorField(
+                dim=3, func=lor.func, jac=lor.jac if jac else None,
+                vectorized=True))
+            general_residual(field, family, family.identity_params(),
+                             sample_ball(3, n_samples, 1.0, seed=2))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
     def test_closed_field_identity_theta(self):
         field = quadratic([[2.0, 1.0], [1.0, 3.0]])
         family = MatrixFamily(dim=2, degree=1)
@@ -229,6 +380,24 @@ class TestSolveGeneral:
         rep = solve_general(field, family, cfg)
         assert np.isfinite(rep.residual_norm)
         assert rep.iterations <= 15
+
+
+class TestTransformFieldGeneral:
+    def test_inverse_and_stacked_rows(self):
+        field = lorenz()
+        family = MatrixFamily(dim=3, degree=1)
+        theta = perturbed_identity(family, seed=4)
+        tfield = transform_field_general(field, family, theta)
+        assert tfield.vectorized
+        Y = sample_ball(3, 12, 1.0, seed=4)
+        Ds = [family_reference(family, y, theta)[0] for y in Y]
+        X = np.array([D @ y for D, y in zip(Ds, Y)])  # x = D(y) y
+        F = eval_points(tfield, X)
+        for m, (D, y) in enumerate(zip(Ds, Y)):
+            assert np.array_equal(F[m], eval_field(tfield, X[m]))
+            # f(x) = D(y) g(y) at the y with D(y) y = x
+            expected = D @ eval_field(field, y)
+            assert np.allclose(F[m], expected, rtol=1e-10, atol=1e-10)
 
 
 class TestConsistencyAndPotential:

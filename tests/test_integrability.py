@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from gradiform import (OneForm, Verdict, VectorField, circle_loop, classify,
-                       closedness, frobenius_defect, loop_integral,
-                       sample_ball)
+from gradiform import (OneForm, QuadratureRule, Verdict, VectorField,
+                       circle_loop, classify, closedness, eval_field,
+                       frobenius_defect, jacobian, loop_integral, sample_ball)
 from gradiform.integrability import Loop
 from gradiform.zoo import jj_circuit, lorenz, quadratic, rotation
 
@@ -22,6 +24,42 @@ def scaled_gradient_field():
         return J
 
     return VectorField(dim=3, func=func, jac=jac)
+
+
+def swirl4():
+    """A nonlinear 4-d field, vectorized, without an analytic Jacobian."""
+    def func(p):
+        x0, x1, x2, x3 = p.T
+        return np.array([x1 * x2 - x0, x2 * x3 + x0, x3 * x0 - x1,
+                         x0 * x1 + x2]).T
+
+    return VectorField(dim=4, func=func, vectorized=True)
+
+
+def frobenius_reference(f, J):
+    """The wedge obstruction triple by triple."""
+    worst = 0.0
+    for l, k, i in combinations(range(len(f)), 3):
+        term = (f[l] * (J[i, k] - J[k, i])
+                + f[k] * (J[l, i] - J[i, l])
+                + f[i] * (J[k, l] - J[l, k]))
+        worst = max(worst, abs(term))
+    return worst
+
+
+def loop_integral_reference(form, loop, rule, panels=8):
+    """Circulation summed node by node, one field evaluation each, and
+    the sum of the terms' magnitudes |w| |g_j v_j|."""
+    total, magnitude = 0.0, 0.0
+    width = 1.0 / panels
+    for p in range(panels):
+        for t, w in zip(rule.nodes, rule.weights):
+            s = (p + t) * width
+            g = eval_field(form.field, loop.gamma(s))
+            v = loop.velocity(s)
+            total += w * width * float(np.dot(g, v))
+            magnitude += w * width * float(np.sum(np.abs(g * v)))
+    return total, magnitude
 
 
 class TestClosedness:
@@ -60,6 +98,16 @@ class TestFrobeniusDefect:
     def test_dimension_two_is_zero(self):
         assert frobenius_defect(rotation(), [0.3, 0.8]) == 0.0
 
+    def test_four_dims_against_triple_loop(self):
+        field = swirl4()
+        X = sample_ball(4, 16, 1.5, seed=3)
+        ref = [frobenius_reference(eval_field(field, x), jacobian(field, x))
+               for x in X]
+        for x, r in zip(X, ref):
+            assert frobenius_defect(field, x) == r
+        assert classify(field, X).frobenius_defect_max == max(ref)
+        assert max(ref) > 0.1
+
     def test_quadratic_scaling(self):
         # defect is bilinear in f and its derivatives: scaling f by c
         # scales the defect by c^2
@@ -88,6 +136,21 @@ class TestLoopIntegral:
         # dominated by the rho*x dy term giving ~ rho*pi minus sigma*pi
         assert abs(val) > 1.0
 
+    @pytest.mark.parametrize("field, loop", [
+        (lorenz(), circle_loop(radius=1.0, center=[0.0, 0.0, 1.0], dim=3)),
+        (jj_circuit(), circle_loop(radius=1.0, dim=3, axes=(1, 2))),
+        (rotation(), circle_loop(radius=0.7))])
+    def test_matches_node_by_node_sum(self, field, loop):
+        # the batch takes each g.v as an elementwise sum where the node
+        # loop takes a BLAS dot; both then add the nodes in order.  Each
+        # dot is within N eps of the magnitude of its products, and each
+        # of the K additions rounds within eps of the magnitude so far
+        rule = QuadratureRule.gauss_legendre(16)
+        ref, magnitude = loop_integral_reference(OneForm(field), loop, rule)
+        bound = (2 * field.dim + 2 * 8 * 16) * np.finfo(float).eps
+        assert abs(loop_integral(OneForm(field), loop, rule) - ref) \
+            <= bound * magnitude
+
     def test_open_curve_rejected(self):
         bad = Loop(gamma=lambda s: np.array([s, 0.0]))
         with pytest.raises(ValueError):
@@ -101,6 +164,23 @@ class TestLoopIntegral:
 
 
 class TestClassify:
+    def test_field_calls_do_not_grow_with_samples(self):
+        lor = lorenz()
+        counts = []
+        for n_samples in (4, 32):
+            calls = []
+
+            def func(x):
+                calls.append(np.shape(x))
+                return lor.func(x)
+
+            classify(VectorField(dim=3, func=func, vectorized=True),
+                     sample_ball(3, n_samples, 1.0, seed=4),
+                     loops=[circle_loop(dim=3)])
+            counts.append(len(calls))
+        # g, its central-difference Jacobian and the loop: one call each
+        assert counts == [3, 3]
+
     def test_symmetric_quadratic(self):
         field = quadratic([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5],
                            [0.0, 0.5, 1.0]])
