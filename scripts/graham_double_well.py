@@ -39,7 +39,7 @@ def main():
         est = graham_estimate(dens, eps)
         centers = dens.centers(0)
         finite = np.isfinite(est)
-        ref = np.array([V([c]) for c in centers])
+        ref = V(centers[:, None])
         ref -= ref[finite].min()
         sup = np.max(np.abs(est[finite] - ref[finite]))
         print(f"eps={eps:g}: {dens.total} post-burn-in samples, "

@@ -13,8 +13,8 @@ from .integrability import (ClosednessReport, Loop, Verdict, circle_loop,
                             classify, closedness, frobenius_defect,
                             loop_integral)
 from .gradientize import (BarrierViolation, ConstantSolveReport,
-                          ConstantVerdict, GeneralSolveConfig,
-                          GeneralSolveReport, GradientizeError, MatrixFamily,
+                          ConstantVerdict, GeneralSolveReport,
+                          GradientizeError, MatrixFamily,
                           check_necessary_constant, consistency_check,
                           general_residual, potential_via_transform,
                           solve_consistency_constant, solve_general,

@@ -19,7 +19,7 @@ from .dynamics import (euler_maruyama_ensemble, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from .fields import FieldEvalError, jacobian, jacobian_points
-from .gradientize import (GeneralSolveConfig, GradientizeError, MatrixFamily,
+from .gradientize import (GradientizeError, MatrixFamily,
                           solve_consistency_constant, solve_general,
                           solve_symmetrizer, transform_field)
 from .homotopy import OneForm, QuadratureRule, decompose, potential
@@ -250,7 +250,7 @@ def _constant_report(rep):
     return {
         "verdict": rep.verdict.value,
         "nullspace_dim": len(rep.nullspace_basis),
-        "nullspace_basis": [B for B in rep.nullspace_basis],
+        "nullspace_basis": rep.nullspace_basis,
         "chosen_D": rep.chosen_D,
         "necessary_residual": rep.necessary_residual,
         "transformed_asymmetry": rep.transformed_asymmetry,
@@ -279,9 +279,8 @@ def cmd_gradientize(cfg):
     if cfg["solver"]["run_general"]:
         family = MatrixFamily(dim=field.dim,
                               degree=cfg["solver"]["family_degree"])
-        gcfg = GeneralSolveConfig(samples=samples,
-                                  max_iter=cfg["solver"]["max_iter"])
-        grep = solve_general(field, family, gcfg)
+        grep = solve_general(field, family, samples,
+                             cfg["solver"]["max_iter"])
         out["general"] = {
             "residual_norm": grep.residual_norm,
             "consistency_residual": grep.consistency_residual,
@@ -368,8 +367,7 @@ def cmd_graham(cfg):
             "grid_edges": density.edges,
         }
         if analytic is not None and field.dim == 1:
-            centers = density.centers(0)
-            ref = np.array([analytic(np.array([c])) for c in centers])
+            ref = analytic(density.centers(0)[:, None])
             ref = ref - np.min(ref[np.isfinite(estimate)])
             block["sup_error_vs_analytic"] = float(
                 np.nanmax(np.abs(estimate - ref)))
@@ -450,7 +448,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FieldEvalError, GradientizeError, np.linalg.LinAlgError,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
+        # numpy refuses an allocation past the machine's memory at once
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     report = {

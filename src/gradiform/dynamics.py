@@ -13,6 +13,7 @@ from .fields import (FieldEvalError, VectorField, _central_difference,
                      eval_field, eval_points, fd_step)
 
 BURN_IN_FRACTION = 0.2
+LYAPUNOV_TOL_SCALE = 10.0
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class Trajectory:
 class TrajectoryEnsemble:
     trajectories: list
     seeds: list
-    noise_eps: float
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,10 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     return Trajectory(times=times, states=states, dt=dt, completed=completed)
 
 
-def lyapunov_check(V, traj: Trajectory,
-                   tol_scale: float = 10.0) -> LyapunovReport:
+def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
     """Largest per-step increase of V along the trajectory; monotone when
-    it stays below tol_scale * dt**2 (integrator-error allowance).
+    it stays below LYAPUNOV_TOL_SCALE * dt**2 (integrator-error allowance),
+    relative to 1 + max|V|.
 
     V holds the candidate's values at traj.states, one per state.
     """
@@ -95,8 +95,8 @@ def lyapunov_check(V, traj: Trajectory,
         return LyapunovReport(max_increase=0.0, monotone=True)
     max_inc = float(np.max(np.diff(vals)))
     scale = 1.0 + float(np.max(np.abs(vals)))
-    return LyapunovReport(max_increase=max_inc,
-                          monotone=max_inc <= tol_scale * traj.dt ** 2 * scale)
+    allowance = LYAPUNOV_TOL_SCALE * traj.dt ** 2 * scale
+    return LyapunovReport(max_increase=max_inc, monotone=max_inc <= allowance)
 
 
 def orthogonality_residual(field: VectorField, V, S, x) -> float:
@@ -140,8 +140,7 @@ def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
     return TrajectoryEnsemble(
         trajectories=_euler_maruyama_lockstep(field, eps, x0s, dt, steps,
                                               rngs),
-        seeds=[(master_seed, idx) for idx in range(len(x0s))],
-        noise_eps=eps)
+        seeds=[(master_seed, idx) for idx in range(len(x0s))])
 
 
 def _euler_maruyama_lockstep(field: VectorField, eps: float, x0s: np.ndarray,

@@ -33,15 +33,11 @@ class VectorField:
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain_radius: float = 10.0
-    name: str = ""
     vectorized: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not self.domain_radius > 0:
-            raise ValueError("domain_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -233,7 +229,4 @@ def reduce_second_order(sos: SecondOrderSystem) -> VectorField:
         J[..., n:, n:] = np.diag(-damp / beta)
         return J
 
-    return VectorField(dim=2 * n, func=func, jac=jac,
-                       domain_radius=inner.domain_radius,
-                       name=f"{inner.name}+reduced" if inner.name else "reduced",
-                       vectorized=True)
+    return VectorField(dim=2 * n, func=func, jac=jac, vectorized=True)

@@ -20,6 +20,7 @@ from .integrability import _relative_asymmetry
 NULLSPACE_RTOL = 1e-10
 DET_FLOOR = 1e-10
 SEARCH_DRAWS = 64
+SEARCH_SEED = 0  # the random draws of both constant solvers
 DEFAULT_TOL = 1e-8
 # solve_general: LM start damping and stopping rms, log-barrier, theta FD step
 DAMPING0 = 1e-3
@@ -117,8 +118,8 @@ def _null_basis(M: np.ndarray) -> list[np.ndarray]:
     return null
 
 
-def solve_consistency_constant(J, tol: float = DEFAULT_TOL,
-                               seed: int = 0) -> ConstantSolveReport:
+def solve_consistency_constant(J, tol: float = DEFAULT_TOL
+                               ) -> ConstantSolveReport:
     """Nullspace of the linear map D -> D - J^T D^T, then an invertible
     representative found by seeded random coefficient search.
 
@@ -134,7 +135,7 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL,
 
     chosen = None
     if basis:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEARCH_SEED)
         best_det = 0.0
         for _ in range(SEARCH_DRAWS):
             c = rng.standard_normal(len(basis))
@@ -161,8 +162,7 @@ def _sym_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def solve_symmetrizer(J, tol: float = DEFAULT_TOL,
-                      seed: int = 0) -> ConstantSolveReport:
+def solve_symmetrizer(J, tol: float = DEFAULT_TOL) -> ConstantSolveReport:
     """Find symmetric positive-definite S with S J = J^T S, then D from
     the Cholesky factorization S = D^T D.
 
@@ -187,7 +187,7 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL,
             S = sum(ci * Bi for ci, Bi in zip(c / nc, basis))
             return -float(np.linalg.eigvalsh(S)[0])
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEARCH_SEED)
         starts = [np.eye(m)[k] for k in range(m)] \
             + [-np.eye(m)[k] for k in range(m)] \
             + [rng.standard_normal(m) for _ in range(8)]
@@ -227,10 +227,7 @@ def transform_field(field: VectorField, D) -> VectorField:
     def jac(x):
         return D @ jacobian_points(field, _matvec(Dinv, x)) @ Dinv
 
-    radius = field.domain_radius / np.linalg.norm(Dinv, 2)
-    return VectorField(dim=n, func=func, jac=jac, domain_radius=radius,
-                       name=f"{field.name}@D" if field.name else "transformed",
-                       vectorized=True)
+    return VectorField(dim=n, func=func, jac=jac, vectorized=True)
 
 
 @dataclass(frozen=True)
@@ -301,12 +298,6 @@ class MatrixFamily:
 
 
 @dataclass(frozen=True)
-class GeneralSolveConfig:
-    samples: np.ndarray
-    max_iter: int = 200
-
-
-@dataclass(frozen=True)
 class GeneralSolveReport:
     theta_final: np.ndarray
     residual_norm: float
@@ -358,13 +349,14 @@ def _residual_sweep(field: VectorField, family: MatrixFamily,
     return sweep
 
 
-def solve_general(field: VectorField, family: MatrixFamily,
-                  cfg: GeneralSolveConfig) -> GeneralSolveReport:
+def solve_general(field: VectorField, family: MatrixFamily, samples,
+                  max_iter: int = 200) -> GeneralSolveReport:
     """Damped least squares (Levenberg-Marquardt with gain-ratio damping)
-    on the stacked residual plus a log-barrier keeping D(y) invertible."""
-    samples = np.atleast_2d(np.asarray(cfg.samples, dtype=float))
+    on the stacked residual at the collocation samples, plus a log-barrier
+    keeping D(y) invertible; at most max_iter iterations."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
-        raise ValueError("cfg.samples must be nonempty")
+        raise ValueError("samples must be nonempty")
     full_residual = _residual_sweep(field, family, samples)
 
     def rms(r):
@@ -376,7 +368,7 @@ def solve_general(field: VectorField, family: MatrixFamily,
     lam = DAMPING0
     nu = 2.0
     iterations = 0
-    while not rms(r) < TARGET_RMS and iterations < cfg.max_iter:
+    while not rms(r) < TARGET_RMS and iterations < max_iter:
         iterations += 1
         # forward-difference Jacobian in theta; problems are small
         Jr = np.empty((r.size, theta.size))
@@ -459,9 +451,7 @@ def transform_field_general(field: VectorField, family: MatrixFamily,
                       eval_points(field, Y)[:, :, None])[:, :, 0]
         return f.reshape(np.shape(x))
 
-    return VectorField(dim=n, func=func, jac=None,
-                       domain_radius=field.domain_radius,
-                       name="general-transformed", vectorized=True)
+    return VectorField(dim=n, func=func, vectorized=True)
 
 
 def consistency_check(tfield: VectorField, samples,

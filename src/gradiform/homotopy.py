@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (VectorField, _as_points, eval_field, eval_points,
-                     jacobian, jacobian_points)
+from .fields import (VectorField, _as_points, eval_points, jacobian,
+                     jacobian_points)
 
 DEFAULT_ORDER = 32
 MAX_ORDER = 256
@@ -56,10 +56,6 @@ class OneForm:
     """G = sum_j g_j dx_j for the coefficient field g."""
 
     field: VectorField
-
-    def __call__(self, x, xi) -> float:
-        return float(np.dot(eval_field(self.field, np.asarray(x, float)),
-                            np.asarray(xi, float)))
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,8 @@ def _ray_values(field: VectorField, X: np.ndarray, rule) -> np.ndarray:
         (len(rule.nodes),) + X.shape)
 
 
-def _ray_jacobians(field: VectorField, X: np.ndarray, rule,
-                   scheme: str) -> np.ndarray:
-    return jacobian_points(field, _ray(X, rule), scheme=scheme).reshape(
+def _ray_jacobians(field: VectorField, X: np.ndarray, rule) -> np.ndarray:
+    return jacobian_points(field, _ray(X, rule)).reshape(
         (len(rule.nodes),) + X.shape + X.shape[1:])
 
 
@@ -163,8 +158,8 @@ def potential(form: OneForm, x, quad: QuadratureRule | None = None):
     return float(V[0]) if single else V
 
 
-def exact_part(form: OneForm, x, quad: QuadratureRule | None = None,
-               scheme: str = "auto") -> np.ndarray:
+def exact_part(form: OneForm, x,
+               quad: QuadratureRule | None = None) -> np.ndarray:
     """Coefficients of d(kG): the gradient of the ray potential.
 
     Component j is integral_0^1 [ t (J(tx)^T x)_j + g_j(tx) ] dt.
@@ -173,12 +168,12 @@ def exact_part(form: OneForm, x, quad: QuadratureRule | None = None,
     X, single = _points(form, x)
     ex = _adaptive(lambda rule, X: _exact_integral(
         X, rule, _ray_values(form.field, X, rule),
-        _ray_jacobians(form.field, X, rule, scheme)), quad, X)
+        _ray_jacobians(form.field, X, rule)), quad, X)
     return ex[0] if single else ex
 
 
-def antiexact_part(form: OneForm, x, quad: QuadratureRule | None = None,
-                   scheme: str = "auto") -> np.ndarray:
+def antiexact_part(form: OneForm, x,
+                   quad: QuadratureRule | None = None) -> np.ndarray:
     """Coefficients of k(dG): the residual killed by the ray operator.
 
     Component i is integral_0^1 t [ (J - J^T)(tx) x ]_i dt; its dot
@@ -187,12 +182,12 @@ def antiexact_part(form: OneForm, x, quad: QuadratureRule | None = None,
     """
     X, single = _points(form, x)
     ae = _adaptive(lambda rule, X: _antiexact_integral(
-        X, rule, _ray_jacobians(form.field, X, rule, scheme)), quad, X)
+        X, rule, _ray_jacobians(form.field, X, rule)), quad, X)
     return ae[0] if single else ae
 
 
-def decompose(form: OneForm, x, quad: QuadratureRule | None = None,
-              scheme: str = "auto") -> Decomposition:
+def decompose(form: OneForm, x,
+              quad: QuadratureRule | None = None) -> Decomposition:
     """Potential, exact and antiexact parts at x from one pass over the
     ray; with quad=None the three are refined together.  Stacked points
     (M, N) give one Decomposition with a leading axis M."""
@@ -202,7 +197,7 @@ def decompose(form: OneForm, x, quad: QuadratureRule | None = None,
 
     def evaluate(rule, X):
         G = _ray_values(form.field, X, rule)
-        Js = _ray_jacobians(form.field, X, rule, scheme)
+        Js = _ray_jacobians(form.field, X, rule)
         return np.concatenate([_potential_integral(X, rule, G)[:, None],
                                _exact_integral(X, rule, G, Js),
                                _antiexact_integral(X, rule, Js)], axis=1)
@@ -218,7 +213,7 @@ def decompose(form: OneForm, x, quad: QuadratureRule | None = None,
                          antiexact_part=ae, reconstruction_residual=res)
 
 
-def dG_matrix(field: VectorField, x, scheme: str = "auto") -> np.ndarray:
+def dG_matrix(field: VectorField, x) -> np.ndarray:
     """Coefficient matrix A = J - J^T of dG; antisymmetric by construction."""
-    J = jacobian(field, x, scheme=scheme)
+    J = jacobian(field, x)
     return J - J.T

@@ -13,7 +13,7 @@ from .fields import (VectorField, eval_field, eval_points, jacobian,
 from .homotopy import OneForm, QuadratureRule, _resolve
 
 DEFAULT_TOL = 1e-8
-DEFAULT_PANELS = 8
+PANELS = 8
 
 
 class Verdict(enum.Enum):
@@ -93,50 +93,49 @@ def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.max(np.abs(term), axis=-1, initial=0.0)  # 0 when N < 3
 
 
-def closedness(field: VectorField, samples, tol: float = DEFAULT_TOL,
-               scheme: str = "auto") -> ClosednessReport:
+def closedness(field: VectorField, samples,
+               tol: float = DEFAULT_TOL) -> ClosednessReport:
     """Max relative Jacobian asymmetry over samples; Closed iff below tol."""
-    J = jacobian_points(field, _sample_points(samples), scheme=scheme)
+    J = jacobian_points(field, _sample_points(samples))
     worst = float(np.max(_relative_asymmetry(J)))
     verdict = Verdict.CLOSED if worst <= tol else Verdict.NON_INTEGRABLE
     return ClosednessReport(max_asymmetry=worst, frobenius_defect_max=None,
                             verdict=verdict)
 
 
-def frobenius_defect(field: VectorField, x, scheme: str = "auto") -> float:
+def frobenius_defect(field: VectorField, x) -> float:
     """Max over index triples of the one-form wedge obstruction.
 
     For N = 3 this equals |f . curl f|; identically 0 for N < 3.
     """
-    return float(_wedge_defect(eval_field(field, x),
-                               jacobian(field, x, scheme=scheme)))
+    return float(_wedge_defect(eval_field(field, x), jacobian(field, x)))
 
 
 def loop_integral(form: OneForm, loop: Loop,
-                  quad: QuadratureRule | None = None,
-                  panels: int = DEFAULT_PANELS) -> float:
-    """Circulation of the form along a closed parameterized curve."""
+                  quad: QuadratureRule | None = None) -> float:
+    """Circulation of the form along a closed parameterized curve, by the
+    rule on each of PANELS equal panels of [0, 1]."""
     start = np.asarray(loop.gamma(0.0), dtype=float)
     end = np.asarray(loop.gamma(1.0), dtype=float)
     if np.max(np.abs(start - end)) > 1e-9 * (1.0 + np.max(np.abs(start))):
         raise ValueError("loop is not closed: gamma(0) != gamma(1)")
     rule = _resolve(quad)
-    width = 1.0 / panels
-    s = ((np.arange(panels)[:, None] + rule.nodes) * width).ravel()
+    width = 1.0 / PANELS
+    s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
     points = np.array([loop.gamma(si) for si in s], dtype=float)
     velocity = np.array([loop.velocity(si) for si in s])
-    terms = (np.tile(rule.weights, panels) * width
+    terms = (np.tile(rule.weights, PANELS) * width
              * (eval_points(form.field, points) * velocity).sum(axis=1))
     return float(np.cumsum(terms)[-1])  # in node order, one after another
 
 
 def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
-             loops=(), quad: QuadratureRule | None = None,
-             scheme: str = "auto") -> ClosednessReport:
+             loops=(), quad: QuadratureRule | None = None
+             ) -> ClosednessReport:
     """Closed, else FrobeniusIntegrable (local) when the wedge obstruction
     vanishes at every sample, else NonIntegrable."""
     samples = _sample_points(samples)
-    J = jacobian_points(field, samples, scheme=scheme)
+    J = jacobian_points(field, samples)
     asym = float(np.max(_relative_asymmetry(J)))
     defect = float(np.max(_wedge_defect(eval_points(field, samples), J)))
     if asym <= tol:

@@ -46,8 +46,7 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0,
         J[..., 2, 2] = -beta
         return J
 
-    return VectorField(dim=3, func=func, jac=jac, domain_radius=100.0,
-                       name="lorenz", vectorized=True)
+    return VectorField(dim=3, func=func, jac=jac, vectorized=True)
 
 
 def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -74,8 +73,7 @@ def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
         J[..., 1, 1] = -np.cos(p.T[1]) / beta_c
         return J
 
-    return VectorField(dim=3, func=func, jac=jac, domain_radius=100.0,
-                       name="jj_circuit", vectorized=True)
+    return VectorField(dim=3, func=func, jac=jac, vectorized=True)
 
 
 def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -89,8 +87,7 @@ def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
     b = np.array([0.0, i / beta_c, 0.0])
 
     return VectorField(dim=3, func=lambda p: _matvec(J, p) + b,
-                       jac=_constant_jacobian(J), domain_radius=100.0,
-                       name="jj_circuit_linear", vectorized=True)
+                       jac=_constant_jacobian(J), vectorized=True)
 
 
 def quadratic(Q) -> VectorField:
@@ -99,8 +96,7 @@ def quadratic(Q) -> VectorField:
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
     return VectorField(dim=Q.shape[0], func=lambda x: _matvec(Q, x),
-                       jac=_constant_jacobian(Q), domain_radius=100.0,
-                       name="quadratic", vectorized=True)
+                       jac=_constant_jacobian(Q), vectorized=True)
 
 
 def _constant_jacobian(Q):
@@ -112,13 +108,14 @@ def _constant_jacobian(Q):
 
 def rotation() -> VectorField:
     """Planar rotation g = (-y, x): fully antiexact, potential 0."""
-    vf = quadratic(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    return VectorField(dim=2, func=vf.func, jac=vf.jac,
-                       domain_radius=100.0, name="rotation", vectorized=True)
+    return quadratic(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def double_well():
-    """1-d field g = -dV/dx for V = x^4/4 - x^2/2; returns (field, V)."""
+    """1-d field g = -dV/dx for V = x^4/4 - x^2/2; returns (field, V).
+
+    V maps one point (1,) to a float and stacked points (M, 1) to (M,).
+    """
 
     # x ** 3 on an array rounds differently from x ** 3 on a scalar (by at
     # most one unit in the last place), so a single point and the same
@@ -132,31 +129,30 @@ def double_well():
         return np.array([[1.0 - 3.0 * x0 ** 2]]).T
 
     def V(x):
-        x0 = np.asarray(x, dtype=float).reshape(-1)[0]
+        x0 = np.asarray(x, dtype=float).T[0]
         return 0.25 * x0 ** 4 - 0.5 * x0 ** 2
 
-    return VectorField(dim=1, func=func, jac=jac, domain_radius=100.0,
-                       name="double_well", vectorized=True), V
+    return VectorField(dim=1, func=func, jac=jac, vectorized=True), V
 
 
 def ou(theta: float = 1.0):
     """1-d linear relaxation g = -theta x; returns (field, V) with
-    V = theta x^2 / 2 (the drift is already the descent flow)."""
+    V = theta x^2 / 2 (the drift is already the descent flow), V taking
+    points as in ``double_well``."""
     if theta <= 0:
         raise ValueError("theta must be positive")
 
     field = VectorField(dim=1, func=lambda x: -theta * x,
                         jac=lambda x: np.full(x.shape + (1,), -theta),
-                        domain_radius=100.0, name="ou", vectorized=True)
+                        vectorized=True)
 
     def V(x):
-        x0 = np.asarray(x, dtype=float).reshape(-1)[0]
-        return 0.5 * theta * x0 ** 2
+        return 0.5 * theta * np.asarray(x, dtype=float).T[0] ** 2
 
     return field, V
 
 
-def _build_quadratic(params, dim=None):
+def _build_quadratic(params):
     idx = {}
     for key, val in params.items():
         parts = key.split("_")

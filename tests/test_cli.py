@@ -112,6 +112,15 @@ class TestExitCodes:
                                      "simulation.eps=[1, 0.5]"])
         assert cfg["simulation"]["dt"] == 1
 
+    def test_memory_error_three(self, capsys):
+        # a Gauss-Legendre rule of 10^7 nodes needs a 10^7 x 10^7 companion
+        # matrix (728 TiB); numpy refuses it at once, allocating nothing
+        code = main(["classify", "--set", "quadrature_order=10000000"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical abort:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_numerical_abort_three(self, tmp_path, capsys):
         # gradientized potential requested for a field with no
         # symmetrizer: the pipeline aborts instead of reporting garbage

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (BarrierViolation, ConstantVerdict, GeneralSolveConfig,
-                       GradientizeError, MatrixFamily, OneForm,
-                       QuadratureRule, VectorField, check_necessary_constant,
-                       consistency_check, eval_field, eval_points,
-                       general_residual, jacobian, potential_via_transform,
-                       sample_ball, solve_consistency_constant, solve_general,
+from gradiform import (BarrierViolation, ConstantVerdict, GradientizeError,
+                       MatrixFamily, OneForm, QuadratureRule, VectorField,
+                       check_necessary_constant, consistency_check,
+                       eval_field, eval_points, general_residual, jacobian,
+                       potential_via_transform, sample_ball,
+                       solve_consistency_constant, solve_general,
                        solve_symmetrizer, transform_field,
                        transform_field_general)
 from gradiform.gradientize import _null_basis
@@ -355,8 +355,7 @@ class TestSolveGeneral:
     def test_closed_field_converges(self):
         field = quadratic([[2.0, 1.0], [1.0, 3.0]])
         family = MatrixFamily(dim=2, degree=1)
-        cfg = GeneralSolveConfig(samples=sample_ball(2, 8, 1.0, seed=7))
-        rep = solve_general(field, family, cfg)
+        rep = solve_general(field, family, sample_ball(2, 8, 1.0, seed=7))
         assert rep.converged
         assert rep.residual_norm < 1e-10
 
@@ -364,9 +363,8 @@ class TestSolveGeneral:
         J = np.array([[-1.0, 2.0], [0.0, -3.0]])
         field = quadratic(J)
         family = MatrixFamily(dim=2, degree=0)
-        cfg = GeneralSolveConfig(samples=sample_ball(2, 8, 1.0, seed=8),
-                                 max_iter=300)
-        rep = solve_general(field, family, cfg)
+        rep = solve_general(field, family, sample_ball(2, 8, 1.0, seed=8),
+                            max_iter=300)
         srep = solve_symmetrizer(J)
         assert srep.verdict is ConstantVerdict.GRADIENTIZED
         assert rep.converged
@@ -375,9 +373,8 @@ class TestSolveGeneral:
     def test_jj_nonlinear_reports_without_ground_truth(self):
         field = jj_circuit_linear()
         family = MatrixFamily(dim=3, degree=1)
-        cfg = GeneralSolveConfig(samples=sample_ball(3, 8, 0.5, seed=9),
-                                 max_iter=15)
-        rep = solve_general(field, family, cfg)
+        rep = solve_general(field, family, sample_ball(3, 8, 0.5, seed=9),
+                            max_iter=15)
         assert np.isfinite(rep.residual_norm)
         assert rep.iterations <= 15
 

@@ -137,3 +137,16 @@ class TestRegistry:
         Vdw = analytic_potential(SystemSpec(name="double_well", params={},
                                             dim=1))
         assert Vdw([1.0]) == pytest.approx(-0.25)
+        # one point gives a float, stacked points (M, 1) give (M,)
+        X = np.array([[1.0], [0.0], [-2.0]])
+        for pot, want in ((V, [1.0, 0.0, 4.0]), (Vdw, [-0.25, 0.0, 2.0])):
+            assert np.ndim(pot([1.0])) == 0
+            assert pot(X).shape == (3,)
+            assert np.allclose(pot(X), want, rtol=1e-15, atol=0.0)
+        # powers round differently on arrays than on scalars: each stacked
+        # value is within 2 eps of the magnitudes of its terms
+        x = np.linspace(-3.0, 3.0, 601)
+        eps = np.finfo(float).eps
+        for pot, terms in ((V, x ** 2), (Vdw, 0.25 * x ** 4 + 0.5 * x ** 2)):
+            single = np.array([pot([c]) for c in x])
+            assert np.all(np.abs(pot(x[:, None]) - single) <= 2 * eps * terms)
