@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (FieldEvalError, VectorField, _central_difference,
-                     eval_field, eval_points, fd_step)
+from .fields import (FieldEvalError, VectorField, _as_points,
+                     _central_difference, eval_field, eval_points, fd_step)
 
 BURN_IN_FRACTION = 0.2
 LYAPUNOV_TOL_SCALE = 10.0
@@ -54,30 +54,17 @@ class LyapunovReport:
 
 def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     """Classical fourth-order Runge-Kutta for xdot = g(x)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    x = np.asarray(x0, dtype=float).copy()
-    states = [x.copy()]
-    completed = True
-    for _ in range(steps):
-        try:
-            k1 = eval_field(field, x)
-            k2 = eval_field(field, x + 0.5 * dt * k1)
-            k3 = eval_field(field, x + 0.5 * dt * k2)
-            k4 = eval_field(field, x + dt * k3)
-        except FieldEvalError:
-            completed = False
-            break
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            completed = False
-            break
-        states.append(x.copy())
-    states = np.array(states)
-    times = dt * np.arange(len(states))
-    return Trajectory(times=times, states=states, dt=dt, completed=completed)
+    def step(x, k, live):
+        k1 = eval_points(field, x, check_finite=False)
+        k2 = eval_points(field, x + 0.5 * dt * k1, check_finite=False)
+        k3 = eval_points(field, x + 0.5 * dt * k2, check_finite=False)
+        k4 = eval_points(field, x + dt * k3, check_finite=False)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    # one point (dim,), not a 1-row batch: the field computes on scalars,
+    # faster and with the rounding of a single-point evaluation
+    return _lockstep(_as_points(field, x0, stacked=False), dt, steps,
+                     step)[0]
 
 
 def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
@@ -127,7 +114,7 @@ def euler_maruyama(field: VectorField, eps: float, x0, dt: float,
     if rng is None:
         rng = _trajectory_rng(seed, 0)
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    return _euler_maruyama_lockstep(field, eps, x0, dt, steps, [rng])[0]
+    return _euler_maruyama(field, eps, x0, dt, steps, [rng])[0]
 
 
 def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
@@ -138,28 +125,42 @@ def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     rngs = [_trajectory_rng(master_seed, idx) for idx in range(len(x0s))]
     return TrajectoryEnsemble(
-        trajectories=_euler_maruyama_lockstep(field, eps, x0s, dt, steps,
-                                              rngs),
+        trajectories=_euler_maruyama(field, eps, x0s, dt, steps, rngs),
         seeds=[(master_seed, idx) for idx in range(len(x0s))])
 
 
-def _euler_maruyama_lockstep(field: VectorField, eps: float, x0s: np.ndarray,
-                             dt: float, steps: int, rngs: list) -> list:
-    """Euler-Maruyama from each row of x0s, trajectory m drawing its noise
-    from rngs[m].  A non-finite drift or state ends that trajectory alone,
-    cut before the offending state; a FieldEvalError raised by the field
-    ends every trajectory still running."""
+def _euler_maruyama(field: VectorField, eps: float, x0s: np.ndarray,
+                    dt: float, steps: int, rngs: list) -> list:
+    """Euler-Maruyama from each row of x0s; rngs[m] draws row m's noise."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    noise = None
+
+    def step(x, k, live):
+        nonlocal noise
+        if k == 0 and eps > 0:  # once _lockstep has checked dt and steps,
+            # each stream draws its whole path, as a lone trajectory
+            noise = np.array([rng.standard_normal((steps, x.shape[1]))
+                              for rng in rngs])
+            noise *= np.sqrt(2.0 * eps * dt)
+        x = x + dt * eval_points(field, x, check_finite=False)
+        return x if noise is None else x + noise[live, k]
+
+    return _lockstep(x0s, dt, steps, step)
+
+
+def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
+    """Trajectories of x <- step(x, k, live) from one point x0s (dim,) or
+    each row of x0s (count, dim); live selects the rows x still holds.
+    step may evaluate the field unchecked: a non-finite state ends its
+    trajectory alone, cut before that state, and a FieldEvalError raised
+    by step ends every trajectory still running."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    count, n = x0s.shape
-    sigma = np.sqrt(2.0 * eps * dt)
-    noise = None
-    if eps > 0:  # each stream draws its whole path, as a lone trajectory
-        noise = np.empty((count, steps, n))
-        for m, rng in enumerate(rngs):
-            noise[m] = rng.standard_normal((steps, n))
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    n = x0s.shape[-1]
+    count = x0s.size // n
     states = np.empty((count, steps + 1, n))
     states[:, 0] = x0s
     lengths = np.full(count, steps + 1)
@@ -167,21 +168,17 @@ def _euler_maruyama_lockstep(field: VectorField, eps: float, x0s: np.ndarray,
     x = x0s
     for k in range(steps):
         try:
-            drift = eval_points(field, x, check_finite=False)
+            x = step(x, k, live)
         except FieldEvalError:
             lengths[live] = k + 1
             break
-        # a non-finite drift leaves a non-finite state
-        x = x + dt * drift
-        if noise is not None:
-            x = x + sigma * noise[live, k]
         if not np.isfinite(x).all():
-            ok = np.isfinite(x).all(axis=1)
+            ok = np.isfinite(x).reshape(-1, n).all(axis=1)
             rows = np.arange(count)[live]
             lengths[rows[~ok]] = k + 1
-            live, x = rows[ok], x[ok]
-            if not live.size:
+            if not ok.any():
                 break
+            live, x = rows[ok], x[ok]
         states[live, k + 1] = x
     return [Trajectory(times=dt * np.arange(length), states=states[m, :length],
                        dt=dt, completed=bool(length == steps + 1))
@@ -192,14 +189,11 @@ def stationary_density(ens: TrajectoryEnsemble, bins, ranges,
                        burn_in: Optional[int] = None) -> DensityGrid:
     """Histogram of post-burn-in states (default burn-in: first 20%)."""
     chunks = []
-    n_raw = 0
     for traj in ens.trajectories:
         cut = burn_in if burn_in is not None \
             else int(BURN_IN_FRACTION * len(traj.states))
-        if cut >= len(traj.states):
-            continue
-        chunks.append(traj.states[cut:])
-        n_raw += len(traj.states) - cut
+        if cut < len(traj.states):
+            chunks.append(traj.states[cut:])
     if not chunks:
         raise ValueError("no post-burn-in samples")
     data = np.vstack(chunks)
@@ -207,9 +201,13 @@ def stationary_density(ens: TrajectoryEnsemble, bins, ranges,
     counts = counts.astype(np.int64)
     total = int(counts.sum())
     if total == 0:
-        raise ValueError("all samples fall outside the grid ranges")
+        def box(pairs):
+            return " x ".join(f"[{lo:.3g}, {hi:.3g}]" for lo, hi in pairs)
+        raise ValueError(
+            f"all samples fall outside the grid ranges {box(ranges)}; the "
+            f"post-burn-in samples span {box(zip(data.min(0), data.max(0)))}")
     return DensityGrid(edges=[np.asarray(e) for e in edges], counts=counts,
-                       total=total, n_clipped=n_raw - total)
+                       total=total, n_clipped=len(data) - total)
 
 
 def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -120,6 +121,17 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical abort:")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_default_graham_names_the_sample_span(self, capsys):
+        # the default Lorenz ensemble leaves the default [-2, 2]^3 grid
+        assert main(["graham"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort:")
+        assert "grid ranges [-2, 2] x [-2, 2] x [-2, 2]" in err
+        span = np.array(re.findall(r"\[(\S+), (\S+)\]",
+                                   err.split("samples span ")[1]), dtype=float)
+        assert span.shape == (3, 2) and np.all(span[:, 0] <= span[:, 1])
+        assert np.max(np.abs(span)) > 2.0
 
     def test_numerical_abort_three(self, tmp_path, capsys):
         # gradientized potential requested for a field with no

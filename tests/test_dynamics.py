@@ -7,8 +7,10 @@ from gradiform import (VectorField, euler_maruyama, euler_maruyama_ensemble,
                        graham_estimate, integrate_rk4, lyapunov_check,
                        orthogonality_residual, stationary_density,
                        write_trajectory_csv)
-from gradiform.dynamics import _trajectory_rng
-from gradiform.zoo import double_well, ou, rotation
+from gradiform.dynamics import Trajectory, _trajectory_rng
+from gradiform.fields import FieldEvalError, eval_field
+from gradiform.gradientize import transform_field
+from gradiform.zoo import double_well, lorenz, ou, rotation
 
 
 def decay_field():
@@ -59,6 +61,74 @@ def test_integrators_stop_only_on_field_errors(integrate):
     traj = integrate(nan_below)
     assert not traj.completed
     assert 1 < len(traj.states) < 21
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda dt, steps: integrate_rk4(decay_field(), [1.0], dt, steps),
+    lambda dt, steps: euler_maruyama(decay_field(), 0.0, [1.0], dt, steps),
+    lambda dt, steps: euler_maruyama_ensemble(
+        decay_field(), 0.1, [[1.0], [0.2]], dt, steps)],
+    ids=["rk4", "euler_maruyama", "euler_maruyama_ensemble"])
+@pytest.mark.parametrize("dt, steps",
+                         [(0.1, 0), (0.1, -1), (0.0, 10), (-0.1, 10)])
+def test_integrators_reject_bad_dt_and_steps(integrate, dt, steps):
+    with pytest.raises(ValueError,
+                       match="dt must be positive|steps must be at least 1"):
+        integrate(dt, steps)
+
+
+def reference_rk4(field, x0, dt, steps):
+    """RK4 one point at a time, every stage checked by eval_field."""
+    x = np.asarray(x0, dtype=float).copy()
+    states = [x.copy()]
+    completed = True
+    for _ in range(steps):
+        try:
+            k1 = eval_field(field, x)
+            k2 = eval_field(field, x + 0.5 * dt * k1)
+            k3 = eval_field(field, x + 0.5 * dt * k2)
+            k4 = eval_field(field, x + dt * k3)
+        except FieldEvalError:
+            completed = False
+            break
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            completed = False
+            break
+        states.append(x.copy())
+    states = np.array(states)
+    return Trajectory(times=dt * np.arange(len(states)), states=states,
+                      dt=dt, completed=completed)
+
+
+RK4_FIELDS = {
+    "lorenz": lorenz(),
+    "double_well": double_well()[0],
+    # fixed upper-triangular D, so no symmetrizer search runs
+    "gradientized_lorenz": transform_field(
+        lorenz(), np.array([[1.5, 0.3, -0.2], [0.0, 0.8, 0.4],
+                            [0.0, 0.0, 1.2]])),
+    # not vectorized; decays from above 0.5 and turns NaN below it
+    "nan_below": VectorField(dim=1, func=lambda x: np.array(
+        [-x[0] if x[0] > 0.5 else np.nan])),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(RK4_FIELDS)),
+       x0=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       dt=st.floats(1e-3, 0.2), steps=st.integers(1, 200))
+def test_rk4_equals_per_stage_reference(name, x0, dt, steps):
+    # a lone start is stepped as one point: a 1-row batch would round
+    # stacked rows differently (transform_field) and run slower
+    field = RK4_FIELDS[name]
+    x0 = x0[:field.dim]
+    with np.errstate(all="ignore"):
+        traj = integrate_rk4(field, x0, dt, steps)
+        ref = reference_rk4(field, x0, dt, steps)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.completed == ref.completed
 
 
 def half_square(X):
