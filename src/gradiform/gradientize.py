@@ -10,7 +10,6 @@ from itertools import chain, combinations_with_replacement
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fields import (VectorField, _central_difference, _matvec, eval_points,
                      fd_step, jacobian_points)
@@ -20,8 +19,13 @@ from .integrability import _relative_asymmetry
 NULLSPACE_RTOL = 1e-10
 DET_FLOOR = 1e-10
 SEARCH_DRAWS = 64
-SEARCH_SEED = 0  # the random draws of both constant solvers
+SEARCH_SEED = 0  # the random draws of solve_consistency_constant
 DEFAULT_TOL = 1e-8
+EIG_COND_MAX = 1e6  # a larger cond(P) puts the symmetrizer optimum < 1e-8
+PATH_GROWTH = 50.0
+GAP_RTOL = 1e-10
+NEWTON_TOL = 1e-2  # above the decrement's rounding floor at the path's end
+NEWTON_MAX_STEPS = 50
 # solve_general: LM start damping and stopping rms, log-barrier, theta FD step
 DAMPING0 = 1e-3
 TARGET_RMS = 1e-10
@@ -162,12 +166,56 @@ def _sym_basis(n: int) -> list[np.ndarray]:
     return out
 
 
+def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
+                             ) -> Optional[np.ndarray]:
+    """argmin |c| subject to S(c) = sum c_k B_k >= I, by log-barrier path
+    following (Boyd & Vandenberghe, Convex Optimization, ch. 11) from P^-T
+    P^-1 (J = P diag(w) P^-1) scaled to lambda_min = 2; None when P is
+    ill-conditioned or that start is not positive definite.  The damped
+    Newton step needs no line search: the barrier is self-concordant."""
+    _, P = np.linalg.eig(J)
+    if np.linalg.cond(P) > EIG_COND_MAX:
+        return None
+    Pinv = np.linalg.inv(P)
+    # P^-H P^-1: its real part also covers a repeated eigenvalue that
+    # rounding split into a complex pair
+    c = np.einsum("kij,ij->k", basis, (Pinv.conj().T @ Pinv).real)
+    lam = np.linalg.eigvalsh(np.tensordot(c, basis, 1))[0]
+    if not lam > 0:
+        return None
+    c *= 2.0 / lam
+    m, n = basis.shape[:2]
+    t = 1.0 / (c @ c)
+    while True:
+        centred = c
+        for _ in range(NEWTON_MAX_STEPS):
+            lam, Q = np.linalg.eigh(np.tensordot(c, basis, 1) - np.eye(n))
+            if lam[0] <= 0:  # the slack fell below the rounding of S
+                return centred
+            # Bt_k = W^1/2 B_k W^1/2 for W = (S - I)^-1, in its eigenbasis:
+            # tr(W B_k) = tr(Bt_k) and tr(W B_k W B_l) = <Bt_k, Bt_l>
+            Bt = (Q.T @ basis @ Q) / np.sqrt(np.outer(lam, lam))
+            A = Bt.reshape(m, -1)
+            g = t * c - np.trace(Bt, axis1=1, axis2=2)
+            d = -np.linalg.solve(t * np.eye(m) + A @ A.T, g)
+            decrement = np.sqrt(max(-g @ d, 0.0))
+            c = c + d / (1.0 + decrement)
+            if decrement < NEWTON_TOL:
+                break
+        if n / t < GAP_RTOL * (c @ c):  # the duality gap of the barrier
+            return c
+        t *= PATH_GROWTH
+
+
 def solve_symmetrizer(J, tol: float = DEFAULT_TOL) -> ConstantSolveReport:
     """Find symmetric positive-definite S with S J = J^T S, then D from
     the Cholesky factorization S = D^T D.
 
-    S exists iff J is similar to a symmetric matrix; a defective or
-    complex spectrum yields the Infeasible verdict.
+    S is the unique maximiser of lambda_min(S) / |S|_F over the
+    symmetrizer space (min |S|_F subject to S >= I), scaled to
+    lambda_max(S) = 1.  Infeasible when the space is empty, J is defective
+    (cond(P) > EIG_COND_MAX), the start is not positive definite (as for
+    any complex spectrum), or the optimum is at most 1e-8.
     """
     J = _square(J)
     n = J.shape[0]
@@ -176,33 +224,10 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL) -> ConstantSolveReport:
     coeffs = _null_basis(M)
     basis = [sum(ci * Bi for ci, Bi in zip(c, sym_basis)) for c in coeffs]
 
-    best_S, best_min = None, -np.inf
-    if basis:
-        m = len(basis)
-
-        def neg_min_eig(c):
-            nc = np.linalg.norm(c)
-            if nc < 1e-12:
-                return 1.0
-            S = sum(ci * Bi for ci, Bi in zip(c / nc, basis))
-            return -float(np.linalg.eigvalsh(S)[0])
-
-        rng = np.random.default_rng(SEARCH_SEED)
-        starts = [np.eye(m)[k] for k in range(m)] \
-            + [-np.eye(m)[k] for k in range(m)] \
-            + [rng.standard_normal(m) for _ in range(8)]
-        for c0 in starts:
-            res = minimize(neg_min_eig, c0, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14,
-                                    "maxiter": 2000})
-            if -res.fun > best_min:
-                best_min = -res.fun
-                c = res.x / np.linalg.norm(res.x)
-                best_S = sum(ci * Bi for ci, Bi in zip(c, basis))
-
-    if best_S is None or best_min <= 1e-8:
+    c = _min_norm_above_identity(J, np.array(basis)) if basis else None
+    S = None if c is None else np.tensordot(c / np.linalg.norm(c), basis, 1)
+    if S is None or np.linalg.eigvalsh(S)[0] <= 1e-8:
         return _constant_solve_report(J, basis, None, tol)
-    S = 0.5 * (best_S + best_S.T)
     S /= np.linalg.eigvalsh(S)[-1]
     D = np.linalg.cholesky(S).T  # S = D^T D with D upper triangular
     return _constant_solve_report(J, basis, D, tol)

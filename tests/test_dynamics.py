@@ -104,7 +104,7 @@ def reference_rk4(field, x0, dt, steps):
 RK4_FIELDS = {
     "lorenz": lorenz(),
     "double_well": double_well()[0],
-    # fixed upper-triangular D, so no symmetrizer search runs
+    # fixed upper-triangular D, so no symmetrizer solve runs
     "gradientized_lorenz": transform_field(
         lorenz(), np.array([[1.5, 0.3, -0.2], [0.0, 0.8, 0.4],
                             [0.0, 0.0, 1.2]])),

@@ -11,13 +11,24 @@ from gradiform import (BarrierViolation, ConstantVerdict, GradientizeError,
                        solve_consistency_constant, solve_general,
                        solve_symmetrizer, transform_field,
                        transform_field_general)
-from gradiform.gradientize import _null_basis
+from gradiform.gradientize import (DEFAULT_TOL, _constant_solve_report,
+                                  _null_basis, _sym_basis)
 from gradiform.homotopy import dG_matrix
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                            rotation)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 RULE = QuadratureRule.gauss_legendre(64)
+# diagonalizable with a repeated eigenvalue that np.linalg.eig returns as
+# the complex pair 1 +- 6.7e-17i
+_P = np.random.default_rng(76).standard_normal((3, 3))
+SPLIT_PAIR = _P @ np.diag([1.0, 1.0, 2.0]) @ np.linalg.inv(_P)
+# chosen_D of default Lorenz from the multi-start Nelder-Mead search that
+# solve_symmetrizer used before its convex solve; the benchmark's
+# simulate:lorenz-gradientize reference depends on it
+LORENZ_D = np.array([[0.9957442817624582, 0.07302425155105127, 0.0],
+                     [0.0, 0.6100403065730655, 0.0],
+                     [0.0, 0.0, 0.6074441469147471]])
 
 
 def random_real_diagonalizable(rng, n=3, cond_cap=50.0):
@@ -27,6 +38,62 @@ def random_real_diagonalizable(rng, n=3, cond_cap=50.0):
             break
     lam = rng.uniform(-3.0, -0.5, n) + 0.5 * np.arange(n)
     return P @ np.diag(lam) @ np.linalg.inv(P)
+
+
+def symmetrizer_nelder_mead(J):
+    """The former solve_symmetrizer: maximise lambda_min(S) / |S|_F over the
+    symmetrizer space by Nelder-Mead from 14 starts, 8 of them random."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    n = J.shape[0]
+    sym_basis = _sym_basis(n)
+    M = np.column_stack([(B @ J - J.T @ B).ravel() for B in sym_basis])
+    basis = [sum(ci * Bi for ci, Bi in zip(c, sym_basis))
+             for c in _null_basis(M)]
+    best_S, best_min = None, -np.inf
+    if basis:
+        m = len(basis)
+
+        def neg_min_eig(c):
+            nc = np.linalg.norm(c)
+            if nc < 1e-12:
+                return 1.0
+            S = sum(ci * Bi for ci, Bi in zip(c / nc, basis))
+            return -float(np.linalg.eigvalsh(S)[0])
+
+        rng = np.random.default_rng(0)
+        starts = [np.eye(m)[k] for k in range(m)] \
+            + [-np.eye(m)[k] for k in range(m)] \
+            + [rng.standard_normal(m) for _ in range(8)]
+        for c0 in starts:
+            res = minimize(neg_min_eig, c0, method="Nelder-Mead",
+                           options={"xatol": 1e-12, "fatol": 1e-14,
+                                    "maxiter": 2000})
+            if -res.fun > best_min:
+                best_min = -res.fun
+                c = res.x / np.linalg.norm(res.x)
+                best_S = sum(ci * Bi for ci, Bi in zip(c, basis))
+    if best_S is None or best_min <= 1e-8:
+        return _constant_solve_report(J, basis, None, DEFAULT_TOL)
+    S = 0.5 * (best_S + best_S.T)
+    S /= np.linalg.eigvalsh(S)[-1]
+    return _constant_solve_report(J, basis, np.linalg.cholesky(S).T,
+                                  DEFAULT_TOL)
+
+
+def assert_matches_nelder_mead(J):
+    rep, ref = solve_symmetrizer(J), symmetrizer_nelder_mead(J)
+    assert rep.verdict is ref.verdict
+    if ref.chosen_D is None:
+        return
+    # both S = D^T D are scaled to lambda_max = 1
+    S, S_ref = rep.chosen_D.T @ rep.chosen_D, ref.chosen_D.T @ ref.chosen_D
+
+    def objective(S):
+        return np.linalg.eigvalsh(S)[0] / np.linalg.norm(S)
+
+    assert objective(S) >= objective(S_ref) * (1.0 - 1e-9)
+    if rep.verdict is ConstantVerdict.GRADIENTIZED:
+        assert np.max(np.abs(S - S_ref)) <= 1e-6
 
 
 def consistency_matrix_reference(J):
@@ -129,6 +196,26 @@ class TestSymmetrizer:
         rep = solve_symmetrizer(J)
         assert rep.verdict is ConstantVerdict.GRADIENTIZED
         assert rep.transformed_asymmetry < 1e-8
+
+    def test_lorenz_pinned(self):
+        rep = solve_symmetrizer(jacobian(lorenz(), np.zeros(3)))
+        assert np.max(np.abs(rep.chosen_D - LORENZ_D)) <= 1e-8
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           cond_cap=st.sampled_from([50.0, 500.0]))
+    def test_matches_nelder_mead(self, seed, cond_cap):
+        assert_matches_nelder_mead(random_real_diagonalizable(
+            np.random.default_rng(seed), cond_cap=cond_cap))
+
+    @pytest.mark.parametrize("J", [
+        np.array([[-2.0]]), np.array([[2.0, 1.0], [1.0, 3.0]]),
+        np.diag([1.0, 1.0, 2.0]), SPLIT_PAIR, ROT,
+        jacobian(jj_circuit_linear(r=1, beta_c=1, beta_L=1), np.zeros(3))],
+        ids=["1x1", "symmetric", "diag112", "split_pair", "rotation",
+             "defective"])
+    def test_matches_nelder_mead_fixed(self, J):
+        assert_matches_nelder_mead(J)
 
 
 class TestTransformField:
