@@ -311,23 +311,31 @@ def cmd_simulate(cfg, traj_dir=None):
     def candidate(X):  # descends along xdot = g when the form is closed
         return -potential(form, X, quad)
 
+    def lyapunov_row(traj):
+        # the candidate's ray integral can overflow on states that stay
+        # finite; such a trajectory counts as unfinished, with no figures
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = candidate(traj.states)
+                ortho = orthogonality_residual(
+                    flow, candidate, np.eye(field.dim), traj.states[-1])
+        except FieldEvalError:
+            V, ortho = np.nan, np.nan
+        if not (np.isfinite(V).all() and np.isfinite(ortho)):
+            return {"completed": False, "max_increase": None,
+                    "monotone": False, "orthogonality_residual_at_end": None}
+        rep_l = lyapunov_check(V, traj)
+        return {"completed": traj.completed,
+                "max_increase": rep_l.max_increase,
+                "monotone": rep_l.monotone,
+                "orthogonality_residual_at_end": ortho}
+
     x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
                       sim["master_seed"])
     rows = []
-    n_monotone = 0
     for idx, x0 in enumerate(x0s):
         traj = integrate_rk4(flow, x0, sim["dt"], sim["steps"])
-        rep_l = lyapunov_check(candidate(traj.states), traj)
-        ortho = orthogonality_residual(flow, candidate, np.eye(field.dim),
-                                       traj.states[-1])
-        n_monotone += rep_l.monotone
-        rows.append({
-            "x0": x0,
-            "completed": traj.completed,
-            "max_increase": rep_l.max_increase,
-            "monotone": rep_l.monotone,
-            "orthogonality_residual_at_end": ortho,
-        })
+        rows.append({"x0": x0, **lyapunov_row(traj)})
         if traj_dir is not None:
             Path(traj_dir).mkdir(parents=True, exist_ok=True)
             write_trajectory_csv(traj,
@@ -335,7 +343,7 @@ def cmd_simulate(cfg, traj_dir=None):
     return {
         "potential_source": source,
         "n_trajectories": len(rows),
-        "n_monotone": n_monotone,
+        "n_monotone": sum(row["monotone"] for row in rows),
         "trajectories": rows,
     }
 

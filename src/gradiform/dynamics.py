@@ -149,6 +149,8 @@ def _euler_maruyama(field: VectorField, eps: float, x0s: np.ndarray,
     return _lockstep(x0s, dt, steps, step)
 
 
+# overflow is expected in the steps: a non-finite state ends its row
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     """Trajectories of x <- step(x, k, live) from one point x0s (dim,) or
     each row of x0s (count, dim); live selects the rows x still holds.

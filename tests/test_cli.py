@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,29 @@ class TestReports:
         # chaotic attractor: the homotopy candidate is not a Lyapunov
         # function, and the report says so rather than hiding it
         assert res["n_monotone"] < res["n_trajectories"]
+
+    def test_simulate_blowup_is_unfinished(self, tmp_path, capsys):
+        # at dt=0.2 lorenz states reach 1e266: still finite, but the ray
+        # potential of the candidate overflows there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(tmp_path, "simulate",
+                                "--set", "simulation.dt=0.2",
+                                "--set", "simulation.steps=200")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = rep["result"]["trajectories"]
+        assert len(rows) == 8
+        keys = {"x0", "completed", "max_increase", "monotone",
+                "orthogonality_residual_at_end"}
+        assert all(set(row) == keys for row in rows)
+        blown = [row for row in rows if row["max_increase"] is None]
+        assert blown
+        for row in blown:
+            assert row["completed"] is False
+            assert row["monotone"] is False
+            assert row["orthogonality_residual_at_end"] is None
+        assert rep["result"]["n_monotone"] == sum(r["monotone"] for r in rows)
 
     def test_simulate_traj_csv_export(self, tmp_path):
         traj_dir = tmp_path / "trajs"
