@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from gradiform import (euler_maruyama_ensemble, graham_estimate,
+from gradiform import (euler_maruyama_ensembles, graham_estimate,
                        stationary_density)
 from gradiform.zoo import double_well
 
@@ -31,9 +31,9 @@ def main():
     # start half the walkers in each well so low-noise runs still see both
     x0s = np.array([[(-1.0) ** k] for k in range(args.ensemble)])
 
-    for eps in args.eps:
-        ens = euler_maruyama_ensemble(field, eps, x0s, args.dt, args.steps,
-                                      master_seed=args.seed)
+    ensembles = euler_maruyama_ensembles(field, args.eps, x0s, args.dt,
+                                         args.steps, master_seed=args.seed)
+    for eps, ens in zip(args.eps, ensembles):
         dens = stationary_density(ens, bins=args.bins,
                                   ranges=[(-args.range, args.range)])
         est = graham_estimate(dens, eps)

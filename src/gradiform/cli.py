@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (euler_maruyama_ensemble, graham_estimate,
+from .dynamics import (euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from .fields import FieldEvalError, jacobian, jacobian_points
@@ -327,7 +327,7 @@ def cmd_simulate(cfg, traj_dir=None):
         rep_l = lyapunov_check(V, traj)
         return {"completed": traj.completed,
                 "max_increase": rep_l.max_increase,
-                "monotone": rep_l.monotone,
+                "monotone": rep_l.monotone and traj.completed,
                 "orthogonality_residual_at_end": ortho}
 
     x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
@@ -357,12 +357,11 @@ def cmd_graham(cfg):
     analytic = analytic_potential(spec)
     x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
                       sim["master_seed"])
+    ensembles = euler_maruyama_ensembles(field, sim["eps"], x0s, sim["dt"],
+                                         sim["steps"], sim["master_seed"])
+    burn = int(sim["burn_in_fraction"] * (sim["steps"] + 1))
     blocks = []
-    for eps in sim["eps"]:
-        ens = euler_maruyama_ensemble(field, eps, x0s, sim["dt"],
-                                      sim["steps"],
-                                      master_seed=sim["master_seed"])
-        burn = int(sim["burn_in_fraction"] * (sim["steps"] + 1))
+    for eps, ens in zip(sim["eps"], ensembles):
         density = stationary_density(ens, bins=bins, ranges=ranges,
                                      burn_in=burn)
         estimate = graham_estimate(density, eps)
@@ -402,7 +401,7 @@ COMMANDS = {
 
 
 def _write_report(report, out_path):
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonable(report), sort_keys=True) + "\n"
     if out_path is None:
         sys.stdout.write(text)
         return

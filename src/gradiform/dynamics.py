@@ -114,7 +114,7 @@ def euler_maruyama(field: VectorField, eps: float, x0, dt: float,
     if rng is None:
         rng = _trajectory_rng(seed, 0)
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    return _euler_maruyama(field, eps, x0, dt, steps, [rng])[0]
+    return _euler_maruyama(field, [eps], x0, dt, steps, [rng])[0]
 
 
 def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
@@ -122,31 +122,47 @@ def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
                             ) -> TrajectoryEnsemble:
     """Independent trajectories with per-index counter-based RNG streams,
     stepped in lockstep: one field evaluation per step for all of them."""
+    return euler_maruyama_ensembles(field, [eps], x0s, dt, steps,
+                                    master_seed)[0]
+
+
+def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
+                             steps: int, master_seed: int = 0) -> list:
+    """One euler_maruyama_ensemble per eps in eps_list, all levels stepped
+    in one lockstep; start m draws its noise once and every level scales
+    that draw, so each ensemble equals its own call bit for bit."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    rngs = [_trajectory_rng(master_seed, idx) for idx in range(len(x0s))]
-    return TrajectoryEnsemble(
-        trajectories=_euler_maruyama(field, eps, x0s, dt, steps, rngs),
-        seeds=[(master_seed, idx) for idx in range(len(x0s))])
+    seeds = [(master_seed, idx) for idx in range(len(x0s))]
+    trajs = _euler_maruyama(field, eps_list, x0s, dt, steps,
+                            [_trajectory_rng(*seed) for seed in seeds])
+    return [TrajectoryEnsemble(trajs[i::len(eps_list)], list(seeds))
+            for i in range(len(eps_list))]
 
 
-def _euler_maruyama(field: VectorField, eps: float, x0s: np.ndarray,
+def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
                     dt: float, steps: int, rngs: list) -> list:
-    """Euler-Maruyama from each row of x0s; rngs[m] draws row m's noise."""
-    if eps < 0:
+    """Euler-Maruyama from x0s at each eps; rngs[m] draws row m's noise."""
+    eps = np.asarray(eps_list, dtype=float)
+    if (eps < 0).any():
         raise ValueError("eps must be nonnegative")
-    noise = None
+    stream = np.repeat(np.arange(len(x0s)), len(eps))  # row m * len(eps) + i
+    noisy = np.tile(eps > 0, len(x0s))[:, None]  # eps = 0: exact Euler
+    noise = scale = None
 
     def step(x, k, live):
-        nonlocal noise
-        if k == 0 and eps > 0:  # once _lockstep has checked dt and steps,
+        nonlocal noise, scale
+        if k == 0 and eps.any():  # once _lockstep has checked dt and steps,
             # each stream draws its whole path, as a lone trajectory
             noise = np.array([rng.standard_normal((steps, x.shape[1]))
                               for rng in rngs])
-            noise *= np.sqrt(2.0 * eps * dt)
+            scale = np.tile(np.sqrt(2.0 * eps * dt), len(x0s))[:, None]
         x = x + dt * eval_points(field, x, check_finite=False)
-        return x if noise is None else x + noise[live, k]
+        if noise is not None:
+            np.add(x, noise[stream[live], k] * scale[live], out=x,
+                   where=noisy[live])
+        return x
 
-    return _lockstep(x0s, dt, steps, step)
+    return _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
 
 
 # overflow is expected in the steps: a non-finite state ends its row

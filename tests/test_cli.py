@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _jsonable,
-                           load_config, main)
+                           _write_report, load_config, main)
 from gradiform.zoo import REGISTRY
 
 
@@ -294,6 +294,11 @@ class TestReports:
             assert row["completed"] is False
             assert row["monotone"] is False
             assert row["orthogonality_residual_at_end"] is None
+        # one start goes non-finite after a last finite rise of about 1e18:
+        # a trajectory cut short says nothing about descent
+        cut = [row for row in rows
+               if row["max_increase"] is not None and not row["completed"]]
+        assert cut and all(row["monotone"] is False for row in cut)
         assert rep["result"]["n_monotone"] == sum(r["monotone"] for r in rows)
 
     def test_simulate_traj_csv_export(self, tmp_path):
@@ -355,6 +360,24 @@ def test_jsonable_matches_elementwise_reference():
         got = json.dumps(_jsonable(obj), sort_keys=True)
         assert got == json.dumps(jsonable_reference(obj), sort_keys=True)
     assert json.dumps(_jsonable(a[0])) == "[0.0, -0.0, null]"
+
+
+def test_write_report_one_sorted_line(tmp_path, capsys):
+    report = {"zeta": {"b": np.array([1.5, np.nan]), "a": -np.inf},
+              "alpha": [np.float64(0.1), np.int64(3), np.bool_(False)],
+              "mid": "text"}
+    _write_report(report, None)
+    text = capsys.readouterr().out
+    out = tmp_path / "sub" / "report.json"
+    _write_report(report, out)
+    assert out.read_text() == text
+    assert text.endswith("\n") and text.count("\n") == 1
+    parsed = json.loads(text)
+    assert parsed == _jsonable(report)
+    assert list(parsed) == ["alpha", "mid", "zeta"]
+    assert list(parsed["zeta"]) == ["a", "b"]
+    assert parsed["zeta"] == {"a": None, "b": [1.5, None]}
+    assert "NaN" not in text and "Infinity" not in text
 
 
 def _strip_timings(report):

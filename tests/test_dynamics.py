@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradiform import (VectorField, euler_maruyama, euler_maruyama_ensemble,
-                       graham_estimate, integrate_rk4, lyapunov_check,
-                       orthogonality_residual, stationary_density,
-                       write_trajectory_csv)
+                       euler_maruyama_ensembles, graham_estimate,
+                       integrate_rk4, lyapunov_check, orthogonality_residual,
+                       stationary_density, write_trajectory_csv)
 from gradiform.dynamics import Trajectory, _trajectory_rng
-from gradiform.fields import FieldEvalError, eval_field
+from gradiform.fields import FieldEvalError, eval_field, eval_points
 from gradiform.gradientize import transform_field
 from gradiform.zoo import double_well, lorenz, ou, rotation
 
@@ -358,3 +358,97 @@ def test_nonfinite_row_ends_only_its_trajectory(vectorized):
         assert np.array_equal(traj.states, lone.states)
         assert traj.completed == lone.completed
     assert np.isfinite(ens.trajectories[1].states).all()
+
+
+def reference_em(field, eps, x0, dt, steps, rng):
+    """Euler-Maruyama of one start as a 1-row batch, step by step."""
+    z = rng.standard_normal((steps, len(x0))) if eps > 0 else None
+    x = np.asarray(x0, dtype=float)[None, :]
+    states = [x[0]]
+    for k in range(steps):
+        x = x + dt * eval_points(field, x, check_finite=False)
+        if z is not None:
+            x = x + z[k] * np.sqrt(2.0 * eps * dt)
+        if not np.isfinite(x).all():
+            return np.array(states), False
+        states.append(x[0])
+    return np.array(states), True
+
+
+def assert_ensembles_equal(got, want):
+    assert got.seeds == want.seeds
+    assert len(got.trajectories) == len(want.trajectories)
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert a.states.tobytes() == b.states.tobytes()  # also -0.0
+        assert np.array_equal(a.times, b.times)
+        assert a.completed == b.completed
+
+
+def cubic_pair(x):  # one point only: a field without vectorized=True
+    return np.array([-x[0] ** 3 + x[1], -x[1] - 0.5 * x[0]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(vectorized=st.booleans(), seed=st.integers(0, 2 ** 31),
+       count=st.integers(1, 5), steps=st.integers(1, 200),
+       eps_list=st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.5, 3.0]),
+                         min_size=1, max_size=3))
+def test_stacked_levels_equal_one_call_per_eps(vectorized, seed, count,
+                                               steps, eps_list):
+    field = (double_well()[0] if vectorized
+             else VectorField(dim=2, func=cubic_pair))
+    x0s = np.linspace(-1.5, 1.5, count * field.dim).reshape(count, -1)
+    stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, steps,
+                                       master_seed=seed)
+    assert len(stacked) == len(eps_list)
+    for eps, ens in zip(eps_list, stacked):
+        assert_ensembles_equal(ens, euler_maruyama_ensemble(
+            field, eps, x0s, 0.05, steps, master_seed=seed))
+        for m, traj in enumerate(ens.trajectories):
+            states, completed = reference_em(field, eps, x0s[m], 0.05, steps,
+                                             _trajectory_rng(seed, m))
+            assert traj.states.tobytes() == states.tobytes()
+            assert traj.completed == completed
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_nonfinite_row_at_one_level_ends_alone(vectorized):
+    # the drift is NaN outside |x| < 2: at eps = 100 the noise leaves that
+    # band within a few steps; at eps = 0 and 1e-6 the starts stay near 0
+    field = VectorField(dim=1, vectorized=vectorized,
+                        func=lambda x: np.where(abs(x) < 2.0, -x, np.nan))
+    x0s = np.array([[0.0], [0.5]])
+    eps_list = [0.0, 100.0, 1e-6]
+    stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.1, 50,
+                                       master_seed=3)
+    assert [[t.completed for t in ens.trajectories] for ens in stacked] == \
+        [[True, True], [False, False], [True, True]]
+    for eps, ens in zip(eps_list, stacked):
+        assert_ensembles_equal(ens, euler_maruyama_ensemble(
+            field, eps, x0s, 0.1, 50, master_seed=3))
+
+
+def test_zero_eps_level_stays_forward_euler():
+    # xdot = x keeps -0.0 at -0.0 under forward Euler; a noise term scaled
+    # to 0 would turn it into +0.0 whenever its normal is positive
+    grow = VectorField(dim=1, func=lambda x: x, vectorized=True)
+    x0s = np.array([[1.0], [-0.0]])
+    noisy, exact = euler_maruyama_ensembles(grow, [0.1, 0.0], x0s, 0.1, 20)
+    for x0, traj in zip(x0s, exact.trajectories):
+        x, euler = x0.copy(), [x0.copy()]
+        for _ in range(20):
+            x = x + 0.1 * x
+            euler.append(x)
+        assert traj.states.tobytes() == np.array(euler).tobytes()
+    assert np.signbit(exact.trajectories[1].states).all()
+    assert not np.array_equal(noisy.trajectories[0].states,
+                              exact.trajectories[0].states)
+
+
+def test_negative_eps_level_rejected():
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        euler_maruyama_ensembles(decay_field(), [0.1, -0.1],
+                                 np.zeros((2, 1)), 0.1, 10)
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        euler_maruyama_ensemble(decay_field(), -0.1, np.zeros((2, 1)),
+                                0.1, 10)
