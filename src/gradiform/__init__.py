@@ -5,13 +5,11 @@ operator, and searches for coordinate changes that gradientize it."""
 __version__ = "0.1.0"
 
 from .fields import (FieldEvalError, SecondOrderSystem, VectorField,
-                     eval_field, eval_points, jacobian, jacobian_points,
-                     reduce_second_order)
+                     eval_field, jacobian, reduce_second_order)
 from .homotopy import (Decomposition, OneForm, QuadratureRule, antiexact_part,
                        decompose, dG_matrix, exact_part, potential)
 from .integrability import (ClosednessReport, Loop, Verdict, circle_loop,
-                            classify, closedness, frobenius_defect,
-                            loop_integral)
+                            classify, frobenius_defect, loop_integral)
 from .gradientize import (BarrierViolation, ConstantSolveReport,
                           ConstantVerdict, GeneralSolveReport,
                           GradientizeError, MatrixFamily,

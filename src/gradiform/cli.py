@@ -18,7 +18,7 @@ from . import __version__
 from .dynamics import (euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
-from .fields import FieldEvalError, jacobian, jacobian_points
+from .fields import FieldEvalError, jacobian
 from .gradientize import (GradientizeError, MatrixFamily,
                           solve_consistency_constant, solve_general,
                           solve_symmetrizer, transform_field)
@@ -267,7 +267,7 @@ def cmd_gradientize(cfg):
     J0 = jacobian(field, origin)
     samples = sample_ball(field.dim, cfg["solver"]["collocation"],
                           cfg["samples"]["radius"], cfg["samples"]["seed"])
-    jac_spread = float(np.max(np.abs(jacobian_points(field, samples) - J0)))
+    jac_spread = float(np.max(np.abs(jacobian(field, samples) - J0)))
     consistency_rep = solve_consistency_constant(J0, tol=tol)
     symmetrizer_rep = solve_symmetrizer(J0, tol=tol)
     out = {

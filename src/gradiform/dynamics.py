@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (FieldEvalError, VectorField, _as_points,
-                     _central_difference, eval_field, eval_points, fd_step)
+from .fields import (FieldEvalError, VectorField, _as_point,
+                     _central_difference, eval_field, fd_step)
 
 BURN_IN_FRACTION = 0.2
 LYAPUNOV_TOL_SCALE = 10.0
@@ -55,16 +55,15 @@ class LyapunovReport:
 def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     """Classical fourth-order Runge-Kutta for xdot = g(x)."""
     def step(x, k, live):
-        k1 = eval_points(field, x, check_finite=False)
-        k2 = eval_points(field, x + 0.5 * dt * k1, check_finite=False)
-        k3 = eval_points(field, x + 0.5 * dt * k2, check_finite=False)
-        k4 = eval_points(field, x + dt * k3, check_finite=False)
+        k1 = eval_field(field, x, check_finite=False)
+        k2 = eval_field(field, x + 0.5 * dt * k1, check_finite=False)
+        k3 = eval_field(field, x + 0.5 * dt * k2, check_finite=False)
+        k4 = eval_field(field, x + dt * k3, check_finite=False)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
     # faster and with the rounding of a single-point evaluation
-    return _lockstep(_as_points(field, x0, stacked=False), dt, steps,
-                     step)[0]
+    return _lockstep(_as_point(field, x0), dt, steps, step)[0]
 
 
 def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
@@ -89,7 +88,7 @@ def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
 def orthogonality_residual(field: VectorField, V, S, x) -> float:
     """(f + S grad V)^T grad V with a finite-difference gradient of V,
     which maps stacked points (K, dim) to values (K,)."""
-    x = np.asarray(x, dtype=float)
+    x = _as_point(field, x)
     S = np.asarray(S, dtype=float)
     f = eval_field(field, x)
     grad = _central_difference(V, x, fd_step(x))
@@ -151,12 +150,12 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
 
     def step(x, k, live):
         nonlocal noise, scale
-        if k == 0 and eps.any():  # once _lockstep has checked dt and steps,
-            # each stream draws its whole path, as a lone trajectory
+        if k == 0 and noisy.any():  # once _lockstep has checked dt and
+            # steps, each stream draws its whole path, as a lone trajectory
             noise = np.array([rng.standard_normal((steps, x.shape[1]))
                               for rng in rngs])
             scale = np.tile(np.sqrt(2.0 * eps * dt), len(x0s))[:, None]
-        x = x + dt * eval_points(field, x, check_finite=False)
+        x = x + dt * eval_field(field, x, check_finite=False)
         if noise is not None:
             np.add(x, noise[stream[live], k] * scale[live], out=x,
                    where=noisy[live])

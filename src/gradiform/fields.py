@@ -26,8 +26,8 @@ class VectorField:
     With ``vectorized=True`` both also take stacked points: ``func`` maps
     (M, dim) to (M, dim) and ``jac`` maps (M, dim) to (M, dim, dim), row
     by row, while a single point (dim,) still gives (dim,) and
-    (dim, dim).  ``eval_points`` and ``jacobian_points`` then evaluate a
-    whole batch in one call; other fields are called point by point.
+    (dim, dim).  ``eval_field`` and ``jacobian`` then evaluate a whole
+    batch in one call; other fields are called point by point.
     """
 
     dim: int
@@ -63,15 +63,24 @@ class SecondOrderSystem:
         object.__setattr__(self, "damping", damp)
 
 
-def _as_points(field: VectorField, X, stacked: bool = True) -> np.ndarray:
-    """X as a float array of one point (dim,) or, when stacked is true,
-    also of stacked points (M, dim); any other shape is a ValueError."""
+def _as_points(field: VectorField, X) -> np.ndarray:
+    """X as a float array of one point (dim,) or of stacked points
+    (M, dim); any other shape is a ValueError."""
     X = np.asarray(X, dtype=float)
-    ndims = (1, 2) if stacked else (1,)
-    if X.ndim not in ndims or X.shape[-1] != field.dim:
+    if X.ndim not in (1, 2) or X.shape[-1] != field.dim:
         raise ValueError(
             f"point has shape {X.shape}, field dimension is {field.dim}")
     return X
+
+
+def _as_point(field: VectorField, x) -> np.ndarray:
+    """x as a float array of one point (dim,), for the callers that take
+    no stacked points; any other shape is a ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (field.dim,):
+        raise ValueError(
+            f"point has shape {x.shape}, field dimension is {field.dim}")
+    return x
 
 
 def _apply(field: VectorField, fn, X: np.ndarray, shape: tuple,
@@ -104,17 +113,10 @@ def _check_finite(X: np.ndarray, values: np.ndarray, what: str) -> None:
         raise FieldEvalError(f"non-finite {what} at x={x}")
 
 
-def eval_field(field: VectorField, x) -> np.ndarray:
-    """Evaluate g(x) at one point, checking shapes and finiteness."""
-    x = _as_points(field, x, stacked=False)
-    g = _apply(field, field.func, x, (field.dim,), "field")
-    _check_finite(x, g, "field value")
-    return g
-
-
-def eval_points(field: VectorField, X, check_finite: bool = True
-                ) -> np.ndarray:
-    """g at stacked points X (M, dim) -> (M, dim), or at one point (dim,).
+def eval_field(field: VectorField, X, check_finite: bool = True
+               ) -> np.ndarray:
+    """g at one point X (dim,) -> (dim,), or at stacked points (M, dim)
+    -> (M, dim).
 
     The shape and finiteness checks run once per batch.  With
     check_finite=False non-finite rows are returned as they are, for
@@ -149,30 +151,17 @@ def _central_difference(f, X: np.ndarray, steps: np.ndarray) -> np.ndarray:
         X.shape[:-1] + (1,) * (diff.ndim - X.ndim) + (n,)))
 
 
-def jacobian_points(field: VectorField, X, scheme: str = "auto",
-                    h: Optional[float] = None) -> np.ndarray:
-    """J at stacked points X (M, dim) -> (M, dim, dim), or at one point.
-
-    scheme as in ``jacobian``.  Without an analytic Jacobian, central
-    differences evaluate all 2*dim*M shifted points in one
-    ``eval_points`` call.
-    """
-    return _jacobian(field, _as_points(field, X), scheme, h)
-
-
-def jacobian(field: VectorField, x, scheme: str = "auto",
+def jacobian(field: VectorField, X, scheme: str = "auto",
              h: Optional[float] = None) -> np.ndarray:
-    """Matrix J with J[i, j] = d g_i / d x_j at the point x.
+    """Matrix J with J[i, j] = d g_i / d x_j at one point X (dim,), or
+    one such matrix per row of stacked points (M, dim) -> (M, dim, dim).
 
     scheme: "analytic" requires field.jac; "central" forces finite
-    differences (step h, default per-coordinate fd_step); "auto" uses
-    the analytic Jacobian when available.
+    differences (step h, default per-coordinate fd_step), evaluating all
+    2*dim*M shifted points in one ``eval_field`` call; "auto" uses the
+    analytic Jacobian when available.
     """
-    return _jacobian(field, _as_points(field, x, stacked=False), scheme, h)
-
-
-def _jacobian(field: VectorField, X: np.ndarray, scheme: str,
-              h: Optional[float]) -> np.ndarray:
+    X = _as_points(field, X)
     if scheme not in ("auto", "analytic", "central"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "analytic" and field.jac is None:
@@ -187,7 +176,7 @@ def _jacobian(field: VectorField, X: np.ndarray, scheme: str,
             steps = np.full(X.shape, float(h))
         else:
             steps = fd_step(X)
-        J = _central_difference(lambda P: eval_points(field, P), X, steps)
+        J = _central_difference(lambda P: eval_field(field, P), X, steps)
     _check_finite(X, J, "Jacobian entry")
     return J
 
@@ -218,14 +207,14 @@ def reduce_second_order(sos: SecondOrderSystem) -> VectorField:
 
     def func(z):
         x, xbar = z[..., :n], z[..., n:]
-        g = eval_points(inner, x, check_finite=False)
+        g = eval_field(inner, x, check_finite=False)
         return np.concatenate([xbar / beta, -damp * xbar / beta - g],
                               axis=-1)
 
     def jac(z):
         J = np.zeros(z.shape + (2 * n,))
         J[..., :n, n:] = np.diag(1.0 / beta)
-        J[..., n:, :n] = -jacobian_points(inner, z[..., :n])
+        J[..., n:, :n] = -jacobian(inner, z[..., :n])
         J[..., n:, n:] = np.diag(-damp / beta)
         return J
 

@@ -11,8 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (VectorField, _central_difference, _matvec, eval_points,
-                     fd_step, jacobian_points)
+from .fields import (VectorField, _central_difference, _matvec, eval_field,
+                     fd_step, jacobian)
 from .homotopy import OneForm, QuadratureRule, potential
 from .integrability import _relative_asymmetry
 
@@ -237,7 +237,7 @@ def transform_field(field: VectorField, D) -> VectorField:
     """f(x) = D g(D^{-1} x); Jacobian D J_g(D^{-1} x) D^{-1}.
 
     The transformed field is vectorized: stacked points go through the
-    base field in one ``eval_points`` batch.
+    base field in one ``eval_field`` batch.
     """
     D = np.asarray(D, dtype=float)
     n = field.dim
@@ -246,11 +246,11 @@ def transform_field(field: VectorField, D) -> VectorField:
     Dinv = np.linalg.inv(D)  # raises LinAlgError when singular
 
     def func(x):
-        return _matvec(D, eval_points(field, _matvec(Dinv, x),
-                                      check_finite=False))
+        return _matvec(D, eval_field(field, _matvec(Dinv, x),
+                                     check_finite=False))
 
     def jac(x):
-        return D @ jacobian_points(field, _matvec(Dinv, x)) @ Dinv
+        return D @ jacobian(field, _matvec(Dinv, x)) @ Dinv
 
     return VectorField(dim=n, func=func, jac=jac, vectorized=True)
 
@@ -349,8 +349,8 @@ def _residual_sweep(field: VectorField, family: MatrixFamily,
     """sweep(theta) -> the general residual, then one log-barrier term per
     sample, for all samples at once.  g, its Jacobian and the monomial
     tables do not depend on theta: they are computed here, once."""
-    G = eval_points(field, samples)
-    Jg = jacobian_points(field, samples)
+    G = eval_field(field, samples)
+    Jg = jacobian(field, samples)
     tables = family._tables(samples)
     upper = np.triu_indices(field.dim, 1)
 
@@ -473,7 +473,7 @@ def transform_field_general(field: VectorField, family: MatrixFamily,
     def func(x):
         Y = invert(np.reshape(x, (-1, n)))
         f = np.matmul(family.value(Y, theta),
-                      eval_points(field, Y)[:, :, None])[:, :, 0]
+                      eval_field(field, Y)[:, :, None])[:, :, 0]
         return f.reshape(np.shape(x))
 
     return VectorField(dim=n, func=func, vectorized=True)
@@ -485,7 +485,7 @@ def consistency_check(tfield: VectorField, samples,
     potential of the transformed field from the field itself."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     form = OneForm(tfield)
-    f = eval_points(tfield, samples)
+    f = eval_field(tfield, samples)
     dV = _central_difference(lambda P: potential(form, P, quad), samples,
                              fd_step(samples))
     return float(np.max(np.abs(dV - f)))
@@ -500,7 +500,7 @@ def potential_via_transform(field: VectorField, D, x,
     tfield = transform_field(field, D)
     p = x if np.any(x != 0) else np.ones(field.dim)
     checks = np.array([p, 0.5 * p, 0.1 * p + 1e-3])
-    asym = _relative_asymmetry(jacobian_points(tfield, checks))
+    asym = _relative_asymmetry(jacobian(tfield, checks))
     if np.any(asym > tol):
         k = int(np.argmax(asym > tol))
         raise GradientizeError(

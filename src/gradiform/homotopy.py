@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (VectorField, _as_points, eval_points, jacobian,
-                     jacobian_points)
+from .fields import VectorField, _as_points, eval_field, jacobian
 
 DEFAULT_ORDER = 32
 MAX_ORDER = 256
@@ -121,12 +120,12 @@ def _ray(X: np.ndarray, rule) -> np.ndarray:
 
 
 def _ray_values(field: VectorField, X: np.ndarray, rule) -> np.ndarray:
-    return eval_points(field, _ray(X, rule)).reshape(
+    return eval_field(field, _ray(X, rule)).reshape(
         (len(rule.nodes),) + X.shape)
 
 
 def _ray_jacobians(field: VectorField, X: np.ndarray, rule) -> np.ndarray:
-    return jacobian_points(field, _ray(X, rule)).reshape(
+    return jacobian(field, _ray(X, rule)).reshape(
         (len(rule.nodes),) + X.shape + X.shape[1:])
 
 
@@ -193,7 +192,7 @@ def decompose(form: OneForm, x,
     (M, N) give one Decomposition with a leading axis M."""
     X, single = _points(form, x)
     n = X.shape[1]
-    g = eval_points(form.field, X)
+    g = eval_field(form.field, X)
 
     def evaluate(rule, X):
         G = _ray_values(form.field, X, rule)
@@ -214,6 +213,7 @@ def decompose(form: OneForm, x,
 
 
 def dG_matrix(field: VectorField, x) -> np.ndarray:
-    """Coefficient matrix A = J - J^T of dG; antisymmetric by construction."""
+    """Coefficient matrix A = J - J^T of dG; antisymmetric by construction.
+    Stacked points (M, N) give one matrix per point."""
     J = jacobian(field, x)
-    return J - J.T
+    return J - np.swapaxes(J, -1, -2)

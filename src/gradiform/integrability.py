@@ -8,8 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import (VectorField, eval_field, eval_points, jacobian,
-                     jacobian_points)
+from .fields import VectorField, _as_point, eval_field, jacobian
 from .homotopy import OneForm, QuadratureRule, _resolve
 
 DEFAULT_TOL = 1e-8
@@ -25,26 +24,30 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class ClosednessReport:
     max_asymmetry: float
-    frobenius_defect_max: Optional[float]
+    frobenius_defect_max: float
     verdict: Verdict
     loop_integrals: list = dc_field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class Loop:
-    """Closed C^1 curve s in [0, 1] -> R^N, with optional derivative."""
+    """Closed C^1 curve s in [0, 1] -> R^N, with optional derivative.
 
-    gamma: Callable[[float], np.ndarray]
-    dgamma: Optional[Callable[[float], np.ndarray]] = None
+    gamma and dgamma map parameters s (K,) to points (K, N), one row per
+    parameter.
+    """
+
+    gamma: Callable[[np.ndarray], np.ndarray]
+    dgamma: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = "loop"
 
-    def velocity(self, s: float) -> np.ndarray:
+    def velocity(self, s: np.ndarray) -> np.ndarray:
         if self.dgamma is not None:
             return np.asarray(self.dgamma(s), dtype=float)
         h = 1e-6
-        lo, hi = max(0.0, s - h), min(1.0, s + h)
-        return (np.asarray(self.gamma(hi), float)
-                - np.asarray(self.gamma(lo), float)) / (hi - lo)
+        lo, hi = np.maximum(0.0, s - h), np.minimum(1.0, s + h)
+        return ((np.asarray(self.gamma(hi), float)
+                 - np.asarray(self.gamma(lo), float)) / (hi - lo)[:, None])
 
 
 def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
@@ -54,15 +57,15 @@ def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
     i, j = axes
 
     def gamma(s):
-        p = c.copy()
-        p[i] += radius * np.cos(2 * np.pi * s)
-        p[j] += radius * np.sin(2 * np.pi * s)
+        p = np.tile(c, (len(s), 1))
+        p[:, i] += radius * np.cos(2 * np.pi * s)
+        p[:, j] += radius * np.sin(2 * np.pi * s)
         return p
 
     def dgamma(s):
-        v = np.zeros(dim)
-        v[i] = -2 * np.pi * radius * np.sin(2 * np.pi * s)
-        v[j] = 2 * np.pi * radius * np.cos(2 * np.pi * s)
+        v = np.zeros((len(s), dim))
+        v[:, i] = -2 * np.pi * radius * np.sin(2 * np.pi * s)
+        v[:, j] = 2 * np.pi * radius * np.cos(2 * np.pi * s)
         return v
 
     return Loop(gamma=gamma, dgamma=dgamma, label=f"circle(r={radius})")
@@ -72,13 +75,6 @@ def _relative_asymmetry(J: np.ndarray):
     """max|J - J^T| / (1 + max|J|) of each matrix J (..., n, n)."""
     return (np.max(np.abs(J - np.swapaxes(J, -1, -2)), axis=(-2, -1))
             / (1.0 + np.max(np.abs(J), axis=(-2, -1))))
-
-
-def _sample_points(samples) -> np.ndarray:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("at least one sample point is required")
-    return samples
 
 
 def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -93,39 +89,40 @@ def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.max(np.abs(term), axis=-1, initial=0.0)  # 0 when N < 3
 
 
-def closedness(field: VectorField, samples,
-               tol: float = DEFAULT_TOL) -> ClosednessReport:
-    """Max relative Jacobian asymmetry over samples; Closed iff below tol."""
-    J = jacobian_points(field, _sample_points(samples))
-    worst = float(np.max(_relative_asymmetry(J)))
-    verdict = Verdict.CLOSED if worst <= tol else Verdict.NON_INTEGRABLE
-    return ClosednessReport(max_asymmetry=worst, frobenius_defect_max=None,
-                            verdict=verdict)
-
-
 def frobenius_defect(field: VectorField, x) -> float:
     """Max over index triples of the one-form wedge obstruction.
 
     For N = 3 this equals |f . curl f|; identically 0 for N < 3.
     """
+    x = _as_point(field, x)
     return float(_wedge_defect(eval_field(field, x), jacobian(field, x)))
+
+
+def _loop_values(fn, s: np.ndarray, n: int) -> np.ndarray:
+    """fn(s) as points (K, n), K = len(s); any other shape is a
+    ValueError."""
+    P = np.asarray(fn(s), dtype=float)
+    if P.shape != (len(s), n):
+        raise ValueError(f"loop gave shape {P.shape} for {len(s)} "
+                         f"parameters, expected {(len(s), n)}")
+    return P
 
 
 def loop_integral(form: OneForm, loop: Loop,
                   quad: QuadratureRule | None = None) -> float:
     """Circulation of the form along a closed parameterized curve, by the
     rule on each of PANELS equal panels of [0, 1]."""
-    start = np.asarray(loop.gamma(0.0), dtype=float)
-    end = np.asarray(loop.gamma(1.0), dtype=float)
+    n = form.field.dim
+    start, end = _loop_values(loop.gamma, np.array([0.0, 1.0]), n)
     if np.max(np.abs(start - end)) > 1e-9 * (1.0 + np.max(np.abs(start))):
         raise ValueError("loop is not closed: gamma(0) != gamma(1)")
     rule = _resolve(quad)
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
-    points = np.array([loop.gamma(si) for si in s], dtype=float)
-    velocity = np.array([loop.velocity(si) for si in s])
+    points = _loop_values(loop.gamma, s, n)
+    velocity = _loop_values(loop.velocity, s, n)
     terms = (np.tile(rule.weights, PANELS) * width
-             * (eval_points(form.field, points) * velocity).sum(axis=1))
+             * (eval_field(form.field, points) * velocity).sum(axis=1))
     return float(np.cumsum(terms)[-1])  # in node order, one after another
 
 
@@ -134,10 +131,12 @@ def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
              ) -> ClosednessReport:
     """Closed, else FrobeniusIntegrable (local) when the wedge obstruction
     vanishes at every sample, else NonIntegrable."""
-    samples = _sample_points(samples)
-    J = jacobian_points(field, samples)
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.size == 0:
+        raise ValueError("at least one sample point is required")
+    J = jacobian(field, samples)
     asym = float(np.max(_relative_asymmetry(J)))
-    defect = float(np.max(_wedge_defect(eval_points(field, samples), J)))
+    defect = float(np.max(_wedge_defect(eval_field(field, samples), J)))
     if asym <= tol:
         verdict = Verdict.CLOSED
     elif defect <= tol:

@@ -240,7 +240,4 @@ def analytic_potential(spec: SystemSpec):
     entry = REGISTRY.get(spec.name)
     if entry is None or entry["potential"] is None:
         return None
-    if spec.name == "ou":
-        params = {**entry["defaults"], **spec.params}
-        return entry["potential"](params)
-    return entry["potential"](spec.params)
+    return entry["potential"]({**entry["defaults"], **spec.params})

@@ -8,7 +8,7 @@ from gradiform import (VectorField, euler_maruyama, euler_maruyama_ensemble,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from gradiform.dynamics import Trajectory, _trajectory_rng
-from gradiform.fields import FieldEvalError, eval_field, eval_points
+from gradiform.fields import FieldEvalError, eval_field
 from gradiform.gradientize import transform_field
 from gradiform.zoo import double_well, lorenz, ou, rotation
 
@@ -35,6 +35,12 @@ class TestRK4:
         e2 = abs(integrate_rk4(decay_field(), [1.0], 0.05, 20)
                  .states[-1][0] - exact)
         assert 12.0 < e1 / e2 < 20.0
+
+    def test_one_start_only(self):
+        with pytest.raises(ValueError, match="point has shape"):
+            integrate_rk4(decay_field(), [[1.0], [0.5]], dt=0.1, steps=5)
+        with pytest.raises(ValueError, match="point has shape"):
+            integrate_rk4(decay_field(), [1.0, 2.0], dt=0.1, steps=5)
 
     def test_blowup_flagged(self):
         hot = VectorField(dim=1, func=lambda x: np.array([x[0] ** 2]))
@@ -205,6 +211,13 @@ class TestOrthogonality:
         orthogonality_residual(decay_field(), V, np.eye(1), [0.3])
         assert calls == [(2, 1)]
 
+    @pytest.mark.parametrize("x", [np.ones((2, 2)), np.ones((1, 2)),
+                                   np.ones(3)])
+    def test_one_point_only(self, x):
+        field = VectorField(dim=2, func=lambda p: -p, vectorized=True)
+        with pytest.raises(ValueError, match="point has shape"):
+            orthogonality_residual(field, half_square, np.eye(2), x)
+
 
 class TestEulerMaruyama:
     def test_eps_zero_is_forward_euler(self):
@@ -366,7 +379,7 @@ def reference_em(field, eps, x0, dt, steps, rng):
     x = np.asarray(x0, dtype=float)[None, :]
     states = [x[0]]
     for k in range(steps):
-        x = x + dt * eval_points(field, x, check_finite=False)
+        x = x + dt * eval_field(field, x, check_finite=False)
         if z is not None:
             x = x + z[k] * np.sqrt(2.0 * eps * dt)
         if not np.isfinite(x).all():
@@ -452,3 +465,15 @@ def test_negative_eps_level_rejected():
     with pytest.raises(ValueError, match="eps must be nonnegative"):
         euler_maruyama_ensemble(decay_field(), -0.1, np.zeros((2, 1)),
                                 0.1, 10)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_zero_starts_give_empty_ensembles(vectorized, eps):
+    # no rows draw no noise: every eps gives what eps = 0 gives
+    field = VectorField(dim=2, func=lambda x: -x, vectorized=vectorized)
+    ens = euler_maruyama_ensemble(field, eps, np.zeros((0, 2)), 0.1, 10)
+    assert ens.trajectories == [] and ens.seeds == []
+    stacked = euler_maruyama_ensembles(field, [0.0, eps], np.zeros((0, 2)),
+                                       0.1, 10)
+    assert [e.trajectories for e in stacked] == [[], []]

@@ -7,9 +7,9 @@ from gradiform import (FieldEvalError, OneForm, QuadratureRule,
                        SecondOrderSystem, SystemSpec, VectorField,
                        antiexact_part, build_system, classify,
                        consistency_check, decompose, euler_maruyama_ensemble,
-                       eval_field, eval_points, exact_part, integrate_rk4,
-                       jacobian, jacobian_points, lyapunov_check, potential,
-                       reduce_second_order, sample_ball, transform_field)
+                       eval_field, exact_part, integrate_rk4, jacobian,
+                       lyapunov_check, potential, reduce_second_order,
+                       sample_ball, transform_field)
 from gradiform.zoo import (REGISTRY, jj_circuit, jj_circuit_linear, lorenz,
                            quadratic)
 
@@ -153,9 +153,9 @@ EPS = np.finfo(float).eps
 
 
 def _single_point_bound(name, field, X, G):
-    """Allowed |eval_points - eval_field| per entry, given the single-point
-    values G: 0 where the batch computes exactly what a single point
-    computes.
+    """Allowed |batch - single point| of eval_field per entry, given the
+    single-point values G: 0 where the batch computes exactly what a
+    single point computes.
 
     double_well: x ** 3 rounds by up to 1 ulp differently on arrays than
     on scalars, which moves g = x - x ** 3 by at most that ulp plus one
@@ -183,38 +183,38 @@ def test_zoo_batch_matches_single_points(data, name):
     field = ZOO_FIELDS[name]
     assert field.vectorized
     X = data.draw(points(field.dim))
-    G = eval_points(field, X)
+    G = eval_field(field, X)
     single = np.array([eval_field(field, x) for x in X])
     assert np.all(np.abs(G - single)
                   <= _single_point_bound(name, field, X, single))
     # a row's bits do not depend on the batch it is in
-    assert np.array_equal(G[-1:], eval_points(field, X[-1:]))
+    assert np.array_equal(G[-1:], eval_field(field, X[-1:]))
     for scheme in ("analytic", "central"):
-        J = jacobian_points(field, X, scheme=scheme)
+        J = jacobian(field, X, scheme=scheme)
         assert np.array_equal(J, np.array([jacobian(field, x, scheme=scheme)
                                            for x in X]))
 
 
-def test_eval_points_shapes_and_errors():
+def test_eval_field_shapes_and_errors():
     f = identity_field(2)
     X = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(eval_points(f, X), X)
-    assert np.array_equal(eval_points(f, X[0]), X[0])
+    assert np.array_equal(eval_field(f, X), X)
+    assert np.array_equal(eval_field(f, X[0]), X[0])
     for bad in (np.ones((3, 3)), np.ones((2, 2, 2)), np.ones(3)):
         with pytest.raises(ValueError):
-            eval_points(f, bad)
+            eval_field(f, bad)
     wrong = VectorField(dim=2, func=lambda x: x[..., :1], vectorized=True)
     with pytest.raises(FieldEvalError, match="returned shape"):
-        eval_points(wrong, X)
+        eval_field(wrong, X)
     with pytest.raises(FieldEvalError, match="returned shape"):
-        eval_points(VectorField(dim=2, func=lambda x: x[:1]), X)
+        eval_field(VectorField(dim=2, func=lambda x: x[:1]), X)
     blows = VectorField(dim=1, func=lambda x: 1.0 / (x - 1.0),
                         vectorized=True)
     with pytest.raises(FieldEvalError, match=r"non-finite.*\[1\.\]"):
         with np.errstate(divide="ignore"):
-            eval_points(blows, [[0.0], [1.0], [2.0]])
+            eval_field(blows, [[0.0], [1.0], [2.0]])
     with np.errstate(divide="ignore"):
-        G = eval_points(blows, [[0.0], [1.0], [2.0]], check_finite=False)
+        G = eval_field(blows, [[0.0], [1.0], [2.0]], check_finite=False)
     assert np.isfinite(G[[0, 2]]).all() and not np.isfinite(G[1]).any()
 
 
@@ -227,7 +227,7 @@ def test_central_jacobian_one_batched_call():
 
     f = VectorField(dim=3, func=func, vectorized=True)
     X = sample_ball(3, 5, 1.0, seed=2)
-    J = jacobian_points(f, X)
+    J = jacobian(f, X)
     assert calls == [(2 * 3 * 5, 3)]
     for Jm, x in zip(J, X):
         assert np.allclose(Jm, np.diag(np.cos(x)), atol=1e-9)
@@ -247,14 +247,14 @@ def test_pointwise_callable_through_every_entry_point():
         form = OneForm(f)
         d = decompose(form, X, rule)
         traj = integrate_rk4(f, X[0], 0.01, 20)
-        return [eval_points(f, X), jacobian_points(f, X),
+        return [eval_field(f, X), jacobian(f, X),
                 potential(form, X, rule), potential(form, X),
                 exact_part(form, X, rule), antiexact_part(form, X, rule),
                 d.potential, d.exact_part, d.antiexact_part,
-                eval_points(transform_field(f, D), X),
-                jacobian_points(transform_field(f, D), X),
-                eval_points(sos(f), np.hstack([X, X])),
-                jacobian_points(sos(f), np.hstack([X, X])),
+                eval_field(transform_field(f, D), X),
+                jacobian(transform_field(f, D), X),
+                eval_field(sos(f), np.hstack([X, X])),
+                jacobian(sos(f), np.hstack([X, X])),
                 [t.states for t in euler_maruyama_ensemble(
                     f, 0.1, X, 0.01, 30, master_seed=3).trajectories],
                 traj.states,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gradiform import (BarrierViolation, ConstantVerdict, GradientizeError,
                        MatrixFamily, OneForm, QuadratureRule, VectorField,
                        check_necessary_constant, consistency_check,
-                       eval_field, eval_points, general_residual, jacobian,
+                       eval_field, general_residual, jacobian,
                        potential_via_transform, sample_ball,
                        solve_consistency_constant, solve_general,
                        solve_symmetrizer, transform_field,
@@ -476,7 +476,7 @@ class TestTransformFieldGeneral:
         Y = sample_ball(3, 12, 1.0, seed=4)
         Ds = [family_reference(family, y, theta)[0] for y in Y]
         X = np.array([D @ y for D, y in zip(Ds, Y)])  # x = D(y) y
-        F = eval_points(tfield, X)
+        F = eval_field(tfield, X)
         for m, (D, y) in enumerate(zip(Ds, Y)):
             assert np.array_equal(F[m], eval_field(tfield, X[m]))
             # f(x) = D(y) g(y) at the y with D(y) y = x

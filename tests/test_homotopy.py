@@ -166,6 +166,12 @@ class TestDGMatrix:
         assert A[1][2] == pytest.approx(-1.0)
         assert A[0][2] == pytest.approx(-1.0)
 
+    def test_stacked_points_one_matrix_each(self):
+        # M = N = 3: a transpose of all three axes would still broadcast
+        X = sample_ball(3, 3, 1.5, seed=5)
+        A = dG_matrix(lorenz(), X)
+        assert np.array_equal(A, [dG_matrix(lorenz(), x) for x in X])
+
 
 def random_cubic_field(seed):
     rng = np.random.default_rng(seed)

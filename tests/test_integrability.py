@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gradiform import (OneForm, QuadratureRule, Verdict, VectorField,
-                       circle_loop, classify, closedness, eval_field,
-                       frobenius_defect, jacobian, loop_integral, sample_ball)
+                       circle_loop, classify, eval_field, frobenius_defect,
+                       jacobian, loop_integral, sample_ball)
 from gradiform.integrability import Loop
 from gradiform.zoo import jj_circuit, lorenz, quadratic, rotation
 
@@ -47,6 +47,12 @@ def frobenius_reference(f, J):
     return worst
 
 
+def unit_circle_fd():
+    """The unit circle without a derivative: velocity by differences."""
+    return Loop(gamma=lambda s: np.stack([np.cos(2 * np.pi * s),
+                                          np.sin(2 * np.pi * s)], axis=1))
+
+
 def loop_integral_reference(form, loop, rule, panels=8):
     """Circulation summed node by node, one field evaluation each, and
     the sum of the terms' magnitudes |w| |g_j v_j|."""
@@ -54,33 +60,35 @@ def loop_integral_reference(form, loop, rule, panels=8):
     width = 1.0 / panels
     for p in range(panels):
         for t, w in zip(rule.nodes, rule.weights):
-            s = (p + t) * width
-            g = eval_field(form.field, loop.gamma(s))
-            v = loop.velocity(s)
+            s = np.array([(p + t) * width])
+            g = eval_field(form.field, loop.gamma(s)[0])
+            v = loop.velocity(s)[0]
             total += w * width * float(np.dot(g, v))
             magnitude += w * width * float(np.sum(np.abs(g * v)))
     return total, magnitude
 
 
 class TestClosedness:
+    """Closedness as classify reports it: the Jacobian asymmetry."""
+
     def test_symmetric_quadratic_closed(self):
         field = quadratic([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5],
                            [0.0, 0.5, 1.0]])
-        rep = closedness(field, SAMPLES3)
+        rep = classify(field, SAMPLES3)
         assert rep.max_asymmetry == 0.0
         assert rep.verdict is Verdict.CLOSED
 
     def test_lorenz_not_closed(self):
-        rep = closedness(lorenz(), SAMPLES3)
+        rep = classify(lorenz(), SAMPLES3)
         assert rep.verdict is not Verdict.CLOSED
 
     def test_jj_not_closed(self):
-        rep = closedness(jj_circuit(), SAMPLES3)
+        rep = classify(jj_circuit(), SAMPLES3)
         assert rep.verdict is not Verdict.CLOSED
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
-            closedness(lorenz(), np.empty((0, 3)))
+            classify(lorenz(), np.empty((0, 3)))
 
 
 class TestFrobeniusDefect:
@@ -97,6 +105,12 @@ class TestFrobeniusDefect:
 
     def test_dimension_two_is_zero(self):
         assert frobenius_defect(rotation(), [0.3, 0.8]) == 0.0
+
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones((1, 3)),
+                                   np.ones(2)])
+    def test_one_point_only(self, x):
+        with pytest.raises(ValueError, match="point has shape"):
+            frobenius_defect(lorenz(), x)
 
     def test_four_dims_against_triple_loop(self):
         field = swirl4()
@@ -139,7 +153,10 @@ class TestLoopIntegral:
     @pytest.mark.parametrize("field, loop", [
         (lorenz(), circle_loop(radius=1.0, center=[0.0, 0.0, 1.0], dim=3)),
         (jj_circuit(), circle_loop(radius=1.0, dim=3, axes=(1, 2))),
-        (rotation(), circle_loop(radius=0.7))])
+        (lorenz(), circle_loop(radius=0.6, center=[0.3, -0.4, 0.8], dim=3,
+                               axes=(0, 2))),
+        (rotation(), circle_loop(radius=0.7)),
+        (rotation(), unit_circle_fd())])
     def test_matches_node_by_node_sum(self, field, loop):
         # the batch takes each g.v as an elementwise sum where the node
         # loop takes a BLAS dot; both then add the nodes in order.  Each
@@ -152,15 +169,42 @@ class TestLoopIntegral:
             <= bound * magnitude
 
     def test_open_curve_rejected(self):
-        bad = Loop(gamma=lambda s: np.array([s, 0.0]))
-        with pytest.raises(ValueError):
+        bad = Loop(gamma=lambda s: np.stack([s, 0.0 * s], axis=1))
+        with pytest.raises(ValueError, match="not closed"):
             loop_integral(OneForm(rotation()), bad)
 
     def test_fd_velocity_fallback(self):
-        loop = Loop(gamma=lambda s: np.array([np.cos(2 * np.pi * s),
-                                              np.sin(2 * np.pi * s)]))
-        val = loop_integral(OneForm(rotation()), loop)
+        val = loop_integral(OneForm(rotation()), unit_circle_fd())
         assert val == pytest.approx(2.0 * np.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma, dgamma", [
+        (lambda s: np.array([1.0, 0.0]), None),  # one point, not (K, N)
+        (lambda s: np.zeros((len(s), 3)), None),  # wrong dimension
+        (circle_loop().gamma, lambda s: np.zeros((len(s) + 1, 2)))])
+    def test_values_not_k_by_n_rejected(self, gamma, dgamma):
+        with pytest.raises(ValueError, match="expected"):
+            loop_integral(OneForm(rotation()), Loop(gamma, dgamma))
+
+    def test_one_loop_evaluation(self):
+        # the closedness check, then all nodes at once: gamma twice and
+        # dgamma once, whatever the number of nodes
+        base = circle_loop(radius=0.5, dim=3, axes=(0, 2))
+        for order in (16, 64):
+            calls = []
+
+            def gamma(s):
+                calls.append(("gamma", len(s)))
+                return base.gamma(s)
+
+            def dgamma(s):
+                calls.append(("dgamma", len(s)))
+                return base.dgamma(s)
+
+            loop_integral(OneForm(lorenz()), Loop(gamma, dgamma),
+                          QuadratureRule.gauss_legendre(order))
+            nodes = 8 * order
+            assert calls == [("gamma", 2), ("gamma", nodes),
+                             ("dgamma", nodes)]
 
 
 class TestClassify:
