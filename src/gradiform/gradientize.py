@@ -11,9 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (VectorField, _central_difference, _matvec, eval_field,
-                     fd_step, jacobian)
-from .homotopy import OneForm, QuadratureRule, potential
+from .fields import VectorField, _matvec, eval_field, jacobian
+from .homotopy import OneForm, QuadratureRule, antiexact_part, potential
 from .integrability import _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
@@ -26,12 +25,11 @@ PATH_GROWTH = 50.0
 GAP_RTOL = 1e-10
 NEWTON_TOL = 1e-2  # above the decrement's rounding floor at the path's end
 NEWTON_MAX_STEPS = 50
-# solve_general: LM start damping and stopping rms, log-barrier, theta FD step
+# solve_general: LM start damping and stopping rms, log-barrier
 DAMPING0 = 1e-3
 TARGET_RMS = 1e-10
 BARRIER_DET_FLOOR = 1e-6
 BARRIER_WEIGHT = 1.0
-FD_THETA_STEP = 1e-6
 
 
 class GradientizeError(RuntimeError):
@@ -341,35 +339,63 @@ def general_residual(field: VectorField, family: MatrixFamily, theta,
     per collocation sample.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return _residual_sweep(field, family, samples)(theta)[:-len(samples)]
+    return _residual_sweep(field, family, samples)(theta)[0][:-len(samples)]
+
+
+def _chain_rule(D, dD, Y, G, Jg) -> tuple[np.ndarray, np.ndarray]:
+    """B = df/dy and M = dx/dy at the points Y for f = D(y) g(y) and
+    x = D(y) y, from D, dD and g, J_g at Y."""
+    return (np.einsum("sijq,sj->siq", dD, G) + D @ Jg,
+            D + np.einsum("sijq,sj->siq", dD, Y))
 
 
 def _residual_sweep(field: VectorField, family: MatrixFamily,
                     samples: np.ndarray):
-    """sweep(theta) -> the general residual, then one log-barrier term per
-    sample, for all samples at once.  g, its Jacobian and the monomial
-    tables do not depend on theta: they are computed here, once."""
+    """sweep(theta) -> (r, dr/dtheta): the general residual, then one
+    log-barrier term per sample, for all samples at once, and its exact
+    Jacobian in theta.  g, its Jacobian, the monomial tables and the
+    theta-derivatives of B and M do not depend on theta: they are
+    computed here, once."""
+    n = field.dim
     G = eval_field(field, samples)
     Jg = jacobian(field, samples)
     tables = family._tables(samples)
-    upper = np.triu_indices(field.dim, 1)
+    mono, dmono = tables
+    upper = np.triu_indices(n, 1)
+    # D and dD are linear in theta, so are B and M: d/dtheta_(a, j, k)
+    # moves only row a of each, by Bp[s, j, k] and Mp[s, j, k]
+    Bp = dmono[:, None] * G[:, :, None, None] \
+        + mono[:, None, :, None] * Jg[:, :, None, :]
+    Mp = dmono[:, None] * samples[:, :, None, None] \
+        + mono[:, None, :, None] * np.eye(n)[:, None, :]
 
     def sweep(theta):
         D, dD = family._evaluate(theta, tables)
         dets = np.abs(np.linalg.det(D))
-        # M[s, i, q] = d x_i / d y_q for x = D(y) y
-        M = D + np.einsum("sijq,sj->siq", dD, samples)
+        B, M = _chain_rule(D, dD, samples, G, Jg)
         singular = (dets <= 1e-12) | (np.abs(np.linalg.det(M)) <= 1e-12)
         if singular.any():
             raise BarrierViolation("singular D(y) or dx/dy at sample "
                                    f"{samples[np.argmax(singular)]}")
-        B = np.einsum("sijq,sj->siq", dD, G) + D @ Jg
-        A = B @ np.linalg.inv(M)
+        Minv = np.linalg.inv(M)
+        A = B @ Minv
         # the barrier is zero while |det D(y)| is above its floor
-        return np.concatenate([
+        r = np.concatenate([
             (A - np.swapaxes(A, 1, 2))[:, upper[0], upper[1]].ravel(),
             BARRIER_WEIGHT
             * np.maximum(0.0, np.log(BARRIER_DET_FLOOR / dets))])
+        # dA/dtheta_(a, j, k) = (e_a Bp - A e_a Mp)[s, j, k] M^-1, row i,
+        # column l, per sample s
+        BW, MW = Bp @ Minv[:, None], Mp @ Minv[:, None]
+        dA = np.einsum("ai,sjkl->sajkil", np.eye(n), BW) \
+            - np.einsum("sia,sjkl->sajkil", A, MW)
+        dr = np.moveaxis((dA - np.swapaxes(dA, -1, -2))[
+            ..., upper[0], upper[1]], -1, 1).reshape(-1, family.n_params)
+        # d/dtheta of -log|det D| is -tr(D^-1 dD/dtheta) where it is active
+        active = BARRIER_WEIGHT * (dets < BARRIER_DET_FLOOR)
+        db = -(active[:, None, None] * np.swapaxes(np.linalg.inv(D), 1, 2)
+               )[..., None] * mono[:, None, None, :]
+        return r, np.concatenate([dr, db.reshape(len(samples), -1)])
 
     return sweep
 
@@ -378,40 +404,35 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
                   max_iter: int = 200) -> GeneralSolveReport:
     """Damped least squares (Levenberg-Marquardt with gain-ratio damping)
     on the stacked residual at the collocation samples, plus a log-barrier
-    keeping D(y) invertible; at most max_iter iterations."""
+    keeping D(y) invertible; at most max_iter iterations, fewer when the
+    damping overflows."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    full_residual = _residual_sweep(field, family, samples)
+    sweep = _residual_sweep(field, family, samples)
 
     def rms(r):
         general = r[:r.size - len(samples)]
         return float(np.sqrt(np.mean(general * general)))
 
     theta = family.identity_params()
-    r = full_residual(theta)
+    r, Jr = sweep(theta)
     lam = DAMPING0
     nu = 2.0
     iterations = 0
     while not rms(r) < TARGET_RMS and iterations < max_iter:
         iterations += 1
-        # forward-difference Jacobian in theta; problems are small
-        Jr = np.empty((r.size, theta.size))
-        for p in range(theta.size):
-            tp = theta.copy()
-            tp[p] += FD_THETA_STEP
-            try:
-                Jr[:, p] = (full_residual(tp) - r) / FD_THETA_STEP
-            except BarrierViolation:
-                Jr[:, p] = 0.0
         H = Jr.T @ Jr
         grad = Jr.T @ r
         if np.linalg.norm(grad, np.inf) < 1e-14:
             break
+        # a Python float product: inf, not an overflow warning
+        if not np.isfinite(lam * float(np.max(np.diag(H)))):
+            break
         step = np.linalg.solve(H + lam * np.diag(np.maximum(np.diag(H),
                                                             1e-12)), -grad)
         try:
-            r_new = full_residual(theta + step)
+            r_new, J_new = sweep(theta + step)
         except BarrierViolation:
             lam *= nu
             nu *= 2.0
@@ -421,7 +442,7 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
         gain = actual / predicted if predicted > 0 else -1.0
         if actual > 0:
             theta = theta + step
-            r = r_new
+            r, Jr = r_new, J_new
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
             if np.linalg.norm(step) < 1e-14:
@@ -444,7 +465,8 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
 
 def transform_field_general(field: VectorField, family: MatrixFamily,
                             theta) -> VectorField:
-    """Transformed field f(x) = D(y) g(y) with y solving x = D(y) y.
+    """Transformed field f(x) = D(y) g(y) with y solving x = D(y) y, and
+    its Jacobian B M^-1 (B = df/dy, M = dx/dy) at that y.
 
     A vectorized field: Newton iteration from y = x inverts all points in
     lockstep, each stopping at its own tolerance.
@@ -476,19 +498,28 @@ def transform_field_general(field: VectorField, family: MatrixFamily,
                       eval_field(field, Y)[:, :, None])[:, :, 0]
         return f.reshape(np.shape(x))
 
-    return VectorField(dim=n, func=func, vectorized=True)
+    def jac(x):
+        Y = invert(np.reshape(x, (-1, n)))
+        D, dD = family._evaluate(theta, family._tables(Y))
+        B, M = _chain_rule(D, dD, Y, eval_field(field, Y), jacobian(field, Y))
+        try:
+            A = B @ np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise BarrierViolation("singular dx/dy at an inverted point")
+        return A.reshape(np.shape(x) + (n,))
+
+    return VectorField(dim=n, func=func, jac=jac, vectorized=True)
 
 
 def consistency_check(tfield: VectorField, samples,
                       quad: QuadratureRule | None = None) -> float:
-    """Max deviation of the finite-difference gradient of the ray
-    potential of the transformed field from the field itself."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    form = OneForm(tfield)
-    f = eval_field(tfield, samples)
-    dV = _central_difference(lambda P: potential(form, P, quad), samples,
-                             fd_step(samples))
-    return float(np.max(np.abs(dV - f)))
+    """Max deviation of the gradient of the ray potential of the
+    transformed field from the field itself.  By the homotopy formula
+    F = d(kF) + k(dF) that deviation is the antiexact part k(dF), which
+    takes the field's Jacobian along the rays and no derivative of the
+    potential."""
+    return float(np.max(np.abs(antiexact_part(OneForm(tfield), samples,
+                                              quad))))
 
 
 def potential_via_transform(field: VectorField, D, x,

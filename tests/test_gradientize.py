@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,14 @@ from hypothesis import strategies as st
 from gradiform import (BarrierViolation, ConstantVerdict, GradientizeError,
                        MatrixFamily, OneForm, QuadratureRule, VectorField,
                        check_necessary_constant, consistency_check,
-                       eval_field, general_residual, jacobian,
+                       eval_field, general_residual, jacobian, potential,
                        potential_via_transform, sample_ball,
                        solve_consistency_constant, solve_general,
                        solve_symmetrizer, transform_field,
                        transform_field_general)
+from gradiform.fields import _central_difference, fd_step
 from gradiform.gradientize import (DEFAULT_TOL, _constant_solve_report,
-                                  _null_basis, _sym_basis)
+                                  _null_basis, _residual_sweep, _sym_basis)
 from gradiform.homotopy import dG_matrix
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                            rotation)
@@ -438,6 +441,31 @@ class TestGeneralResidual:
             assert np.allclose(r[k], [A[0, 1], A[0, 2], A[1, 2]])
 
 
+@settings(max_examples=24, deadline=None)
+@given(make=st.sampled_from([lorenz, jj_circuit]), degree=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 5e-3]))
+def test_theta_jacobian_matches_central_differences(make, degree, seed,
+                                                    scale):
+    # scale 5e-3 puts |det D| near 1.25e-7, below the barrier's floor 1e-6,
+    # so the barrier rows are active; the step scales with theta.  The
+    # central difference errs by h^2 times the third derivative plus
+    # rounding eps |r| / h, near 1e-10 of the largest entry; the bound is
+    # 1e-6 of it
+    family = MatrixFamily(dim=3, degree=degree)
+    theta = scale * perturbed_identity(family, seed, scale=0.02)
+    sweep = _residual_sweep(make(), family, sample_ball(3, 16, 1.0, seed=3))
+    _, Jr = sweep(theta)
+    h = 1e-6 * scale
+    fd = np.empty_like(Jr)
+    for p in range(theta.size):
+        e = np.zeros(theta.size)
+        e[p] = h
+        fd[:, p] = (sweep(theta + e)[0] - sweep(theta - e)[0]) / (2 * h)
+    if scale < 1.0:
+        assert np.any(Jr[-16:] != 0.0)
+    assert np.max(np.abs(Jr - fd)) <= 1e-6 * (1.0 + np.max(np.abs(Jr)))
+
+
 class TestSolveGeneral:
     def test_closed_field_converges(self):
         field = quadratic([[2.0, 1.0], [1.0, 3.0]])
@@ -465,6 +493,20 @@ class TestSolveGeneral:
         assert np.isfinite(rep.residual_norm)
         assert rep.iterations <= 15
 
+    def test_damping_overflow_stops_cleanly(self):
+        # the damping of this fit overflows to inf before max_iter; the
+        # loop ends there, at the last accepted theta, without a warning
+        field = jj_circuit()
+        family = MatrixFamily(dim=3, degree=2)
+        samples = sample_ball(3, 32, 1.5, seed=12345)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_general(field, family, samples)
+        assert rep.iterations < 200
+        assert np.all(np.isfinite(rep.theta_final))
+        r = general_residual(field, family, rep.theta_final, samples)
+        assert rep.residual_norm == float(np.sqrt(np.mean(r * r)))
+
 
 class TestTransformFieldGeneral:
     def test_inverse_and_stacked_rows(self):
@@ -483,8 +525,57 @@ class TestTransformFieldGeneral:
             expected = D @ eval_field(field, y)
             assert np.allclose(F[m], expected, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("make", [lorenz, jj_circuit])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_analytic_jacobian_matches_central(self, make, degree):
+        family = MatrixFamily(dim=3, degree=degree)
+        tfield = transform_field_general(
+            make(), family, perturbed_identity(family, degree, scale=0.02))
+        X = sample_ball(3, 10, 1.0, seed=5)
+        J = jacobian(tfield, X, scheme="analytic")
+        for m, x in enumerate(X):
+            assert np.array_equal(J[m], jacobian(tfield, x))
+        # central differences err by about h^2 times the third derivative
+        # plus eps |f| / h, near 1e-10 here
+        central = jacobian(tfield, X, scheme="central")
+        assert np.max(np.abs(J - central)) \
+            <= 1e-8 * (1.0 + np.max(np.abs(J)))
+
+
+def consistency_check_fd(tfield, samples, quad=None):
+    """The former consistency_check: central differences of the ray
+    potential, 2n potentials per sample, against the field."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    form = OneForm(tfield)
+    dV = _central_difference(lambda P: potential(form, P, quad), samples,
+                             fd_step(samples))
+    return float(np.max(np.abs(dV - eval_field(tfield, samples))))
+
 
 class TestConsistencyAndPotential:
+    @pytest.mark.parametrize("quad", [RULE, None], ids=["rule64", "adaptive"])
+    @pytest.mark.parametrize("case", [
+        "lorenz-1", "lorenz-2", "jj_circuit-1", "jj_circuit-2", "rotation",
+        "lorenz-diag123"])
+    def test_matches_fd_of_potential(self, case, quad):
+        # the homotopy formula makes the two equal; the central difference
+        # of V errs by about h^2 times its third derivative (h = cbrt(eps)),
+        # 5e-11 relative or less on these cases; the bound is 1e-8 relative
+        name, _, spec = case.partition("-")
+        if name == "rotation":
+            tfield = rotation()
+        elif spec == "diag123":
+            tfield = transform_field(lorenz(), np.diag([1.0, 2.0, 3.0]))
+        else:
+            family = MatrixFamily(dim=3, degree=int(spec))
+            make = lorenz if name == "lorenz" else jj_circuit
+            tfield = transform_field_general(
+                make(), family, perturbed_identity(family, 1, scale=0.02))
+        samples = sample_ball(tfield.dim, 8, 1.0, seed=3)
+        new = consistency_check(tfield, samples, quad)
+        ref = consistency_check_fd(tfield, samples, quad)
+        assert abs(new - ref) <= 1e-8 * ref
+
     def test_closed_transformed_field(self):
         field = quadratic([[2.0, 1.0], [1.0, 3.0]])
         samples = sample_ball(2, 6, 1.0, seed=10)
