@@ -332,14 +332,15 @@ def cmd_simulate(cfg, traj_dir=None):
 
     x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
                       sim["master_seed"])
+    if traj_dir is not None:
+        traj_dir = Path(traj_dir)
+        traj_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for idx, x0 in enumerate(x0s):
         traj = integrate_rk4(flow, x0, sim["dt"], sim["steps"])
         rows.append({"x0": x0, **lyapunov_row(traj)})
         if traj_dir is not None:
-            Path(traj_dir).mkdir(parents=True, exist_ok=True)
-            write_trajectory_csv(traj,
-                                 Path(traj_dir) / f"trajectory_{idx:03d}.csv")
+            write_trajectory_csv(traj, traj_dir / f"trajectory_{idx:03d}.csv")
     return {
         "potential_source": source,
         "n_trajectories": len(rows),
@@ -438,8 +439,13 @@ def build_parser():
     return parser
 
 
+# built once per process: parse_args leaves the parser unchanged, and the
+# --set default list is copied before an append
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
     except ConfigError as exc:

@@ -2,9 +2,7 @@
 ensembles, and the small-noise stationary-distribution potential."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -244,11 +242,15 @@ def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Columns t, x_1..x_N, one row per stored state."""
-    path = Path(path)
+    """Columns t, x_1..x_N, one row per stored state.
+
+    The bytes are those of ``csv.writer``'s default dialect on the
+    shortest round-trip repr of each value: no field needs quoting, and
+    every line ends in CRLF.
+    """
     dim = traj.states.shape[1]
+    rows = np.column_stack((traj.times, traj.states)).tolist()
+    lines = [",".join(["t"] + [f"x_{i + 1}" for i in range(dim)])]
+    lines += [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(dim)])
-        for t, x in zip(traj.times, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in x])
+        fh.write("\r\n".join(lines) + "\r\n")

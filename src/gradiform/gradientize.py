@@ -178,16 +178,19 @@ def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
     # P^-H P^-1: its real part also covers a repeated eigenvalue that
     # rounding split into a complex pair
     c = np.einsum("kij,ij->k", basis, (Pinv.conj().T @ Pinv).real)
-    lam = np.linalg.eigvalsh(np.tensordot(c, basis, 1))[0]
+    m, n = basis.shape[:2]
+    # S(c) = (c @ flat).reshape(n, n), the product tensordot(c, basis, 1)
+    # forms, bit for bit
+    flat, eye_n, eye_m = basis.reshape(m, -1), np.eye(n), np.eye(m)
+    lam = np.linalg.eigvalsh((c @ flat).reshape(n, n))[0]
     if not lam > 0:
         return None
     c *= 2.0 / lam
-    m, n = basis.shape[:2]
     t = 1.0 / (c @ c)
     while True:
         centred = c
         for _ in range(NEWTON_MAX_STEPS):
-            lam, Q = np.linalg.eigh(np.tensordot(c, basis, 1) - np.eye(n))
+            lam, Q = np.linalg.eigh((c @ flat).reshape(n, n) - eye_n)
             if lam[0] <= 0:  # the slack fell below the rounding of S
                 return centred
             # Bt_k = W^1/2 B_k W^1/2 for W = (S - I)^-1, in its eigenbasis:
@@ -195,7 +198,7 @@ def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
             Bt = (Q.T @ basis @ Q) / np.sqrt(np.outer(lam, lam))
             A = Bt.reshape(m, -1)
             g = t * c - np.trace(Bt, axis1=1, axis2=2)
-            d = -np.linalg.solve(t * np.eye(m) + A @ A.T, g)
+            d = -np.linalg.solve(t * eye_m + A @ A.T, g)
             decrement = np.sqrt(max(-g @ d, 0.0))
             c = c + d / (1.0 + decrement)
             if decrement < NEWTON_TOL:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .fields import VectorField, _as_points, eval_field, jacobian
 DEFAULT_ORDER = 32
 MAX_ORDER = 256
 ADAPT_RTOL = 1e-10
+RULE_CACHE_SIZE = 32  # shared Gauss-Legendre rules kept, by order
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,18 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
+    @lru_cache(maxsize=RULE_CACHE_SIZE)
     def gauss_legendre(cls, n: int) -> "QuadratureRule":
-        """n-node Gauss-Legendre rule mapped from [-1, 1] to [0, 1]."""
+        """n-node Gauss-Legendre rule mapped from [-1, 1] to [0, 1].
+
+        Rules are built once per order and shared: a repeat call returns
+        the same object, whose arrays are read-only.
+        """
         x, w = np.polynomial.legendre.leggauss(n)
-        return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
+        rule = cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
+        rule.nodes.flags.writeable = False
+        rule.weights.flags.writeable = False
+        return rule
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Weighted sum over the leading axis of per-node values.

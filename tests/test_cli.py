@@ -413,6 +413,56 @@ class TestDeterminism:
         assert a["result"] != b["result"]
 
 
+class TestRepeatedCalls:
+    """One process, many reports: the parser is built once at import."""
+
+    ARGVS = [
+        ["classify", "--set", "samples.count=6"],
+        ["decompose", "--set", "samples.count=6",
+         "--set", "quadrature_order=8"],
+        ["gradientize", "--set", "system.name=quadratic"],
+        ["simulate", "--set", "system.name=double_well",
+         "--set", "simulation.steps=30", "--set", "simulation.ensemble=2"],
+    ]
+
+    def _run_all(self, tmp_path, tag, argvs):
+        results, csvs = [], {}
+        for k, argv in enumerate(argvs):
+            if argv[0] == "simulate":
+                traj_dir = tmp_path / f"{tag}-trajs{k}"
+                argv = argv + ["--traj-dir", str(traj_dir)]
+            code, rep = run_cli(tmp_path, *argv, name=f"{tag}{k}.json")
+            assert code == 0
+            results.append(rep["result"])
+            if argv[0] == "simulate":
+                csvs[k] = [f.read_bytes()
+                           for f in sorted(traj_dir.glob("*.csv"))]
+        return results, csvs
+
+    def test_successive_calls_match_first(self, tmp_path):
+        first, first_csv = self._run_all(tmp_path, "a", self.ARGVS)
+        assert [len(v) for v in first_csv.values()] == [2]
+        for tag in ("b", "c"):
+            again, again_csv = self._run_all(tmp_path, tag, self.ARGVS)
+            assert again == first
+            assert again_csv == first_csv
+        backwards, _ = self._run_all(tmp_path, "d", self.ARGVS[::-1])
+        assert backwards[::-1] == first
+
+    def test_set_lists_do_not_leak(self, tmp_path):
+        code, rep = run_cli(tmp_path, "zoo-list", "--set", "samples.count=4",
+                            "--set", "system.name=ou", name="a.json")
+        assert code == 0
+        assert rep["config"]["samples"]["count"] == 4
+        code, rep = run_cli(tmp_path, "zoo-list", name="b.json")
+        assert code == 0
+        assert rep["config"] == load_config()
+        code, rep = run_cli(tmp_path, "zoo-list", "--set", "samples.count=5",
+                            name="c.json")
+        assert rep["config"]["system"]["name"] == "lorenz"
+        assert rep["config"]["samples"]["count"] == 5
+
+
 def _config_keys(node, prefix=""):
     for key, val in node.items():
         path = prefix + key

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,42 @@ class TestDensityAndGraham:
         right_min = centers[centers > 0][np.argmin(masked[centers > 0])]
         assert abs(left_min + 1.0) <= width
         assert abs(right_min - 1.0) <= width
+
+
+def csv_writer_bytes(traj, path):
+    """The file csv.writer makes of the trajectory, row by row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x_{i + 1}"
+                                 for i in range(traj.states.shape[1])])
+        for t, x in zip(traj.times, traj.states):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in x])
+    return path.read_bytes()
+
+
+def blow_up_trajectory():
+    # x' = x^2 from 1 is NaN from x = 2 on: RK4 ends early, not completed
+    field = VectorField(dim=1, func=lambda x: np.where(x < 2.0, x * x,
+                                                       np.nan))
+    traj = integrate_rk4(field, [1.0], dt=0.1, steps=50)
+    assert not traj.completed and len(traj.states) < 51
+    return traj
+
+
+@pytest.mark.parametrize("make", [
+    lambda: integrate_rk4(decay_field(), [1.0], dt=0.1, steps=30),
+    lambda: integrate_rk4(lorenz(), [0.3, -0.2, 0.1], dt=1e-3, steps=200),
+    blow_up_trajectory,
+    lambda: Trajectory(times=np.array([0.0, 1e308, 5e-324]),
+                       states=np.array([[-0.0, 5e-324], [1e308, -1e308],
+                                        [-5e-324, 0.1]]), dt=1.0),
+    lambda: Trajectory(times=np.zeros(0), states=np.zeros((0, 2)), dt=1.0),
+], ids=["1d", "3d", "cut_short", "extreme_values", "no_states"])
+def test_trajectory_csv_matches_csv_writer(make, tmp_path):
+    traj = make()
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == csv_writer_bytes(traj, tmp_path / "ref.csv")
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradiform import (BarrierViolation, ConstantVerdict, GradientizeError,
                        MatrixFamily, OneForm, QuadratureRule, VectorField,
@@ -219,6 +220,18 @@ class TestSymmetrizer:
              "defective"])
     def test_matches_nelder_mead_fixed(self, J):
         assert_matches_nelder_mead(J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_flat_product_equals_tensordot(data, n):
+    # the symmetrizer's Newton loop forms S(c) as (c @ flat).reshape(n, n)
+    m = data.draw(st.integers(1, n * (n + 1) // 2))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    basis = data.draw(hnp.arrays(float, (m, n, n), elements=finite))
+    c = data.draw(hnp.arrays(float, (m,), elements=finite))
+    assert np.array_equal(np.tensordot(c, basis, 1),
+                          (c @ basis.reshape(m, -1)).reshape(n, n))
 
 
 class TestTransformField:

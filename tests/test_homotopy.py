@@ -36,6 +36,18 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([-0.1]), weights=np.array([1.0]))
 
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    def test_shared_rule_is_leggauss_and_read_only(self, n):
+        rule = QuadratureRule.gauss_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert rule.nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert rule.weights.tobytes() == (0.5 * w).tobytes()
+        assert QuadratureRule.gauss_legendre(n) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5
+
 
 class TestPotential:
     def test_identity_field(self):
