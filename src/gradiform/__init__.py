@@ -4,19 +4,16 @@ operator, and searches for coordinate changes that gradientize it."""
 
 __version__ = "0.1.0"
 
-from .fields import (FieldEvalError, SecondOrderSystem, VectorField,
-                     eval_field, jacobian, reduce_second_order)
+from .fields import FieldEvalError, VectorField, eval_field, jacobian
 from .homotopy import (Decomposition, OneForm, QuadratureRule, antiexact_part,
-                       decompose, dG_matrix, exact_part, potential)
+                       decompose, exact_part, potential)
 from .integrability import (ClosednessReport, Loop, Verdict, circle_loop,
                             classify, frobenius_defect, loop_integral)
 from .gradientize import (BarrierViolation, ConstantSolveReport,
-                          ConstantVerdict, GeneralSolveReport,
-                          GradientizeError, MatrixFamily,
+                          ConstantVerdict, GeneralSolveReport, MatrixFamily,
                           check_necessary_constant, consistency_check,
-                          general_residual, potential_via_transform,
-                          solve_consistency_constant, solve_general,
-                          solve_symmetrizer, transform_field,
+                          general_residual, solve_consistency_constant,
+                          solve_general, solve_symmetrizer, transform_field,
                           transform_field_general)
 from .dynamics import (DensityGrid, LyapunovReport, Trajectory,
                        TrajectoryEnsemble, euler_maruyama, graham_estimate,

@@ -19,9 +19,8 @@ from .dynamics import (euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from .fields import FieldEvalError, jacobian
-from .gradientize import (GradientizeError, MatrixFamily,
-                          solve_consistency_constant, solve_general,
-                          solve_symmetrizer, transform_field)
+from .gradientize import (MatrixFamily, solve_consistency_constant,
+                          solve_general, solve_symmetrizer, transform_field)
 from .homotopy import OneForm, QuadratureRule, decompose, potential
 from .integrability import circle_loop, classify
 from .sampling import sample_ball
@@ -317,8 +316,8 @@ def cmd_simulate(cfg, traj_dir=None):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 V = candidate(traj.states)
-                ortho = orthogonality_residual(
-                    flow, candidate, np.eye(field.dim), traj.states[-1])
+                ortho = orthogonality_residual(flow, candidate,
+                                               traj.states[-1])
         except FieldEvalError:
             V, ortho = np.nan, np.nan
         if not (np.isfinite(V).all() and np.isfinite(ortho)):
@@ -457,23 +456,26 @@ def main(argv=None) -> int:
             payload = cmd_simulate(cfg, traj_dir=args.traj_dir)
         else:
             payload = COMMANDS[args.command](cfg)
+        report = {
+            "schema": SCHEMA,
+            "tool_version": __version__,
+            "command": args.command,
+            "config": cfg,
+            "result": payload,
+            "timings": {"wall_clock_s": time.perf_counter() - t0},
+        }
+        _write_report(report, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FieldEvalError, GradientizeError, np.linalg.LinAlgError,
-            ValueError, MemoryError) as exc:
+    except OSError as exc:  # the --traj-dir CSVs or the report itself
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except (FieldEvalError, np.linalg.LinAlgError, ValueError,
+            MemoryError) as exc:
         # numpy refuses an allocation past the machine's memory at once
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    report = {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "command": args.command,
-        "config": cfg,
-        "result": payload,
-        "timings": {"wall_clock_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
     return 0
 
 

@@ -83,14 +83,13 @@ def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
     return LyapunovReport(max_increase=max_inc, monotone=max_inc <= allowance)
 
 
-def orthogonality_residual(field: VectorField, V, S, x) -> float:
-    """(f + S grad V)^T grad V with a finite-difference gradient of V,
+def orthogonality_residual(field: VectorField, V, x) -> float:
+    """(f + grad V)^T grad V with a finite-difference gradient of V,
     which maps stacked points (K, dim) to values (K,)."""
     x = _as_point(field, x)
-    S = np.asarray(S, dtype=float)
     f = eval_field(field, x)
     grad = _central_difference(V, x, fd_step(x))
-    return float((f + S @ grad) @ grad)
+    return float((f + grad) @ grad)
 
 
 def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -1,4 +1,4 @@
-"""Vector fields, Jacobians, and second-order reductions."""
+"""Vector fields and their Jacobians."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -39,28 +39,6 @@ class VectorField:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-
-@dataclass(frozen=True)
-class SecondOrderSystem:
-    """beta_c * xdd + damping * xd + g(x) = 0, component-wise."""
-
-    beta_c: np.ndarray
-    field: VectorField
-    damping: np.ndarray = None
-
-    def __post_init__(self):
-        beta = np.atleast_1d(np.asarray(self.beta_c, dtype=float))
-        if beta.shape != (self.field.dim,):
-            beta = np.broadcast_to(beta, (self.field.dim,)).copy()
-        if np.any(beta <= 0):
-            raise ValueError("beta_c entries must be strictly positive")
-        object.__setattr__(self, "beta_c", beta)
-        damp = self.damping
-        if damp is None:
-            damp = np.ones(self.field.dim)
-        damp = np.broadcast_to(np.atleast_1d(np.asarray(damp, dtype=float)),
-                               (self.field.dim,)).copy()
-        object.__setattr__(self, "damping", damp)
 
 
 def _as_points(field: VectorField, X) -> np.ndarray:
@@ -192,30 +170,3 @@ def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     if X.ndim == 1:
         return A @ X
     return (X[:, None, :] * A).sum(axis=-1)
-
-
-def reduce_second_order(sos: SecondOrderSystem) -> VectorField:
-    """First-order reduction of beta*xdd + c*xd + g = 0 on (x, xbar).
-
-    xbar = beta_c * xd, so xd = xbar/beta_c and
-    xbard = -damping*xbar/beta_c - g(x).
-    """
-    n = sos.field.dim
-    beta = sos.beta_c
-    damp = sos.damping
-    inner = sos.field
-
-    def func(z):
-        x, xbar = z[..., :n], z[..., n:]
-        g = eval_field(inner, x, check_finite=False)
-        return np.concatenate([xbar / beta, -damp * xbar / beta - g],
-                              axis=-1)
-
-    def jac(z):
-        J = np.zeros(z.shape + (2 * n,))
-        J[..., :n, n:] = np.diag(1.0 / beta)
-        J[..., n:, :n] = -jacobian(inner, z[..., :n])
-        J[..., n:, n:] = np.diag(-damp / beta)
-        return J
-
-    return VectorField(dim=2 * n, func=func, jac=jac, vectorized=True)

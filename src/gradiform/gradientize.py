@@ -1,6 +1,6 @@
 """Generalized change of variables x = D(y) y that renders the
-transformed one-form closed: constant-matrix solvers, the collocation
-solver for position-dependent D, and potential extraction."""
+transformed one-form closed: constant-matrix solvers and the
+collocation solver for position-dependent D."""
 from __future__ import annotations
 
 import enum
@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import VectorField, _matvec, eval_field, jacobian
-from .homotopy import OneForm, QuadratureRule, antiexact_part, potential
+from .homotopy import OneForm, QuadratureRule, antiexact_part
 from .integrability import _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
@@ -30,10 +30,6 @@ DAMPING0 = 1e-3
 TARGET_RMS = 1e-10
 BARRIER_DET_FLOOR = 1e-6
 BARRIER_WEIGHT = 1.0
-
-
-class GradientizeError(RuntimeError):
-    """Raised when a potential is requested for a non-closed transform."""
 
 
 class BarrierViolation(RuntimeError):
@@ -523,21 +519,3 @@ def consistency_check(tfield: VectorField, samples,
     potential."""
     return float(np.max(np.abs(antiexact_part(OneForm(tfield), samples,
                                               quad))))
-
-
-def potential_via_transform(field: VectorField, D, x,
-                            quad: QuadratureRule | None = None,
-                            tol: float = 1e-6) -> float:
-    """Ray potential of the transformed field at x, refused when the
-    transform fails to close the form."""
-    x = np.asarray(x, dtype=float)
-    tfield = transform_field(field, D)
-    p = x if np.any(x != 0) else np.ones(field.dim)
-    checks = np.array([p, 0.5 * p, 0.1 * p + 1e-3])
-    asym = _relative_asymmetry(jacobian(tfield, checks))
-    if np.any(asym > tol):
-        k = int(np.argmax(asym > tol))
-        raise GradientizeError(
-            "transformed form is not closed (asymmetry "
-            f"{asym[k]:.3e} > {tol:.1e} at {checks[k]})")
-    return potential(OneForm(tfield), x, quad)

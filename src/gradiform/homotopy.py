@@ -220,10 +220,3 @@ def decompose(form: OneForm, x,
                              reconstruction_residual=float(res[0]))
     return Decomposition(point=X, potential=pot, exact_part=ex,
                          antiexact_part=ae, reconstruction_residual=res)
-
-
-def dG_matrix(field: VectorField, x) -> np.ndarray:
-    """Coefficient matrix A = J - J^T of dG; antisymmetric by construction.
-    Stacked points (M, N) give one matrix per point."""
-    J = jacobian(field, x)
-    return J - np.swapaxes(J, -1, -2)

