@@ -4,7 +4,8 @@ operator, and searches for coordinate changes that gradientize it."""
 
 __version__ = "0.1.0"
 
-from .fields import FieldEvalError, VectorField, eval_field, jacobian
+from .fields import (FieldEvalError, FieldShapeError, VectorField, eval_field,
+                     jacobian)
 from .homotopy import (Decomposition, OneForm, QuadratureRule, antiexact_part,
                        decompose, exact_part, potential)
 from .integrability import (ClosednessReport, Loop, Verdict, circle_loop,

@@ -2,12 +2,13 @@
 ensembles, and the small-noise stationary-distribution potential."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .fields import (FieldEvalError, VectorField, _as_point,
+from .fields import (FieldEvalError, FieldShapeError, VectorField, _as_point,
                      _central_difference, eval_field, fd_step)
 
 BURN_IN_FRACTION = 0.2
@@ -109,7 +110,7 @@ def euler_maruyama(field: VectorField, eps: float, x0, dt: float,
     """
     if rng is None:
         rng = _trajectory_rng(seed, 0)
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    x0 = _as_point(field, x0)[None, :]
     return _euler_maruyama(field, [eps], x0, dt, steps, [rng])[0]
 
 
@@ -141,24 +142,37 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
     eps = np.asarray(eps_list, dtype=float)
     if (eps < 0).any():
         raise ValueError("eps must be nonnegative")
-    stream = np.repeat(np.arange(len(x0s)), len(eps))  # row m * len(eps) + i
-    noisy = np.tile(eps > 0, len(x0s))[:, None]  # eps = 0: exact Euler
-    noise = scale = None
+    kicks = None
 
     def step(x, k, live):
-        nonlocal noise, scale
-        if k == 0 and noisy.any():  # once _lockstep has checked dt and
-            # steps, each stream draws its whole path, as a lone trajectory
-            noise = np.array([rng.standard_normal((steps, x.shape[1]))
-                              for rng in rngs])
-            scale = np.tile(np.sqrt(2.0 * eps * dt), len(x0s))[:, None]
+        nonlocal kicks
+        if k == 0 and (eps > 0).any():
+            # built at the first step, once _lockstep has checked dt, steps
+            kicks = _kick_table(eps, dt, steps, x.shape[1], rngs)
         x = x + dt * eval_field(field, x, check_finite=False)
-        if noise is not None:
-            np.add(x, noise[stream[live], k] * scale[live], out=x,
-                   where=noisy[live])
+        if kicks is not None:
+            x += kicks[live, k]
         return x
 
     return _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
+
+
+def _kick_table(eps: np.ndarray, dt: float, steps: int, dim: int,
+                rngs: list) -> np.ndarray:
+    """K[m * len(eps) + i, k] = z_m[k] sqrt(2 eps_i dt): stream m draws its
+    whole path once, as a lone trajectory draws it, and every level scales
+    that draw.  Rows at eps = 0 hold -0.0, and x + (-0.0) is x bit for bit,
+    so those rows stay exact forward Euler."""
+    noise = np.empty((len(rngs), steps, dim))
+    for m, rng in enumerate(rngs):
+        rng.standard_normal(out=noise[m])
+    scale = np.sqrt(2.0 * eps * dt)
+    if len(eps) == 1:  # eps > 0 here: scale the draw in place
+        noise *= scale[0]
+        return noise
+    kicks = noise[:, None] * scale[:, None, None]
+    kicks[:, eps == 0] = -0.0
+    return kicks.reshape(-1, steps, dim)
 
 
 # overflow is expected in the steps: a non-finite state ends its row
@@ -168,7 +182,8 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     each row of x0s (count, dim); live selects the rows x still holds.
     step may evaluate the field unchecked: a non-finite state ends its
     trajectory alone, cut before that state, and a FieldEvalError raised
-    by step ends every trajectory still running."""
+    by step ends every trajectory still running.  A FieldShapeError is a
+    fault in the field, not a numerical stop, and propagates."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 1:
@@ -183,16 +198,21 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     for k in range(steps):
         try:
             x = step(x, k, live)
+        except FieldShapeError:
+            raise
         except FieldEvalError:
             lengths[live] = k + 1
             break
-        if not np.isfinite(x).all():
+        # a sum of finite values is finite unless it overflows, so a
+        # non-finite state always reaches the row-by-row test below
+        if not math.isfinite(np.add.reduce(x, None)):
             ok = np.isfinite(x).reshape(-1, n).all(axis=1)
-            rows = np.arange(count)[live]
-            lengths[rows[~ok]] = k + 1
-            if not ok.any():
-                break
-            live, x = rows[ok], x[ok]
+            if not ok.all():
+                rows = np.arange(count)[live]
+                lengths[rows[~ok]] = k + 1
+                if not ok.any():
+                    break
+                live, x = rows[ok], x[ok]
         states[live, k + 1] = x
     return [Trajectory(times=dt * np.arange(length), states=states[m, :length],
                        dt=dt, completed=bool(length == steps + 1))
@@ -202,6 +222,8 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
 def stationary_density(ens: TrajectoryEnsemble, bins, ranges,
                        burn_in: Optional[int] = None) -> DensityGrid:
     """Histogram of post-burn-in states (default burn-in: first 20%)."""
+    if burn_in is not None and burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     chunks = []
     for traj in ens.trajectories:
         cut = burn_in if burn_in is not None \

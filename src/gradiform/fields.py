@@ -15,6 +15,12 @@ class FieldEvalError(RuntimeError):
     """Raised when a field evaluation produces non-finite values."""
 
 
+class FieldShapeError(FieldEvalError):
+    """Raised when a field or its Jacobian returns values of the wrong
+    shape: a fault in the field, which the integrators do not take for a
+    numerical stop."""
+
+
 @dataclass(frozen=True)
 class VectorField:
     """A vector field g on a star-shaped ball about the origin.
@@ -73,12 +79,12 @@ def _apply(field: VectorField, fn, X: np.ndarray, shape: tuple,
         for m, x in enumerate(X):
             val = np.asarray(fn(x), dtype=float)
             if val.shape != shape:
-                raise FieldEvalError(
+                raise FieldShapeError(
                     f"{what} returned shape {val.shape}, expected {shape}")
             out[m] = val
     if out.shape != X.shape[:-1] + shape:
-        raise FieldEvalError(f"{what} returned shape {out.shape}, "
-                             f"expected {X.shape[:-1] + shape}")
+        raise FieldShapeError(f"{what} returned shape {out.shape}, "
+                              f"expected {X.shape[:-1] + shape}")
     return out
 
 

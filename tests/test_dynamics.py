@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from gradiform import (VectorField, euler_maruyama, euler_maruyama_ensemble,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from gradiform.dynamics import Trajectory, _trajectory_rng
-from gradiform.fields import FieldEvalError, eval_field
+from gradiform.fields import FieldEvalError, FieldShapeError, eval_field
 from gradiform.gradientize import transform_field
 from gradiform.zoo import double_well, lorenz, ou, rotation
 
@@ -63,6 +64,9 @@ def test_integrators_stop_only_on_field_errors(integrate):
 
     with pytest.raises(TypeError, match="bug in the field"):
         integrate(VectorField(dim=1, func=broken))
+    # a wrong shape is a fault in the field too, not a numerical stop
+    with pytest.raises(FieldShapeError, match="returned shape"):
+        integrate(VectorField(dim=1, func=lambda x: np.zeros(2)))
     # decays from 1.0; the value turns NaN once the state is below 0.5
     nan_below = VectorField(
         dim=1, func=lambda x: np.array([-x[0] if x[0] > 0.5 else np.nan]))
@@ -83,6 +87,30 @@ def test_integrators_reject_bad_dt_and_steps(integrate, dt, steps):
     with pytest.raises(ValueError,
                        match="dt must be positive|steps must be at least 1"):
         integrate(dt, steps)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("integrate", [
+    lambda f, x0s: [integrate_rk4(f, x0, 0.1, 10) for x0 in x0s],
+    lambda f, x0s: [euler_maruyama(f, 0.1, x0, 0.1, 10) for x0 in x0s],
+    lambda f, x0s: [t for ens in euler_maruyama_ensembles(
+        f, [0.1, 0.0], x0s, 0.1, 10) for t in ens.trajectories]],
+    ids=["rk4", "euler_maruyama", "euler_maruyama_ensembles"])
+def test_finite_state_whose_sum_overflows_runs_on(integrate, vectorized):
+    # 1.5e308 + 1.5e308 overflows the state's sum, not the state: every
+    # row is finite, so every row runs to the end and keeps its states
+    zero = VectorField(dim=2, vectorized=vectorized,
+                       func=lambda x: np.zeros_like(x))
+    x0s = np.array([[1.5e308, 1.5e308], [1.0, -1.0], [-1.5e308, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajs = integrate(zero, x0s)
+    for m, traj in enumerate(trajs):  # start m % 3
+        assert traj.completed and len(traj.states) == 11
+        assert np.isfinite(traj.states).all()
+        assert np.array_equal(traj.states[0], x0s[m % 3])
+        if m % 3 != 1:  # kicks at eps = 0.1 vanish next to 1.5e308
+            assert (traj.states == x0s[m % 3]).all()
 
 
 def reference_rk4(field, x0, dt, steps):
@@ -245,6 +273,13 @@ class TestEulerMaruyama:
         var = np.var(traj.states[200_000:, 0])
         assert var == pytest.approx(eps, rel=0.1)
 
+    @pytest.mark.parametrize("x0", [[[1.0], [2.0]], [[1.0, 2.0]], [1.0],
+                                    [1.0, 2.0, 3.0]])
+    def test_one_start_only(self, x0):
+        field = VectorField(dim=2, func=lambda x: -x)
+        with pytest.raises(ValueError, match="point has shape"):
+            euler_maruyama(field, 0.1, x0, dt=0.1, steps=5)
+
     def test_ensemble_deterministic_per_index(self):
         x0s = np.zeros((3, 1))
         e1 = euler_maruyama_ensemble(decay_field(), 0.1, x0s, 0.01, 100,
@@ -295,6 +330,15 @@ class TestDensityAndGraham:
         left = dens.counts[:10].sum()
         right = dens.counts[10:].sum()
         assert abs(left - right) / dens.total < 0.25
+
+    def test_negative_burn_in_rejected(self):
+        ens = euler_maruyama_ensemble(decay_field(), 0.1, [[1.0], [2.0]],
+                                      0.1, 50)
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            stationary_density(ens, bins=5, ranges=[(-3.0, 3.0)], burn_in=-1)
+        # burn_in = 0 keeps every state of both trajectories
+        assert stationary_density(ens, bins=5, ranges=[(-3.0, 3.0)],
+                                  burn_in=0).total == 102
 
     def test_graham_uniform_density_constant(self):
         from gradiform.dynamics import DensityGrid
