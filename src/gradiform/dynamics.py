@@ -162,15 +162,13 @@ def _kick_table(eps: np.ndarray, dt: float, steps: int, dim: int,
     """K[m * len(eps) + i, k] = z_m[k] sqrt(2 eps_i dt): stream m draws its
     whole path once, as a lone trajectory draws it, and every level scales
     that draw.  Rows at eps = 0 hold -0.0, and x + (-0.0) is x bit for bit,
-    so those rows stay exact forward Euler."""
+    so those rows stay exact forward Euler.  The table is len(eps) times
+    the size of the draw, and the draw and table are both held while it
+    is built."""
     noise = np.empty((len(rngs), steps, dim))
     for m, rng in enumerate(rngs):
         rng.standard_normal(out=noise[m])
-    scale = np.sqrt(2.0 * eps * dt)
-    if len(eps) == 1:  # eps > 0 here: scale the draw in place
-        noise *= scale[0]
-        return noise
-    kicks = noise[:, None] * scale[:, None, None]
+    kicks = noise[:, None] * np.sqrt(2.0 * eps * dt)[:, None, None]
     kicks[:, eps == 0] = -0.0
     return kicks.reshape(-1, steps, dim)
 
