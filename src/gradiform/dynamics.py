@@ -8,8 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (FieldEvalError, FieldShapeError, VectorField, _as_point,
-                     _central_difference, eval_field, fd_step)
+from .fields import (FieldEvalError, FieldShapeError, VectorField, _apply,
+                     _as_point, _as_points, _central_difference, eval_field,
+                     fd_step)
 
 BURN_IN_FRACTION = 0.2
 LYAPUNOV_TOL_SCALE = 10.0
@@ -53,11 +54,15 @@ class LyapunovReport:
 
 def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     """Classical fourth-order Runge-Kutta for xdot = g(x)."""
+    # the start is checked once below and every stage keeps its shape, so
+    # each stage checks only the shape of the field's value
+    g, shape = field.func, (field.dim,)
+
     def step(x, k, live):
-        k1 = eval_field(field, x, check_finite=False)
-        k2 = eval_field(field, x + 0.5 * dt * k1, check_finite=False)
-        k3 = eval_field(field, x + 0.5 * dt * k2, check_finite=False)
-        k4 = eval_field(field, x + dt * k3, check_finite=False)
+        k1 = _apply(field, g, x, shape, "field")
+        k2 = _apply(field, g, x + 0.5 * dt * k1, shape, "field")
+        k3 = _apply(field, g, x + 0.5 * dt * k2, shape, "field")
+        k4 = _apply(field, g, x + dt * k3, shape, "field")
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
@@ -128,7 +133,7 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
     """One euler_maruyama_ensemble per eps in eps_list, all levels stepped
     in one lockstep; start m draws its noise once and every level scales
     that draw, so each ensemble equals its own call bit for bit."""
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    x0s = _as_points(field, np.atleast_2d(x0s))
     seeds = [(master_seed, idx) for idx in range(len(x0s))]
     trajs = _euler_maruyama(field, eps_list, x0s, dt, steps,
                             [_trajectory_rng(*seed) for seed in seeds])
@@ -138,10 +143,13 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
 
 def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
                     dt: float, steps: int, rngs: list) -> list:
-    """Euler-Maruyama from x0s at each eps; rngs[m] draws row m's noise."""
+    """Euler-Maruyama from the checked starts x0s (count, dim) at each
+    eps; rngs[m] draws row m's noise.  Each step checks only the shape of
+    the field's value."""
     eps = np.asarray(eps_list, dtype=float)
     if (eps < 0).any():
         raise ValueError("eps must be nonnegative")
+    g, shape = field.func, (field.dim,)
     kicks = None
 
     def step(x, k, live):
@@ -149,7 +157,7 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
         if k == 0 and (eps > 0).any():
             # built at the first step, once _lockstep has checked dt, steps
             kicks = _kick_table(eps, dt, steps, x.shape[1], rngs)
-        x = x + dt * eval_field(field, x, check_finite=False)
+        x = x + dt * _apply(field, g, x, shape, "field")
         if kicks is not None:
             x += kicks[live, k]
         return x

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import VectorField, _matvec, eval_field, jacobian
+from .fields import VectorField, _apply, _matvec, eval_field, jacobian
 from .homotopy import OneForm, QuadratureRule, antiexact_part
 from .integrability import _relative_asymmetry
 
@@ -234,7 +234,8 @@ def transform_field(field: VectorField, D) -> VectorField:
     """f(x) = D g(D^{-1} x); Jacobian D J_g(D^{-1} x) D^{-1}.
 
     The transformed field is vectorized: stacked points go through the
-    base field in one ``eval_field`` batch.
+    base field in one batch, and the base field's values get their own
+    shape check.
     """
     D = np.asarray(D, dtype=float)
     n = field.dim
@@ -243,8 +244,8 @@ def transform_field(field: VectorField, D) -> VectorField:
     Dinv = np.linalg.inv(D)  # raises LinAlgError when singular
 
     def func(x):
-        return _matvec(D, eval_field(field, _matvec(Dinv, x),
-                                     check_finite=False))
+        return _matvec(D, _apply(field, field.func, _matvec(Dinv, x),
+                                 (n,), "field"))
 
     def jac(x):
         return D @ jacobian(field, _matvec(Dinv, x)) @ Dinv

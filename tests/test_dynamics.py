@@ -76,6 +76,48 @@ def test_integrators_stop_only_on_field_errors(integrate):
 
 
 @pytest.mark.parametrize("integrate", [
+    lambda f: integrate_rk4(f, [1.0], dt=0.1, steps=20),
+    lambda f: euler_maruyama(f, 0.0, [1.0], dt=0.1, steps=20),
+    lambda f: euler_maruyama_ensembles(f, [0.0, 0.0], [[1.0], [0.9]],
+                                       dt=0.1, steps=20),
+    # the base field sees D^{-1} x, which starts at 1.0
+    lambda f: integrate_rk4(transform_field(f, [[2.0]]), [2.0], dt=0.1,
+                            steps=20),
+    lambda f: euler_maruyama_ensembles(transform_field(f, [[2.0]]), [0.0],
+                                       [[2.0], [1.8]], dt=0.1, steps=20)],
+    ids=["rk4", "euler_maruyama", "euler_maruyama_ensembles",
+         "rk4_transformed", "euler_maruyama_ensembles_transformed"])
+def test_value_shape_checked_on_every_call(integrate):
+    # decays from 1.0 with values of shape (1,) while x > 0.5 and (2,)
+    # after, so a check of the first call alone would miss it
+    calls = []
+
+    def late_wrong_shape(x):
+        calls.append(x)
+        return -x if x[0] > 0.5 else np.zeros(2)
+
+    with pytest.raises(FieldShapeError, match="returned shape"):
+        integrate(VectorField(dim=1, func=late_wrong_shape))
+    assert len(calls) > 5
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.0])
+@pytest.mark.parametrize("x0s", [np.zeros((2, 3)), np.zeros(3),
+                                 np.zeros((2, 1, 2))],
+                         ids=["wide_rows", "wide_point", "3d"])
+def test_ensemble_starts_checked_before_the_field(x0s, dt):
+    # the starts are checked first, before dt and before any step
+    def never(x):
+        pytest.fail("field called with unchecked starts")
+
+    field = VectorField(dim=2, func=never)
+    with pytest.raises(ValueError, match="point has shape"):
+        euler_maruyama_ensembles(field, [0.0, 0.1], x0s, dt, 10)
+    with pytest.raises(ValueError, match="point has shape"):
+        euler_maruyama_ensemble(field, 0.1, x0s, dt, 10)
+
+
+@pytest.mark.parametrize("integrate", [
     lambda dt, steps: integrate_rk4(decay_field(), [1.0], dt, steps),
     lambda dt, steps: euler_maruyama(decay_field(), 0.0, [1.0], dt, steps),
     lambda dt, steps: euler_maruyama_ensemble(
