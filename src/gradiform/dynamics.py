@@ -57,13 +57,16 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     # the start is checked once below and every stage keeps its shape, so
     # each stage checks only the shape of the field's value
     g, shape = field.func, (field.dim,)
+    # coefficients as 0-d arrays, converted once, not at every product;
+    # k + k is 2.0 * k bit for bit
+    half, h, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
 
     def step(x, k, live):
         k1 = _apply(field, g, x, shape, "field")
-        k2 = _apply(field, g, x + 0.5 * dt * k1, shape, "field")
-        k3 = _apply(field, g, x + 0.5 * dt * k2, shape, "field")
-        k4 = _apply(field, g, x + dt * k3, shape, "field")
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = _apply(field, g, x + half * k1, shape, "field")
+        k3 = _apply(field, g, x + half * k2, shape, "field")
+        k4 = _apply(field, g, x + h * k3, shape, "field")
+        return x + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
     # faster and with the rounding of a single-point evaluation
@@ -150,6 +153,7 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
     if (eps < 0).any():
         raise ValueError("eps must be nonnegative")
     g, shape = field.func, (field.dim,)
+    h = np.array(dt)  # a 0-d array, converted once
     kicks = None
 
     def step(x, k, live):
@@ -157,9 +161,9 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
         if k == 0 and (eps > 0).any():
             # built at the first step, once _lockstep has checked dt, steps
             kicks = _kick_table(eps, dt, steps, x.shape[1], rngs)
-        x = x + dt * _apply(field, g, x, shape, "field")
+        x = x + h * _apply(field, g, x, shape, "field")
         if kicks is not None:
-            x += kicks[live, k]
+            x += kicks[k, live]  # one contiguous block until a row ends
         return x
 
     return _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
@@ -167,18 +171,20 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
 
 def _kick_table(eps: np.ndarray, dt: float, steps: int, dim: int,
                 rngs: list) -> np.ndarray:
-    """K[m * len(eps) + i, k] = z_m[k] sqrt(2 eps_i dt): stream m draws its
+    """K[k, m * len(eps) + i] = z_m[k] sqrt(2 eps_i dt): stream m draws its
     whole path once, as a lone trajectory draws it, and every level scales
-    that draw.  Rows at eps = 0 hold -0.0, and x + (-0.0) is x bit for bit,
-    so those rows stay exact forward Euler.  The table is len(eps) times
-    the size of the draw, and the draw and table are both held while it
-    is built."""
+    that draw.  The table is step-major, so step k adds one contiguous
+    block of rows.  Rows at eps = 0 hold -0.0, and x + (-0.0) is x bit for
+    bit, so those rows stay exact forward Euler.  The table is len(eps)
+    times the size of the draw, and the draw and table are both held while
+    it is built."""
     noise = np.empty((len(rngs), steps, dim))
     for m, rng in enumerate(rngs):
         rng.standard_normal(out=noise[m])
-    kicks = noise[:, None] * np.sqrt(2.0 * eps * dt)[:, None, None]
-    kicks[:, eps == 0] = -0.0
-    return kicks.reshape(-1, steps, dim)
+    kicks = np.multiply(noise.transpose(1, 0, 2)[:, :, None],
+                        np.sqrt(2.0 * eps * dt)[:, None], order="C")
+    kicks[:, :, eps == 0] = -0.0
+    return kicks.reshape(steps, -1, dim)
 
 
 # overflow is expected in the steps: a non-finite state ends its row

@@ -565,6 +565,30 @@ def test_nonfinite_row_at_one_level_ends_alone(vectorized):
             field, eps, x0s, 0.1, 50, master_seed=3))
 
 
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rows_ending_apart_with_noise_match_reference(vectorized, seed):
+    # the drift is NaN outside the band |x_i| < 2: at eps = 1 rows leave it
+    # at different steps, while the rows at eps = 0.01 keep drawing noise
+    # after them, so the kick add runs on a shrinking set of rows
+    field = VectorField(dim=2, vectorized=vectorized,
+                        func=lambda x: np.where(abs(x) < 2.0, -x, np.nan))
+    x0s = np.array([[0.0, 0.0], [1.0, -0.5], [1.9, 0.3], [-1.5, 1.5]])
+    eps_list = [0.0, 1.0, 0.01]
+    stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, 200,
+                                       master_seed=seed)
+    ended = [len(t.states) for t in stacked[1].trajectories
+             if not t.completed]
+    assert len(set(ended)) >= 2
+    assert all(t.completed for t in stacked[2].trajectories)
+    for eps, ens in zip(eps_list, stacked):
+        for m, traj in enumerate(ens.trajectories):
+            states, completed = reference_em(field, eps, x0s[m], 0.05, 200,
+                                             _trajectory_rng(seed, m))
+            assert traj.states.tobytes() == states.tobytes()  # also -0.0
+            assert traj.completed == completed
+
+
 def test_zero_eps_level_stays_forward_euler():
     # xdot = x keeps -0.0 at -0.0 under forward Euler; a noise term scaled
     # to 0 would turn it into +0.0 whenever its normal is positive

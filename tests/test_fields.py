@@ -9,6 +9,7 @@ from gradiform import (FieldEvalError, OneForm, QuadratureRule, SystemSpec,
                        eval_field, exact_part, integrate_rk4, jacobian,
                        lyapunov_check, potential, sample_ball,
                        transform_field)
+from gradiform.fields import _matvec
 from gradiform.zoo import (REGISTRY, jj_circuit, jj_circuit_linear, lorenz,
                            quadratic)
 
@@ -148,6 +149,43 @@ def test_zoo_batch_matches_single_points(data, name):
         J = jacobian(field, X, scheme=scheme)
         assert np.array_equal(J, np.array([jacobian(field, x, scheme=scheme)
                                            for x in X]))
+
+
+def matvec_left_to_right(A, x):
+    """A x with each entry summed term by term, left to right."""
+    out = []
+    for row in A:
+        s = 0.0
+        for a, xj in zip(row, x):
+            s += a * xj
+        out.append(s)
+    return np.array(out)
+
+
+def matvec_last_axis(A, X):
+    """Stacked rows as an (M, n, n) product summed over its last axis, a
+    contiguous reduce that numpy sums pairwise from n = 8 terms on."""
+    return (X[:, None, :] * A).sum(axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12),
+       M=st.one_of(st.just(1), st.just(2), st.integers(1, 50)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matvec_rows_do_not_depend_on_the_batch(n, M, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+    X = rng.standard_normal((M, n))
+    X[rng.random((M, n)) < 0.1] = -0.0
+    Y = _matvec(A, X)
+    assert Y.shape == (M, n)
+    last_axis = matvec_last_axis(A, X)
+    for m, x in enumerate(X):
+        # tobytes, so that the sign of a zero counts
+        assert Y[m].tobytes() == _matvec(A, X[m:m + 1])[0].tobytes()
+        assert Y[m].tobytes() == matvec_left_to_right(A, x).tobytes()
+        if n <= 7:
+            assert Y[m].tobytes() == last_axis[m].tobytes()
 
 
 def test_eval_field_shapes_and_errors():
