@@ -166,7 +166,15 @@ def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
     following (Boyd & Vandenberghe, Convex Optimization, ch. 11) from P^-T
     P^-1 (J = P diag(w) P^-1) scaled to lambda_min = 2; None when P is
     ill-conditioned or that start is not positive definite.  The damped
-    Newton step needs no line search: the barrier is self-concordant."""
+    Newton step needs no line search: the barrier is self-concordant.
+
+    A one-element basis (n = 1) takes the closed form c = 1 / lambda, for
+    the eigenvalue lambda of B nearest 0 on the side of B's sign; None when
+    B is indefinite."""
+    if len(basis) == 1:
+        lo, hi = np.linalg.eigvalsh(basis[0])[[0, -1]]
+        return (np.array([1.0 / lo]) if lo > 0 else
+                np.array([1.0 / hi]) if hi < 0 else None)
     _, P = np.linalg.eig(J)
     if np.linalg.cond(P) > EIG_COND_MAX:
         return None

@@ -497,6 +497,37 @@ def test_nonfinite_row_ends_only_its_trajectory(vectorized):
     assert np.isfinite(ens.trajectories[1].states).all()
 
 
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("others", [1, 40], ids=["few", "many"])
+def test_opposite_infinities_end_their_rows_alone(vectorized, others):
+    # the starts at 1 and -1 reach +inf and -inf at the first step, so the
+    # state's sum is NaN, not inf; the rows at 0.5 decay and run on.  With
+    # 40 of them the state has more values than the float sum takes.
+    field = VectorField(dim=1, vectorized=vectorized, func=lambda x: np.where(
+        abs(x) < 1.0, -x, np.copysign(np.inf, x)))
+    x0s = np.array([[1.0], [-1.0]] + [[0.5]] * others)
+    ens = euler_maruyama_ensemble(field, 0.0, x0s, 0.1, 5)
+    assert [len(t.states) for t in ens.trajectories] == \
+        [1, 1] + [6] * others
+    assert [t.completed for t in ens.trajectories] == \
+        [False, False] + [True] * others
+    traj = integrate_rk4(VectorField(dim=2, func=field.func), [1.0, -1.0],
+                         0.1, 5)
+    assert not traj.completed and len(traj.states) == 1
+
+
+def test_one_nan_among_many_rows_ends_only_its_row():
+    field = VectorField(dim=1, vectorized=True,
+                        func=lambda x: np.where(x < 2.0, -x, np.nan))
+    x0s = np.zeros((10_000, 1))
+    x0s[1234] = 5.0
+    ens = euler_maruyama_ensemble(field, 0.0, x0s, 0.1, 3)
+    lengths = np.array([len(t.states) for t in ens.trajectories])
+    assert lengths[1234] == 1 and not ens.trajectories[1234].completed
+    assert (np.delete(lengths, 1234) == 4).all()
+    assert sum(t.completed for t in ens.trajectories) == 9_999
+
+
 def reference_em(field, eps, x0, dt, steps, rng):
     """Euler-Maruyama of one start as a 1-row batch, step by step."""
     z = rng.standard_normal((steps, len(x0))) if eps > 0 else None

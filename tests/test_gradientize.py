@@ -14,8 +14,10 @@ from gradiform import (BarrierViolation, ConstantVerdict, MatrixFamily,
                        solve_symmetrizer, transform_field,
                        transform_field_general)
 from gradiform.fields import _central_difference, fd_step
+from gradiform import gradientize
 from gradiform.gradientize import (DEFAULT_TOL, _constant_solve_report,
-                                  _null_basis, _residual_sweep, _sym_basis)
+                                  _min_norm_above_identity, _null_basis,
+                                  _residual_sweep, _sym_basis)
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                            rotation)
 
@@ -218,6 +220,43 @@ class TestSymmetrizer:
              "defective"])
     def test_matches_nelder_mead_fixed(self, J):
         assert_matches_nelder_mead(J)
+
+
+def test_one_by_one_closed_form_equals_barrier_path(monkeypatch):
+    # the barrier path, run on the basis padded with a zero matrix (its
+    # coefficient stays 0), gives the same report bit for bit
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        rng.standard_normal(150) * 10.0 ** rng.integers(-6, 7, 150),
+        rng.uniform(-3.0, 3.0, 46),
+        [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, 5e-324]])
+    closed = [solve_symmetrizer(np.array([[v]])) for v in values]
+
+    def barrier(J, basis):
+        c = _min_norm_above_identity(J, np.concatenate([basis, 0 * basis]))
+        assert c[1] == 0.0
+        return c[:1]
+
+    monkeypatch.setattr(gradientize, "_min_norm_above_identity", barrier)
+    for v, rep in zip(values, closed):
+        ref = solve_symmetrizer(np.array([[v]]))
+        assert rep.verdict is ref.verdict is ConstantVerdict.GRADIENTIZED
+        assert rep.chosen_D.tobytes() == ref.chosen_D.tobytes()
+        assert (rep.necessary_residual, rep.transformed_asymmetry,
+                rep.consistency_residual) == (
+            ref.necessary_residual, ref.transformed_asymmetry,
+            ref.consistency_residual)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_element_basis_closed_form(sign):
+    # the least |c| with c B >= I puts lambda_min(c B) at 1
+    B = sign * np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = _min_norm_above_identity(np.eye(2), B[None])
+    assert np.sign(c[0]) == sign
+    assert np.linalg.eigvalsh(c[0] * B)[0] == pytest.approx(1.0, rel=1e-15)
+    assert _min_norm_above_identity(np.eye(2),
+                                    np.diag([1.0, -1.0])[None]) is None
 
 
 @settings(max_examples=60, deadline=None)

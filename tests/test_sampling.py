@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradiform
@@ -20,6 +20,10 @@ NDTRI_MAX_ULP = 4
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 8), count=st.integers(1, 5000),
        seed=st.integers(0, 2 ** 63))
+# one point: for dim 1 numpy sums the lone column of the tail pairwise
+@example(dim=1, count=1, seed=0)
+@example(dim=3, count=1, seed=7)
+@example(dim=1, count=2, seed=7)
 def test_halton_bit_equal_to_reference(dim, count, seed):
     qmc = pytest.importorskip("scipy.stats").qmc
     ref = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
