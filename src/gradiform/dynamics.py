@@ -187,11 +187,6 @@ def _kick_table(eps: np.ndarray, dt: float, steps: int, dim: int,
     return kicks.reshape(steps, -1, dim)
 
 
-# up to this many values a sum on Python floats costs less than a numpy
-# reduce; from about 50 on the reduce costs less
-_FLOAT_SUM_MAX = 32
-
-
 # overflow is expected in the steps: a non-finite state ends its row
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
@@ -221,12 +216,8 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
             lengths[live] = k + 1
             break
         # a sum of finite values is finite unless it overflows, so a
-        # non-finite state always reaches the row-by-row test below (also
-        # with the compensated float sum of Python 3.12 and later, which
-        # keeps an inf or a NaN)
-        total = (sum(x.ravel().tolist()) if x.size <= _FLOAT_SUM_MAX
-                 else np.add.reduce(x, None))
-        if not math.isfinite(total):
+        # non-finite state always reaches the row-by-row test below
+        if not math.isfinite(np.add.reduce(x, None)):
             ok = np.isfinite(x).reshape(-1, n).all(axis=1)
             if not ok.all():
                 rows = np.arange(count)[live]

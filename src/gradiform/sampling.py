@@ -102,16 +102,14 @@ def _halton(dim: int, count: int, seed: int) -> np.ndarray:
         out[j] = v[:count]
         tails.append(terms[k:, 0])
     # the trailing digits are the same for every point: add them for all
-    # bases at once, one digit per row of a stack under the partial sums,
-    # reduced over its leading axis, which adds left to right; the +0 that
-    # pads the shorter tails leaves a sum unchanged.  (A lone point in one
-    # dimension is summed pairwise, but its base-2 digits are powers of 2
-    # within 53 bits, exact in any order.)
-    stack = np.zeros((1 + max(map(len, tails)), dim, count))
-    stack[0] = out
+    # bases at once, one digit per step; the +0 that pads the shorter tails
+    # leaves a sum unchanged
+    const = np.zeros((dim, max(map(len, tails))))
     for j, tail in enumerate(tails):
-        stack[1:len(tail) + 1, j] = tail[:, None]
-    return np.add.reduce(stack, axis=0).T.copy()
+        const[j, :len(tail)] = tail
+    for c in const.T:
+        out += c[:, None]
+    return out.T.copy()
 
 
 def sample_ball(dim: int, count: int, radius: float = 1.0,

@@ -2,11 +2,13 @@
 test fields, all with analytic Jacobians.
 
 Every field here is vectorized: it takes a single point or stacked
-points (see ``VectorField``).  The nonlinear fields unpack components
-with ``_unpack``: a single point computes on Python floats, which round
-as numpy's float64 scalars do at a fraction of their cost, and stacked
-points compute the same expressions on columns.  The linear fields
-multiply through ``fields._matvec``.
+points (see ``VectorField``).  ``lorenz`` and ``jj_circuit`` unpack
+components with ``_unpack``: a single point computes on Python floats,
+which round as numpy's float64 scalars do at a fraction of their cost,
+and stacked points compute the same expressions on columns.
+``double_well`` unpacks with ``p.T`` (numpy scalars for one point): a
+Python float power raises ``OverflowError`` where numpy gives inf.  The
+linear fields multiply through ``fields._matvec``.
 """
 from __future__ import annotations
 
@@ -28,15 +30,6 @@ def _unpack(p):
     """The components of one point (dim,) as Python floats, or the columns
     of stacked points (M, dim)."""
     return p.tolist() if p.ndim == 1 else p.T
-
-
-def _power(x, k):
-    """x ** k, overflowing to inf as numpy does: a Python float power
-    raises OverflowError instead."""
-    try:
-        return x ** k
-    except OverflowError:
-        return np.float64(x) ** k
 
 
 def lorenz(sigma: float = 10.0, rho: float = 28.0,
@@ -137,12 +130,12 @@ def double_well():
     # most one unit in the last place), so a single point and the same
     # point inside a batch can differ in the last bit
     def func(x):
-        x0 = _unpack(x)[0]
-        return np.array([x0 - _power(x0, 3)]).T
+        x0 = x.T[0]
+        return np.array([x0 - x0 ** 3]).T
 
     def jac(x):
-        x0 = _unpack(x)[0]
-        return np.array([[1.0 - 3.0 * _power(x0, 2)]]).T
+        x0 = x.T[0]
+        return np.array([[1.0 - 3.0 * x0 ** 2]]).T
 
     def V(x):
         x0 = np.asarray(x, dtype=float).T[0]

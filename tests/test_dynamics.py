@@ -501,8 +501,7 @@ def test_nonfinite_row_ends_only_its_trajectory(vectorized):
 @pytest.mark.parametrize("others", [1, 40], ids=["few", "many"])
 def test_opposite_infinities_end_their_rows_alone(vectorized, others):
     # the starts at 1 and -1 reach +inf and -inf at the first step, so the
-    # state's sum is NaN, not inf; the rows at 0.5 decay and run on.  With
-    # 40 of them the state has more values than the float sum takes.
+    # state's sum is NaN, not inf; the rows at 0.5 decay and run on
     field = VectorField(dim=1, vectorized=vectorized, func=lambda x: np.where(
         abs(x) < 1.0, -x, np.copysign(np.inf, x)))
     x0s = np.array([[1.0], [-1.0]] + [[0.5]] * others)

@@ -20,7 +20,7 @@ NDTRI_MAX_ULP = 4
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 8), count=st.integers(1, 5000),
        seed=st.integers(0, 2 ** 63))
-# one point: for dim 1 numpy sums the lone column of the tail pairwise
+# the smallest counts: a lone point is all trailing digits
 @example(dim=1, count=1, seed=0)
 @example(dim=3, count=1, seed=7)
 @example(dim=1, count=2, seed=7)

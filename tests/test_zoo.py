@@ -129,39 +129,23 @@ def jj_circuit_ref(i, r, beta_c, beta_L):
     return func, jac
 
 
-def double_well_ref():
-    def func(x):
-        x0 = x.T[0]
-        return np.array([x0 - x0 ** 3]).T
-
-    def jac(x):
-        x0 = x.T[0]
-        return np.array([[1.0 - 3.0 * x0 ** 2]]).T
-
-    return func, jac
-
-
 positive = st.floats(0.1, 50.0)
-# any double but NaN, whose sign a NaN result need not keep: huge values
-# overflow x ** 3 (Python floats raise there, numpy gives inf)
+# any double but NaN, whose sign a NaN result need not keep
 coordinate = st.floats(allow_nan=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), which=st.sampled_from(
-    ["lorenz", "jj_circuit", "double_well"]))
+@given(data=st.data(), which=st.sampled_from(["lorenz", "jj_circuit"]))
 def test_one_point_equals_numpy_scalar_reference(data, which):
     # a lone point computes on Python floats, the reference on numpy
     # float64 scalars; both round every operation alike
     if which == "lorenz":
         params = data.draw(st.tuples(positive, positive, positive))
         field, ref = lorenz(*params), lorenz_ref(*params)
-    elif which == "jj_circuit":
+    else:
         params = data.draw(st.tuples(st.floats(-2.0, 2.0), positive,
                                      positive, positive))
         field, ref = jj_circuit(*params), jj_circuit_ref(*params)
-    else:
-        field, ref = double_well()[0], double_well_ref()
     p = np.array(data.draw(st.lists(coordinate, min_size=field.dim,
                                     max_size=field.dim)))
     with warnings.catch_warnings():
@@ -171,16 +155,6 @@ def test_one_point_equals_numpy_scalar_reference(data, which):
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype == float
         assert g.tobytes() == w.tobytes()
-
-
-def test_one_point_overflow_gives_inf():
-    # 1e103 ** 3 overflows: the value is -inf, as on numpy scalars, not an
-    # OverflowError from the Python float power
-    field = double_well()[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert field.func(np.array([1e103])).tolist() == [-np.inf]
-        assert field.jac(np.array([1e160])).tolist() == [[-np.inf]]
 
 
 class TestRegistry:
