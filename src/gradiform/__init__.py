@@ -17,8 +17,7 @@ from .gradientize import (BarrierViolation, ConstantSolveReport,
                           solve_general, solve_symmetrizer, transform_field,
                           transform_field_general)
 from .dynamics import (DensityGrid, LyapunovReport, Trajectory,
-                       TrajectoryEnsemble, euler_maruyama, graham_estimate,
-                       euler_maruyama_ensemble, euler_maruyama_ensembles,
+                       euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from .sampling import sample_ball

@@ -29,12 +29,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class TrajectoryEnsemble:
-    trajectories: list
-    seeds: list
-
-
-@dataclass(frozen=True)
 class DensityGrid:
     edges: list  # per-axis bin edges
     counts: np.ndarray
@@ -108,48 +102,22 @@ def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
         np.random.Philox(key=master_seed, counter=[0, 0, index, 0]))
 
 
-def euler_maruyama(field: VectorField, eps: float, x0, dt: float,
-                   steps: int, seed: int = 0,
-                   rng: Optional[np.random.Generator] = None) -> Trajectory:
-    """x_{k+1} = x_k + dt g(x_k) + sqrt(2 eps dt) N(0, I).
-
-    The noise convention matches <z z'> = 2 eps delta(t - t'); eps = 0
-    reduces exactly to forward Euler.
-    """
-    if rng is None:
-        rng = _trajectory_rng(seed, 0)
-    x0 = _as_point(field, x0)[None, :]
-    return _euler_maruyama(field, [eps], x0, dt, steps, [rng])[0]
-
-
-def euler_maruyama_ensemble(field: VectorField, eps: float, x0s, dt: float,
-                            steps: int, master_seed: int = 0
-                            ) -> TrajectoryEnsemble:
-    """Independent trajectories with per-index counter-based RNG streams,
-    stepped in lockstep: one field evaluation per step for all of them."""
-    return euler_maruyama_ensembles(field, [eps], x0s, dt, steps,
-                                    master_seed)[0]
-
-
 def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
                              steps: int, master_seed: int = 0) -> list:
-    """One euler_maruyama_ensemble per eps in eps_list, all levels stepped
-    in one lockstep; start m draws its noise once and every level scales
-    that draw, so each ensemble equals its own call bit for bit."""
+    """x_{k+1} = x_k + dt g(x_k) + sqrt(2 eps dt) N(0, I) from each start
+    in x0s at each eps in eps_list: one list of trajectories per level,
+    start m's at index m, all stepped in one lockstep.
+
+    The noise convention matches <z z'> = 2 eps delta(t - t'); eps = 0
+    reduces exactly to forward Euler.  Start m draws its noise once from
+    the counter-based stream (master_seed, m) and every level scales that
+    draw.  Each step checks only the shape of the field's value.
+    """
     x0s = _as_points(field, np.atleast_2d(x0s))
-    seeds = [(master_seed, idx) for idx in range(len(x0s))]
-    trajs = _euler_maruyama(field, eps_list, x0s, dt, steps,
-                            [_trajectory_rng(*seed) for seed in seeds])
-    return [TrajectoryEnsemble(trajs[i::len(eps_list)], list(seeds))
-            for i in range(len(eps_list))]
-
-
-def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
-                    dt: float, steps: int, rngs: list) -> list:
-    """Euler-Maruyama from the checked starts x0s (count, dim) at each
-    eps; rngs[m] draws row m's noise.  Each step checks only the shape of
-    the field's value."""
     eps = np.asarray(eps_list, dtype=float)
+    if eps.ndim != 1:
+        raise ValueError(f"eps_list must be one-dimensional, got shape "
+                         f"{eps.shape}")
     if (eps < 0).any():
         raise ValueError("eps must be nonnegative")
     g, shape = field.func, (field.dim,)
@@ -160,27 +128,28 @@ def _euler_maruyama(field: VectorField, eps_list, x0s: np.ndarray,
         nonlocal kicks
         if k == 0 and (eps > 0).any():
             # built at the first step, once _lockstep has checked dt, steps
-            kicks = _kick_table(eps, dt, steps, x.shape[1], rngs)
+            kicks = _kick_table(eps, dt, steps, *x0s.shape, master_seed)
         x = x + h * _apply(field, g, x, shape, "field")
         if kicks is not None:
             x += kicks[k, live]  # one contiguous block until a row ends
         return x
 
-    return _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
+    trajs = _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
+    return [trajs[i::len(eps)] for i in range(len(eps))]
 
 
-def _kick_table(eps: np.ndarray, dt: float, steps: int, dim: int,
-                rngs: list) -> np.ndarray:
-    """K[k, m * len(eps) + i] = z_m[k] sqrt(2 eps_i dt): stream m draws its
-    whole path once, as a lone trajectory draws it, and every level scales
-    that draw.  The table is step-major, so step k adds one contiguous
-    block of rows.  Rows at eps = 0 hold -0.0, and x + (-0.0) is x bit for
-    bit, so those rows stay exact forward Euler.  The table is len(eps)
-    times the size of the draw, and the draw and table are both held while
-    it is built."""
-    noise = np.empty((len(rngs), steps, dim))
-    for m, rng in enumerate(rngs):
-        rng.standard_normal(out=noise[m])
+def _kick_table(eps: np.ndarray, dt: float, steps: int, count: int,
+                dim: int, master_seed: int) -> np.ndarray:
+    """K[k, m * len(eps) + i] = z_m[k] sqrt(2 eps_i dt): stream
+    (master_seed, m) draws start m's whole path once, and every level
+    scales that draw.  The table is step-major, so step k adds one
+    contiguous block of rows.  Rows at eps = 0 hold -0.0, and x + (-0.0)
+    is x bit for bit, so those rows stay exact forward Euler.  The table
+    is len(eps) times the size of the draw, and the draw and table are
+    both held while it is built."""
+    noise = np.empty((count, steps, dim))
+    for m in range(count):
+        _trajectory_rng(master_seed, m).standard_normal(out=noise[m])
     kicks = np.multiply(noise.transpose(1, 0, 2)[:, :, None],
                         np.sqrt(2.0 * eps * dt)[:, None], order="C")
     kicks[:, :, eps == 0] = -0.0
@@ -231,13 +200,14 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
             for m, length in enumerate(lengths)]
 
 
-def stationary_density(ens: TrajectoryEnsemble, bins, ranges,
+def stationary_density(trajs: list, bins, ranges,
                        burn_in: Optional[int] = None) -> DensityGrid:
-    """Histogram of post-burn-in states (default burn-in: first 20%)."""
+    """Histogram of the trajectories' post-burn-in states (default
+    burn-in: first 20%)."""
     if burn_in is not None and burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     chunks = []
-    for traj in ens.trajectories:
+    for traj in trajs:
         cut = burn_in if burn_in is not None \
             else int(BURN_IN_FRACTION * len(traj.states))
         if cut < len(traj.states):

@@ -97,19 +97,15 @@ def _check_finite(X: np.ndarray, values: np.ndarray, what: str) -> None:
         raise FieldEvalError(f"non-finite {what} at x={x}")
 
 
-def eval_field(field: VectorField, X, check_finite: bool = True
-               ) -> np.ndarray:
+def eval_field(field: VectorField, X) -> np.ndarray:
     """g at one point X (dim,) -> (dim,), or at stacked points (M, dim)
     -> (M, dim).
 
-    The shape and finiteness checks run once per batch.  With
-    check_finite=False non-finite rows are returned as they are, for
-    callers that handle them row by row.
+    The shape and finiteness checks run once per batch.
     """
     X = _as_points(field, X)
     G = _apply(field, field.func, X, (field.dim,), "field")
-    if check_finite:
-        _check_finite(X, G, "field value")
+    _check_finite(X, G, "field value")
     return G
 
 

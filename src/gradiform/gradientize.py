@@ -29,7 +29,6 @@ NEWTON_MAX_STEPS = 50
 DAMPING0 = 1e-3
 TARGET_RMS = 1e-10
 BARRIER_DET_FLOOR = 1e-6
-BARRIER_WEIGHT = 1.0
 
 
 class BarrierViolation(RuntimeError):
@@ -390,8 +389,7 @@ def _residual_sweep(field: VectorField, family: MatrixFamily,
         # the barrier is zero while |det D(y)| is above its floor
         r = np.concatenate([
             (A - np.swapaxes(A, 1, 2))[:, upper[0], upper[1]].ravel(),
-            BARRIER_WEIGHT
-            * np.maximum(0.0, np.log(BARRIER_DET_FLOOR / dets))])
+            np.maximum(0.0, np.log(BARRIER_DET_FLOOR / dets))])
         # dA/dtheta_(a, j, k) = (e_a Bp - A e_a Mp)[s, j, k] M^-1, row i,
         # column l, per sample s
         BW, MW = Bp @ Minv[:, None], Mp @ Minv[:, None]
@@ -400,7 +398,7 @@ def _residual_sweep(field: VectorField, family: MatrixFamily,
         dr = np.moveaxis((dA - np.swapaxes(dA, -1, -2))[
             ..., upper[0], upper[1]], -1, 1).reshape(-1, family.n_params)
         # d/dtheta of -log|det D| is -tr(D^-1 dD/dtheta) where it is active
-        active = BARRIER_WEIGHT * (dets < BARRIER_DET_FLOOR)
+        active = dets < BARRIER_DET_FLOOR
         db = -(active[:, None, None] * np.swapaxes(np.linalg.inv(D), 1, 2)
                )[..., None] * mono[:, None, None, :]
         return r, np.concatenate([dr, db.reshape(len(samples), -1)])

@@ -11,7 +11,7 @@ import pytest
 
 from gradiform import (ConstantVerdict, OneForm, QuadratureRule, Verdict,
                        antiexact_part, circle_loop, classify, decompose,
-                       euler_maruyama, euler_maruyama_ensemble, eval_field,
+                       euler_maruyama_ensembles, eval_field,
                        exact_part, frobenius_defect, graham_estimate,
                        integrate_rk4, jacobian, loop_integral, potential,
                        sample_ball, solve_consistency_constant,
@@ -207,8 +207,8 @@ def test_criterion_10_graham_ou(capsys):
     eps = 0.05
     t0 = time.perf_counter()
     x0s = np.zeros((10, 1))
-    ens = euler_maruyama_ensemble(field, eps, x0s, 1e-3, 125_000,
-                                  master_seed=7)
+    [ens] = euler_maruyama_ensembles(field, [eps], x0s, 1e-3, 125_000,
+                                     master_seed=7)
     dens = stationary_density(ens, bins=30, ranges=[(-1.5, 1.5)])
     est = graham_estimate(dens, eps)
     elapsed = time.perf_counter() - t0
@@ -230,7 +230,8 @@ def test_criterion_11_integrator_orders(capsys):
     e1 = abs(integrate_rk4(decay, [1.0], 0.1, 10).states[-1][0] - exact)
     e2 = abs(integrate_rk4(decay, [1.0], 0.05, 20).states[-1][0] - exact)
     ratio = e1 / e2
-    em = euler_maruyama(decay, 0.0, [1.0], 0.1, 30, seed=0)
+    [[em]] = euler_maruyama_ensembles(decay, [0.0], [[1.0]], 0.1, 30,
+                                      master_seed=0)
     x = np.array([1.0])
     bit_equal = True
     for k in range(1, 31):

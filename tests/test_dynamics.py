@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (VectorField, euler_maruyama, euler_maruyama_ensemble,
-                       euler_maruyama_ensembles, graham_estimate,
+from gradiform import (VectorField, euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
 from gradiform.dynamics import Trajectory, _trajectory_rng
-from gradiform.fields import FieldEvalError, FieldShapeError, eval_field
+from gradiform.fields import (FieldEvalError, FieldShapeError, _apply,
+                              eval_field)
 from gradiform.gradientize import transform_field
 from gradiform.zoo import double_well, lorenz, ou, rotation
 
@@ -19,6 +19,14 @@ from gradiform.zoo import double_well, lorenz, ou, rotation
 def decay_field():
     return VectorField(dim=1, func=lambda x: -x,
                        jac=lambda x: -np.eye(1))
+
+
+def em_one(field, eps, x0, dt, steps, master_seed=0):
+    """The Euler-Maruyama trajectory of the one start x0 at the one level
+    eps, on stream (master_seed, 0)."""
+    [[traj]] = euler_maruyama_ensembles(field, [eps], [x0], dt, steps,
+                                        master_seed)
+    return traj
 
 
 class TestRK4:
@@ -54,9 +62,11 @@ class TestRK4:
 
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_rk4(f, [1.0], dt=0.1, steps=20),
-    lambda f: euler_maruyama(f, 0.0, [1.0], dt=0.1, steps=20),
-    lambda f: euler_maruyama_ensemble(f, 0.0, [[1.0], [0.2]], dt=0.1,
-                                      steps=20).trajectories[0]],
+    lambda f: em_one(f, 0.0, [1.0], dt=0.1, steps=20),
+    lambda f: euler_maruyama_ensembles(f, [0.0], [[1.0], [0.2]], dt=0.1,
+                                       steps=20)[0][0]],
+    # "euler_maruyama": one start at one level; "euler_maruyama_ensemble":
+    # two starts at one level
     ids=["rk4", "euler_maruyama", "euler_maruyama_ensemble"])
 def test_integrators_stop_only_on_field_errors(integrate):
     def broken(x):
@@ -77,7 +87,7 @@ def test_integrators_stop_only_on_field_errors(integrate):
 
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_rk4(f, [1.0], dt=0.1, steps=20),
-    lambda f: euler_maruyama(f, 0.0, [1.0], dt=0.1, steps=20),
+    lambda f: em_one(f, 0.0, [1.0], dt=0.1, steps=20),
     lambda f: euler_maruyama_ensembles(f, [0.0, 0.0], [[1.0], [0.9]],
                                        dt=0.1, steps=20),
     # the base field sees D^{-1} x, which starts at 1.0
@@ -85,6 +95,7 @@ def test_integrators_stop_only_on_field_errors(integrate):
                             steps=20),
     lambda f: euler_maruyama_ensembles(transform_field(f, [[2.0]]), [0.0],
                                        [[2.0], [1.8]], dt=0.1, steps=20)],
+    # "euler_maruyama": one start at one level
     ids=["rk4", "euler_maruyama", "euler_maruyama_ensembles",
          "rk4_transformed", "euler_maruyama_ensembles_transformed"])
 def test_value_shape_checked_on_every_call(integrate):
@@ -111,17 +122,18 @@ def test_ensemble_starts_checked_before_the_field(x0s, dt):
         pytest.fail("field called with unchecked starts")
 
     field = VectorField(dim=2, func=never)
-    with pytest.raises(ValueError, match="point has shape"):
-        euler_maruyama_ensembles(field, [0.0, 0.1], x0s, dt, 10)
-    with pytest.raises(ValueError, match="point has shape"):
-        euler_maruyama_ensemble(field, 0.1, x0s, dt, 10)
+    for eps_list in ([0.0, 0.1], [0.1]):
+        with pytest.raises(ValueError, match="point has shape"):
+            euler_maruyama_ensembles(field, eps_list, x0s, dt, 10)
 
 
 @pytest.mark.parametrize("integrate", [
     lambda dt, steps: integrate_rk4(decay_field(), [1.0], dt, steps),
-    lambda dt, steps: euler_maruyama(decay_field(), 0.0, [1.0], dt, steps),
-    lambda dt, steps: euler_maruyama_ensemble(
-        decay_field(), 0.1, [[1.0], [0.2]], dt, steps)],
+    lambda dt, steps: em_one(decay_field(), 0.0, [1.0], dt, steps),
+    lambda dt, steps: euler_maruyama_ensembles(
+        decay_field(), [0.1], [[1.0], [0.2]], dt, steps)],
+    # "euler_maruyama": one start at one level; "euler_maruyama_ensemble":
+    # two starts at one level
     ids=["rk4", "euler_maruyama", "euler_maruyama_ensemble"])
 @pytest.mark.parametrize("dt, steps",
                          [(0.1, 0), (0.1, -1), (0.0, 10), (-0.1, 10)])
@@ -134,9 +146,10 @@ def test_integrators_reject_bad_dt_and_steps(integrate, dt, steps):
 @pytest.mark.parametrize("vectorized", [True, False])
 @pytest.mark.parametrize("integrate", [
     lambda f, x0s: [integrate_rk4(f, x0, 0.1, 10) for x0 in x0s],
-    lambda f, x0s: [euler_maruyama(f, 0.1, x0, 0.1, 10) for x0 in x0s],
+    lambda f, x0s: [em_one(f, 0.1, x0, 0.1, 10) for x0 in x0s],
     lambda f, x0s: [t for ens in euler_maruyama_ensembles(
-        f, [0.1, 0.0], x0s, 0.1, 10) for t in ens.trajectories]],
+        f, [0.1, 0.0], x0s, 0.1, 10) for t in ens]],
+    # "euler_maruyama": one call per start at one level
     ids=["rk4", "euler_maruyama", "euler_maruyama_ensembles"])
 def test_finite_state_whose_sum_overflows_runs_on(integrate, vectorized):
     # 1.5e308 + 1.5e308 overflows the state's sum, not the state: every
@@ -294,51 +307,43 @@ class TestOrthogonality:
 class TestEulerMaruyama:
     def test_eps_zero_is_forward_euler(self):
         field = decay_field()
-        traj = euler_maruyama(field, 0.0, [1.0], dt=0.1, steps=50, seed=1)
+        traj = em_one(field, 0.0, [1.0], dt=0.1, steps=50, master_seed=1)
         x = np.array([1.0])
         for k in range(1, 51):
             x = x + 0.1 * (-x)
             assert traj.states[k][0] == x[0]  # bit-identical
 
     def test_seed_reproducibility(self):
-        a = euler_maruyama(decay_field(), 0.1, [1.0], 0.01, 200, seed=42)
-        b = euler_maruyama(decay_field(), 0.1, [1.0], 0.01, 200, seed=42)
+        a = em_one(decay_field(), 0.1, [1.0], 0.01, 200, master_seed=42)
+        b = em_one(decay_field(), 0.1, [1.0], 0.01, 200, master_seed=42)
         assert np.array_equal(a.states, b.states)
-        c = euler_maruyama(decay_field(), 0.1, [1.0], 0.01, 200, seed=43)
+        c = em_one(decay_field(), 0.1, [1.0], 0.01, 200, master_seed=43)
         assert not np.array_equal(c.states, b.states)
 
     def test_ou_stationary_variance(self):
         # <z z'> = 2 eps delta gives stationary variance eps for xdot=-x
         eps = 0.05
-        traj = euler_maruyama(decay_field(), eps, [0.0], dt=1e-3,
-                              steps=1_000_000, seed=5)
+        traj = em_one(decay_field(), eps, [0.0], dt=1e-3,
+                      steps=1_000_000, master_seed=5)
         var = np.var(traj.states[200_000:, 0])
         assert var == pytest.approx(eps, rel=0.1)
 
-    @pytest.mark.parametrize("x0", [[[1.0], [2.0]], [[1.0, 2.0]], [1.0],
-                                    [1.0, 2.0, 3.0]])
-    def test_one_start_only(self, x0):
-        field = VectorField(dim=2, func=lambda x: -x)
-        with pytest.raises(ValueError, match="point has shape"):
-            euler_maruyama(field, 0.1, x0, dt=0.1, steps=5)
-
     def test_ensemble_deterministic_per_index(self):
         x0s = np.zeros((3, 1))
-        e1 = euler_maruyama_ensemble(decay_field(), 0.1, x0s, 0.01, 100,
-                                     master_seed=9)
-        e2 = euler_maruyama_ensemble(decay_field(), 0.1, x0s, 0.01, 100,
-                                     master_seed=9)
-        for t1, t2 in zip(e1.trajectories, e2.trajectories):
+        [e1] = euler_maruyama_ensembles(decay_field(), [0.1], x0s, 0.01,
+                                        100, master_seed=9)
+        [e2] = euler_maruyama_ensembles(decay_field(), [0.1], x0s, 0.01,
+                                        100, master_seed=9)
+        for t1, t2 in zip(e1, e2):
             assert np.array_equal(t1.states, t2.states)
-        assert not np.array_equal(e1.trajectories[0].states,
-                                  e1.trajectories[1].states)
+        assert not np.array_equal(e1[0].states, e1[1].states)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 31), steps=st.integers(1, 40))
 def test_em_eps_zero_property(seed, steps):
     field = decay_field()
-    em = euler_maruyama(field, 0.0, [0.7], dt=0.05, steps=steps, seed=seed)
+    em = em_one(field, 0.0, [0.7], dt=0.05, steps=steps, master_seed=seed)
     x = np.array([0.7])
     euler = [x.copy()]
     for _ in range(steps):
@@ -350,32 +355,32 @@ def test_em_eps_zero_property(seed, steps):
 class TestDensityAndGraham:
     def test_ou_histogram_mode_at_zero(self):
         field, _ = ou()
-        ens = euler_maruyama_ensemble(field, 0.05, np.zeros((4, 1)),
-                                      1e-3, 50_000, master_seed=3)
+        [ens] = euler_maruyama_ensembles(field, [0.05], np.zeros((4, 1)),
+                                         1e-3, 50_000, master_seed=3)
         dens = stationary_density(ens, bins=21, ranges=[(-1.5, 1.5)])
         assert dens.counts.sum() == dens.total
         assert np.argmax(dens.counts) == 10  # central bin
 
     def test_deterministic_point_single_cell(self):
         field = decay_field()
-        ens = euler_maruyama_ensemble(field, 0.0, np.zeros((1, 1)),
-                                      0.01, 100, master_seed=0)
+        [ens] = euler_maruyama_ensembles(field, [0.0], np.zeros((1, 1)),
+                                         0.01, 100, master_seed=0)
         dens = stationary_density(ens, bins=11, ranges=[(-1.0, 1.0)])
         assert np.sum(dens.counts > 0) == 1
 
     def test_double_well_symmetry(self):
         field, _ = double_well()
         x0s = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-        ens = euler_maruyama_ensemble(field, 0.1, x0s, 1e-3, 50_000,
-                                      master_seed=11)
+        [ens] = euler_maruyama_ensembles(field, [0.1], x0s, 1e-3, 50_000,
+                                         master_seed=11)
         dens = stationary_density(ens, bins=20, ranges=[(-2.0, 2.0)])
         left = dens.counts[:10].sum()
         right = dens.counts[10:].sum()
         assert abs(left - right) / dens.total < 0.25
 
     def test_negative_burn_in_rejected(self):
-        ens = euler_maruyama_ensemble(decay_field(), 0.1, [[1.0], [2.0]],
-                                      0.1, 50)
+        [ens] = euler_maruyama_ensembles(decay_field(), [0.1],
+                                         [[1.0], [2.0]], 0.1, 50)
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             stationary_density(ens, bins=5, ranges=[(-3.0, 3.0)], burn_in=-1)
         # burn_in = 0 keeps every state of both trajectories
@@ -400,8 +405,8 @@ class TestDensityAndGraham:
     def test_graham_double_well_minima(self):
         field, _ = double_well()
         x0s = np.array([[-1.0], [1.0], [-0.5], [0.5]])
-        ens = euler_maruyama_ensemble(field, 0.1, x0s, 1e-3, 100_000,
-                                      master_seed=17)
+        [ens] = euler_maruyama_ensembles(field, [0.1], x0s, 1e-3, 100_000,
+                                         master_seed=17)
         dens = stationary_density(ens, bins=24, ranges=[(-1.8, 1.8)])
         est = graham_estimate(dens, 0.1)
         centers = dens.centers(0)
@@ -469,15 +474,15 @@ def test_lockstep_ensemble_equals_lone_trajectories(name, seed, count, steps,
                                                     eps):
     field = ou()[0] if name == "ou" else double_well()[0]
     x0s = np.linspace(-1.5, 1.5, count)[:, None]
-    ens = euler_maruyama_ensemble(field, eps, x0s, 1e-2, steps,
-                                  master_seed=seed)
-    assert ens.seeds == [(seed, m) for m in range(count)]
-    for m, traj in enumerate(ens.trajectories):
-        lone = euler_maruyama(field, eps, x0s[m], 1e-2, steps,
-                              rng=_trajectory_rng(seed, m))
-        assert np.array_equal(traj.states, lone.states)
-        assert np.array_equal(traj.times, lone.times)
-        assert traj.completed and lone.completed
+    [ens] = euler_maruyama_ensembles(field, [eps], x0s, 1e-2, steps,
+                                     master_seed=seed)
+    assert len(ens) == count
+    for m, traj in enumerate(ens):
+        states, completed = reference_em(field, eps, x0s[m], 1e-2, steps,
+                                         _trajectory_rng(seed, m))
+        assert traj.states.tobytes() == states.tobytes()
+        assert np.array_equal(traj.times, 1e-2 * np.arange(steps + 1))
+        assert traj.completed and completed
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
@@ -487,14 +492,14 @@ def test_nonfinite_row_ends_only_its_trajectory(vectorized):
     field = VectorField(dim=1, func=lambda x: np.where(x < 2.0, x, np.nan),
                         vectorized=vectorized)
     x0s = np.array([[0.1], [1.9], [-0.5]])
-    ens = euler_maruyama_ensemble(field, 0.0, x0s, 0.1, 5)
-    assert [t.completed for t in ens.trajectories] == [True, False, True]
-    assert [len(t.states) for t in ens.trajectories] == [6, 2, 6]
-    for x0, traj in zip(x0s, ens.trajectories):
-        lone = euler_maruyama(field, 0.0, x0, 0.1, 5)
+    [ens] = euler_maruyama_ensembles(field, [0.0], x0s, 0.1, 5)
+    assert [t.completed for t in ens] == [True, False, True]
+    assert [len(t.states) for t in ens] == [6, 2, 6]
+    for x0, traj in zip(x0s, ens):
+        lone = em_one(field, 0.0, x0, 0.1, 5)
         assert np.array_equal(traj.states, lone.states)
         assert traj.completed == lone.completed
-    assert np.isfinite(ens.trajectories[1].states).all()
+    assert np.isfinite(ens[1].states).all()
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
@@ -505,10 +510,9 @@ def test_opposite_infinities_end_their_rows_alone(vectorized, others):
     field = VectorField(dim=1, vectorized=vectorized, func=lambda x: np.where(
         abs(x) < 1.0, -x, np.copysign(np.inf, x)))
     x0s = np.array([[1.0], [-1.0]] + [[0.5]] * others)
-    ens = euler_maruyama_ensemble(field, 0.0, x0s, 0.1, 5)
-    assert [len(t.states) for t in ens.trajectories] == \
-        [1, 1] + [6] * others
-    assert [t.completed for t in ens.trajectories] == \
+    [ens] = euler_maruyama_ensembles(field, [0.0], x0s, 0.1, 5)
+    assert [len(t.states) for t in ens] == [1, 1] + [6] * others
+    assert [t.completed for t in ens] == \
         [False, False] + [True] * others
     traj = integrate_rk4(VectorField(dim=2, func=field.func), [1.0, -1.0],
                          0.1, 5)
@@ -520,11 +524,11 @@ def test_one_nan_among_many_rows_ends_only_its_row():
                         func=lambda x: np.where(x < 2.0, -x, np.nan))
     x0s = np.zeros((10_000, 1))
     x0s[1234] = 5.0
-    ens = euler_maruyama_ensemble(field, 0.0, x0s, 0.1, 3)
-    lengths = np.array([len(t.states) for t in ens.trajectories])
-    assert lengths[1234] == 1 and not ens.trajectories[1234].completed
+    [ens] = euler_maruyama_ensembles(field, [0.0], x0s, 0.1, 3)
+    lengths = np.array([len(t.states) for t in ens])
+    assert lengths[1234] == 1 and not ens[1234].completed
     assert (np.delete(lengths, 1234) == 4).all()
-    assert sum(t.completed for t in ens.trajectories) == 9_999
+    assert sum(t.completed for t in ens) == 9_999
 
 
 def reference_em(field, eps, x0, dt, steps, rng):
@@ -533,7 +537,7 @@ def reference_em(field, eps, x0, dt, steps, rng):
     x = np.asarray(x0, dtype=float)[None, :]
     states = [x[0]]
     for k in range(steps):
-        x = x + dt * eval_field(field, x, check_finite=False)
+        x = x + dt * _apply(field, field.func, x, (field.dim,), "field")
         if z is not None:
             x = x + z[k] * np.sqrt(2.0 * eps * dt)
         if not np.isfinite(x).all():
@@ -543,9 +547,8 @@ def reference_em(field, eps, x0, dt, steps, rng):
 
 
 def assert_ensembles_equal(got, want):
-    assert got.seeds == want.seeds
-    assert len(got.trajectories) == len(want.trajectories)
-    for a, b in zip(got.trajectories, want.trajectories):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert a.states.tobytes() == b.states.tobytes()  # also -0.0
         assert np.array_equal(a.times, b.times)
         assert a.completed == b.completed
@@ -569,9 +572,9 @@ def test_stacked_levels_equal_one_call_per_eps(vectorized, seed, count,
                                        master_seed=seed)
     assert len(stacked) == len(eps_list)
     for eps, ens in zip(eps_list, stacked):
-        assert_ensembles_equal(ens, euler_maruyama_ensemble(
-            field, eps, x0s, 0.05, steps, master_seed=seed))
-        for m, traj in enumerate(ens.trajectories):
+        assert_ensembles_equal(ens, euler_maruyama_ensembles(
+            field, [eps], x0s, 0.05, steps, master_seed=seed)[0])
+        for m, traj in enumerate(ens):
             states, completed = reference_em(field, eps, x0s[m], 0.05, steps,
                                              _trajectory_rng(seed, m))
             assert traj.states.tobytes() == states.tobytes()
@@ -588,11 +591,11 @@ def test_nonfinite_row_at_one_level_ends_alone(vectorized):
     eps_list = [0.0, 100.0, 1e-6]
     stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.1, 50,
                                        master_seed=3)
-    assert [[t.completed for t in ens.trajectories] for ens in stacked] == \
+    assert [[t.completed for t in ens] for ens in stacked] == \
         [[True, True], [False, False], [True, True]]
     for eps, ens in zip(eps_list, stacked):
-        assert_ensembles_equal(ens, euler_maruyama_ensemble(
-            field, eps, x0s, 0.1, 50, master_seed=3))
+        assert_ensembles_equal(ens, euler_maruyama_ensembles(
+            field, [eps], x0s, 0.1, 50, master_seed=3)[0])
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
@@ -607,12 +610,11 @@ def test_rows_ending_apart_with_noise_match_reference(vectorized, seed):
     eps_list = [0.0, 1.0, 0.01]
     stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, 200,
                                        master_seed=seed)
-    ended = [len(t.states) for t in stacked[1].trajectories
-             if not t.completed]
+    ended = [len(t.states) for t in stacked[1] if not t.completed]
     assert len(set(ended)) >= 2
-    assert all(t.completed for t in stacked[2].trajectories)
+    assert all(t.completed for t in stacked[2])
     for eps, ens in zip(eps_list, stacked):
-        for m, traj in enumerate(ens.trajectories):
+        for m, traj in enumerate(ens):
             states, completed = reference_em(field, eps, x0s[m], 0.05, 200,
                                              _trajectory_rng(seed, m))
             assert traj.states.tobytes() == states.tobytes()  # also -0.0
@@ -625,24 +627,29 @@ def test_zero_eps_level_stays_forward_euler():
     grow = VectorField(dim=1, func=lambda x: x, vectorized=True)
     x0s = np.array([[1.0], [-0.0]])
     noisy, exact = euler_maruyama_ensembles(grow, [0.1, 0.0], x0s, 0.1, 20)
-    for x0, traj in zip(x0s, exact.trajectories):
+    for x0, traj in zip(x0s, exact):
         x, euler = x0.copy(), [x0.copy()]
         for _ in range(20):
             x = x + 0.1 * x
             euler.append(x)
         assert traj.states.tobytes() == np.array(euler).tobytes()
-    assert np.signbit(exact.trajectories[1].states).all()
-    assert not np.array_equal(noisy.trajectories[0].states,
-                              exact.trajectories[0].states)
+    assert np.signbit(exact[1].states).all()
+    assert not np.array_equal(noisy[0].states, exact[0].states)
 
 
 def test_negative_eps_level_rejected():
+    def never(x):
+        pytest.fail("field called with unchecked noise levels")
+
+    field = VectorField(dim=1, func=never)
     with pytest.raises(ValueError, match="eps must be nonnegative"):
-        euler_maruyama_ensembles(decay_field(), [0.1, -0.1],
-                                 np.zeros((2, 1)), 0.1, 10)
-    with pytest.raises(ValueError, match="eps must be nonnegative"):
-        euler_maruyama_ensemble(decay_field(), -0.1, np.zeros((2, 1)),
-                                0.1, 10)
+        euler_maruyama_ensembles(field, [0.1, -0.1], np.zeros((2, 1)),
+                                 0.1, 10)
+    # a scalar is not a list of levels
+    for eps_list in (0.1, -0.1, np.float64(0.1), [[0.1]]):
+        with pytest.raises(ValueError, match="eps_list"):
+            euler_maruyama_ensembles(field, eps_list, np.zeros((2, 1)),
+                                     0.1, 10)
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
@@ -650,8 +657,8 @@ def test_negative_eps_level_rejected():
 def test_zero_starts_give_empty_ensembles(vectorized, eps):
     # no rows draw no noise: every eps gives what eps = 0 gives
     field = VectorField(dim=2, func=lambda x: -x, vectorized=vectorized)
-    ens = euler_maruyama_ensemble(field, eps, np.zeros((0, 2)), 0.1, 10)
-    assert ens.trajectories == [] and ens.seeds == []
+    assert euler_maruyama_ensembles(field, [eps], np.zeros((0, 2)),
+                                    0.1, 10) == [[]]
     stacked = euler_maruyama_ensembles(field, [0.0, eps], np.zeros((0, 2)),
                                        0.1, 10)
-    assert [e.trajectories for e in stacked] == [[], []]
+    assert stacked == [[], []]
