@@ -9,8 +9,7 @@ import argparse
 
 import numpy as np
 
-from gradiform import (OneForm, QuadratureRule, classify, decompose,
-                       sample_ball)
+from gradiform import QuadratureRule, classify, decompose, sample_ball
 from gradiform.zoo import lorenz
 
 
@@ -28,7 +27,6 @@ def main():
 
     field = lorenz(args.sigma, args.rho, args.beta)
     quad = QuadratureRule.gauss_legendre(args.order)
-    form = OneForm(field)
     pts = sample_ball(3, args.count, args.radius, args.seed)
 
     rep = classify(field, pts)
@@ -36,7 +34,7 @@ def main():
     print(f"max Jacobian asymmetry: {rep.max_asymmetry:.3e}")
     print(f"max Frobenius defect:   {rep.frobenius_defect_max:.3e}")
 
-    d = decompose(form, pts, quad)  # all points in one batch
+    d = decompose(field, pts, quad)  # all points in one batch
     ex_norm = np.linalg.norm(d.exact_part, axis=1)
     ae_norm = np.linalg.norm(d.antiexact_part, axis=1)
     radii = np.linalg.norm(pts, axis=1)

@@ -1,15 +1,15 @@
 """gradiform: decides whether a dissipative system is gradient-like,
-splits its one-form into exact and antiexact parts via the ray homotopy
-operator, and searches for coordinate changes that gradientize it."""
+splits the one-form of its VectorField into exact and antiexact parts via
+the ray homotopy operator, and searches for gradientizing coordinates."""
 
 __version__ = "0.1.0"
 
 from .fields import (FieldEvalError, FieldShapeError, VectorField, eval_field,
                      jacobian)
-from .homotopy import (Decomposition, OneForm, QuadratureRule, antiexact_part,
-                       decompose, exact_part, potential)
+from .homotopy import (Decomposition, QuadratureRule, antiexact_part,
+                       decompose, potential)
 from .integrability import (ClosednessReport, Loop, Verdict, circle_loop,
-                            classify, frobenius_defect, loop_integral)
+                            classify, loop_integral)
 from .gradientize import (BarrierViolation, ConstantSolveReport,
                           ConstantVerdict, GeneralSolveReport, MatrixFamily,
                           check_necessary_constant, consistency_check,

@@ -21,7 +21,7 @@ from .dynamics import (euler_maruyama_ensembles, graham_estimate,
 from .fields import FieldEvalError, jacobian
 from .gradientize import (MatrixFamily, solve_consistency_constant,
                           solve_general, solve_symmetrizer, transform_field)
-from .homotopy import OneForm, QuadratureRule, decompose, potential
+from .homotopy import QuadratureRule, decompose, potential
 from .integrability import circle_loop, classify
 from .sampling import sample_ball
 from .zoo import REGISTRY, SystemSpec, analytic_potential, build_system
@@ -32,7 +32,7 @@ DEFAULT_CONFIG = {
     "system": {"name": "lorenz", "params": {}},
     "samples": {"count": 64, "radius": 1.5, "seed": 12345},
     "quadrature_order": 64,
-    "tolerances": {"closedness": 1e-8, "solver": 1e-8, "consistency": 1e-6},
+    "tolerances": {"closedness": 1e-8, "solver": 1e-8},
     "solver": {"family_degree": 1, "max_iter": 200, "collocation": 32,
                "run_general": False},
     "simulation": {"dt": 1e-3, "steps": 2000, "eps": [0.05], "ensemble": 8,
@@ -116,8 +116,7 @@ _NUMBERS = [
      ["simulation.master_seed"]),
     (float, "positive", lambda v: v > 0, ["samples.radius", "simulation.dt"]),
     (float, "nonnegative", lambda v: v >= 0,
-     ["tolerances.closedness", "tolerances.solver", "tolerances.consistency",
-      "simulation.x0_radius"]),
+     ["tolerances.closedness", "tolerances.solver", "simulation.x0_radius"]),
     (float, "in [0, 1)", lambda v: 0 <= v < 1,
      ["simulation.burn_in_fraction"]),
 ]
@@ -226,7 +225,7 @@ def cmd_decompose(cfg):
     field, _ = _system(cfg)
     samples = _samples(cfg, field.dim)
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
-    d = decompose(OneForm(field), samples, quad)
+    d = decompose(field, samples, quad)
     rows = [{"point": x, "potential": float(v), "exact_part": ex,
              "antiexact_part": ae, "reconstruction_residual": float(res)}
             for x, v, ex, ae, res in zip(d.point, d.potential, d.exact_part,
@@ -305,10 +304,9 @@ def cmd_simulate(cfg, traj_dir=None):
         flow = transform_field(field, rep.chosen_D)
     else:
         flow = field
-    form = OneForm(flow)
 
     def candidate(X):  # descends along xdot = g when the form is closed
-        return -potential(form, X, quad)
+        return -potential(flow, X, quad)
 
     def lyapunov_row(traj):
         # the candidate's ray integral can overflow on states that stay

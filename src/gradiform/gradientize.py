@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import VectorField, _apply, _matvec, eval_field, jacobian
-from .homotopy import OneForm, QuadratureRule, antiexact_part
+from .homotopy import QuadratureRule, antiexact_part
 from .integrability import _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
@@ -524,5 +524,4 @@ def consistency_check(tfield: VectorField, samples,
     F = d(kF) + k(dF) that deviation is the antiexact part k(dF), which
     takes the field's Jacobian along the rays and no derivative of the
     potential."""
-    return float(np.max(np.abs(antiexact_part(OneForm(tfield), samples,
-                                              quad))))
+    return float(np.max(np.abs(antiexact_part(tfield, samples, quad))))

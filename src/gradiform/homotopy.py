@@ -1,5 +1,6 @@
-"""Canonical one-forms, the ray-integral homotopy operator, and the
-exact/antiexact decomposition g = exact + antiexact."""
+"""The ray-integral homotopy operator on the one-form G = sum_j g_j dx_j
+of a vector field g, and the exact/antiexact decomposition
+g = exact + antiexact.  Every function here takes the field g itself."""
 from __future__ import annotations
 
 import warnings
@@ -61,13 +62,6 @@ class QuadratureRule:
 
 
 @dataclass(frozen=True)
-class OneForm:
-    """G = sum_j g_j dx_j for the coefficient field g."""
-
-    field: VectorField
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """The split at one point; for stacked points (M, N) every field
     gains a leading axis of length M."""
@@ -79,16 +73,10 @@ class Decomposition:
     reconstruction_residual: float
 
 
-def _points(form: OneForm, x):
+def _points(field: VectorField, x):
     """x as stacked points (M, N), and whether it was a single point."""
-    X = _as_points(form.field, x)
+    X = _as_points(field, x)
     return X.reshape(-1, X.shape[-1]), X.ndim == 1
-
-
-def _resolve(quad):
-    if quad is None:
-        return QuadratureRule.gauss_legendre(DEFAULT_ORDER)
-    return quad
 
 
 def _adaptive(evaluate, quad, X):
@@ -155,33 +143,19 @@ def _antiexact_integral(X, rule, Js):
     return rule.integrate(t * (A * X[:, None, :]).sum(axis=-1))
 
 
-def potential(form: OneForm, x, quad: QuadratureRule | None = None):
+def potential(field: VectorField, x, quad: QuadratureRule | None = None):
     """k(G)(x) = integral_0^1 sum_i x_i g_i(t x) dt along the ray to x.
 
     A float for one point x (N,); an array (M,) for stacked points
     (M, N), whose rows equal the single-point values bit for bit.
     """
-    X, single = _points(form, x)
+    X, single = _points(field, x)
     V = _adaptive(lambda rule, X: _potential_integral(
-        X, rule, _ray_values(form.field, X, rule)), quad, X)
+        X, rule, _ray_values(field, X, rule)), quad, X)
     return float(V[0]) if single else V
 
 
-def exact_part(form: OneForm, x,
-               quad: QuadratureRule | None = None) -> np.ndarray:
-    """Coefficients of d(kG): the gradient of the ray potential.
-
-    Component j is integral_0^1 [ t (J(tx)^T x)_j + g_j(tx) ] dt.
-    Stacked points (M, N) give one row per point.
-    """
-    X, single = _points(form, x)
-    ex = _adaptive(lambda rule, X: _exact_integral(
-        X, rule, _ray_values(form.field, X, rule),
-        _ray_jacobians(form.field, X, rule)), quad, X)
-    return ex[0] if single else ex
-
-
-def antiexact_part(form: OneForm, x,
+def antiexact_part(field: VectorField, x,
                    quad: QuadratureRule | None = None) -> np.ndarray:
     """Coefficients of k(dG): the residual killed by the ray operator.
 
@@ -189,24 +163,25 @@ def antiexact_part(form: OneForm, x,
     product with x vanishes by antisymmetry of the integrand kernel.
     Stacked points (M, N) give one row per point.
     """
-    X, single = _points(form, x)
+    X, single = _points(field, x)
     ae = _adaptive(lambda rule, X: _antiexact_integral(
-        X, rule, _ray_jacobians(form.field, X, rule)), quad, X)
+        X, rule, _ray_jacobians(field, X, rule)), quad, X)
     return ae[0] if single else ae
 
 
-def decompose(form: OneForm, x,
+def decompose(field: VectorField, x,
               quad: QuadratureRule | None = None) -> Decomposition:
     """Potential, exact and antiexact parts at x from one pass over the
     ray; with quad=None the three are refined together.  Stacked points
-    (M, N) give one Decomposition with a leading axis M."""
-    X, single = _points(form, x)
+    (M, N) give one Decomposition with a leading axis M.  The exact part
+    d(kG) has component j = integral_0^1 [t (J(tx)^T x)_j + g_j(tx)] dt."""
+    X, single = _points(field, x)
     n = X.shape[1]
-    g = eval_field(form.field, X)
+    g = eval_field(field, X)
 
     def evaluate(rule, X):
-        G = _ray_values(form.field, X, rule)
-        Js = _ray_jacobians(form.field, X, rule)
+        G = _ray_values(field, X, rule)
+        Js = _ray_jacobians(field, X, rule)
         return np.concatenate([_potential_integral(X, rule, G)[:, None],
                                _exact_integral(X, rule, G, Js),
                                _antiexact_integral(X, rule, Js)], axis=1)

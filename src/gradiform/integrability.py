@@ -8,8 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import VectorField, _as_point, eval_field, jacobian
-from .homotopy import OneForm, QuadratureRule, _resolve
+from .fields import VectorField, eval_field, jacobian
+from .homotopy import DEFAULT_ORDER, QuadratureRule
 
 DEFAULT_TOL = 1e-8
 PANELS = 8
@@ -89,15 +89,6 @@ def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.max(np.abs(term), axis=-1, initial=0.0)  # 0 when N < 3
 
 
-def frobenius_defect(field: VectorField, x) -> float:
-    """Max over index triples of the one-form wedge obstruction.
-
-    For N = 3 this equals |f . curl f|; identically 0 for N < 3.
-    """
-    x = _as_point(field, x)
-    return float(_wedge_defect(eval_field(field, x), jacobian(field, x)))
-
-
 def _loop_values(fn, s: np.ndarray, n: int) -> np.ndarray:
     """fn(s) as points (K, n), K = len(s); any other shape is a
     ValueError."""
@@ -108,21 +99,21 @@ def _loop_values(fn, s: np.ndarray, n: int) -> np.ndarray:
     return P
 
 
-def loop_integral(form: OneForm, loop: Loop,
+def loop_integral(field: VectorField, loop: Loop,
                   quad: QuadratureRule | None = None) -> float:
-    """Circulation of the form along a closed parameterized curve, by the
-    rule on each of PANELS equal panels of [0, 1]."""
-    n = form.field.dim
+    """Circulation of the field's one-form along a closed parameterized
+    curve, by the rule on each of PANELS equal panels of [0, 1]."""
+    n = field.dim
     start, end = _loop_values(loop.gamma, np.array([0.0, 1.0]), n)
     if np.max(np.abs(start - end)) > 1e-9 * (1.0 + np.max(np.abs(start))):
         raise ValueError("loop is not closed: gamma(0) != gamma(1)")
-    rule = _resolve(quad)
+    rule = quad or QuadratureRule.gauss_legendre(DEFAULT_ORDER)
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
     points = _loop_values(loop.gamma, s, n)
     velocity = _loop_values(loop.velocity, s, n)
     terms = (np.tile(rule.weights, PANELS) * width
-             * (eval_field(form.field, points) * velocity).sum(axis=1))
+             * (eval_field(field, points) * velocity).sum(axis=1))
     return float(np.cumsum(terms)[-1])  # in node order, one after another
 
 
@@ -130,7 +121,8 @@ def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
              loops=(), quad: QuadratureRule | None = None
              ) -> ClosednessReport:
     """Closed, else FrobeniusIntegrable (local) when the wedge obstruction
-    vanishes at every sample, else NonIntegrable."""
+    vanishes at every sample (N,) or (M, N), else NonIntegrable.  The
+    obstruction is |g . curl g| for N = 3, and 0 for N < 3."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("at least one sample point is required")
@@ -143,8 +135,7 @@ def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
         verdict = Verdict.FROBENIUS_INTEGRABLE
     else:
         verdict = Verdict.NON_INTEGRABLE
-    form = OneForm(field)
-    loop_vals = [(loop.label, loop_integral(form, loop, quad))
+    loop_vals = [(loop.label, loop_integral(field, loop, quad))
                  for loop in loops]
     return ClosednessReport(max_asymmetry=asym, frobenius_defect_max=defect,
                             verdict=verdict, loop_integrals=loop_vals)

@@ -12,6 +12,7 @@ linear fields multiply through ``fields._matvec``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,11 +165,12 @@ def ou(theta: float = 1.0):
 def _build_quadratic(params):
     idx = {}
     for key, val in params.items():
-        parts = key.split("_")
-        if len(parts) != 3 or parts[0] != "q":
+        # one spelling per entry: no sign, space or leading zero
+        m = re.fullmatch(r"q_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)", key)
+        if m is None:
             raise ValueError(f"unknown parameter {key!r} for quadratic "
-                             "(expected q_<row>_<col>)")
-        idx[(int(parts[1]), int(parts[2]))] = float(val)
+                             "(expected q_<row>_<col>, indices 0, 1, 2, ...)")
+        idx[(int(m[1]), int(m[2]))] = float(val)
     if not idx:
         raise ValueError("quadratic requires at least one q_i_j parameter")
     n = 1 + max(max(i, j) for i, j in idx)

@@ -9,10 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from gradiform import (ConstantVerdict, OneForm, QuadratureRule, Verdict,
+from gradiform import (ConstantVerdict, QuadratureRule, Verdict,
                        antiexact_part, circle_loop, classify, decompose,
-                       euler_maruyama_ensembles, eval_field,
-                       exact_part, frobenius_defect, graham_estimate,
+                       euler_maruyama_ensembles, eval_field, graham_estimate,
                        integrate_rk4, jacobian, loop_integral, potential,
                        sample_ball, solve_consistency_constant,
                        solve_symmetrizer, stationary_density,
@@ -61,11 +60,10 @@ def random_real_diagonalizable(rng, n=3, cond_cap=50.0):
 
 
 def test_criterion_01_decomposition_identity(capsys):
-    form = OneForm(LORENZ)
     t0 = time.perf_counter()
     worst = 0.0
     for x in POINTS:
-        d = decompose(form, x, RULE)
+        d = decompose(LORENZ, x, RULE)
         g = eval_field(LORENZ, x)
         worst = max(worst, float(np.max(np.abs(
             g - d.exact_part - d.antiexact_part))))
@@ -76,8 +74,7 @@ def test_criterion_01_decomposition_identity(capsys):
 
 
 def test_criterion_02_lorenz_potential_closed_form(capsys):
-    form = OneForm(LORENZ)
-    worst = max(abs(potential(form, x, RULE) - lorenz_potential(x))
+    worst = max(abs(potential(LORENZ, x, RULE) - lorenz_potential(x))
                 for x in POINTS)
     emit(capsys, 2, f"homotopy potential closed form (max err {worst:.2e})",
          worst < 1e-9)
@@ -88,16 +85,14 @@ def test_criterion_03_radial_annihilation(capsys):
                                        for s in range(20)]
     worst = 0.0
     for field in fields:
-        form = OneForm(field)
         for x in sample_ball(3, 10, 1.5, seed=77):
-            ae = antiexact_part(form, x, RULE)
+            ae = antiexact_part(field, x, RULE)
             worst = max(worst, abs(float(np.dot(ae, x))))
     emit(capsys, 3, f"radial annihilation (max |<antiexact,x>| {worst:.2e})",
          worst < 1e-10)
 
 
 def test_criterion_04_exact_part_curl_free(capsys):
-    form = OneForm(LORENZ)
     h = 1e-5
     worst = 0.0
     for x in POINTS[:5]:
@@ -105,8 +100,8 @@ def test_criterion_04_exact_part_curl_free(capsys):
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            J[:, j] = (exact_part(form, x + e, RULE)
-                       - exact_part(form, x - e, RULE)) / (2 * h)
+            J[:, j] = (decompose(LORENZ, x + e, RULE).exact_part
+                       - decompose(LORENZ, x - e, RULE).exact_part) / (2 * h)
         worst = max(worst, float(np.max(np.abs(J - J.T))))
     emit(capsys, 4, f"exact part curl-free (max FD asymmetry {worst:.2e})",
          worst < 1e-6)
@@ -117,11 +112,11 @@ def test_criterion_05_closed_round_trip(capsys):
     field = quadratic(Q)
     samples = sample_ball(3, 32, 1.5, seed=5)
     rep = classify(field, samples)
-    grad_err = max(float(np.max(np.abs(exact_part(OneForm(field), x, RULE)
+    grad_err = max(float(np.max(np.abs(decompose(field, x, RULE).exact_part
                                        - Q @ x))) for x in samples)
     loop3 = circle_loop(radius=1.0, dim=3)
-    circ = abs(loop_integral(OneForm(field), loop3))
-    rot = loop_integral(OneForm(rotation()), circle_loop())
+    circ = abs(loop_integral(field, loop3))
+    rot = loop_integral(rotation(), circle_loop())
     ok = (rep.verdict is Verdict.CLOSED and grad_err < 1e-8
           and circ < 1e-10 and abs(rot - 2.0 * np.pi) < 1e-6)
     emit(capsys, 5, f"closed round trip (grad err {grad_err:.2e}, loop "
@@ -129,9 +124,9 @@ def test_criterion_05_closed_round_trip(capsys):
 
 
 def test_criterion_06_frobenius_oracle(capsys):
-    val = frobenius_defect(LORENZ, [1.0, 1.0, 1.0])
+    val = classify(LORENZ, [1.0, 1.0, 1.0]).frobenius_defect_max
     Q = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    grad_worst = max(frobenius_defect(quadratic(Q), x)
+    grad_worst = max(classify(quadratic(Q), x).frobenius_defect_max
                      for x in sample_ball(3, 16, 1.5, seed=6))
     ok = abs(val - 163.0 / 3.0) < 1e-9 and grad_worst < 1e-12
     emit(capsys, 6, f"Frobenius defect (Lorenz {val:.9f} vs 163/3, "
@@ -149,15 +144,14 @@ def test_criterion_07_constant_gradientization(capsys):
         assert rep.verdict is ConstantVerdict.GRADIENTIZED
         worst_asym = max(worst_asym, rep.transformed_asymmetry)
         t = transform_field(quadratic(J), rep.chosen_D)
-        form = OneForm(t)
         h = 1e-6
         for x in check_pts:
             f = eval_field(t, x)
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
-                fd = (potential(form, x + e, RULE)
-                      - potential(form, x - e, RULE)) / (2 * h)
+                fd = (potential(t, x + e, RULE)
+                      - potential(t, x - e, RULE)) / (2 * h)
                 worst_grad = max(worst_grad, abs(fd - f[i]))
     crep = solve_consistency_constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     B = crep.nullspace_basis[0]

@@ -104,10 +104,20 @@ class TestExitCodes:
         "simulation.steps=0", "simulation.dt=NaN", "simulation.eps=[-0.1]",
         "simulation.eps=[]", "simulation.grid_range=[2, -2]",
         "simulation.burn_in_fraction=1", "solver.run_general=1",
-        "samples={}", "system=3", 'system.params.sigma="a"'])
+        "samples={}", "system=3", 'system.params.sigma="a"',
+        "tolerances.consistency=1e-6"])
     def test_bad_value_two(self, override, capsys):
         assert main(["classify", "--set", override]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_quadratic_noncanonical_index_two(self, capsys):
+        # index -1 would wrap round to the last row
+        code = main(["classify", "--set", "system.name=quadratic",
+                     "--set", "system.params.q_-1_0=5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "'q_-1_0'" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_int_accepted_for_float(self):
         cfg = load_config(overrides=["simulation.dt=1", "samples.radius=2",

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (FieldEvalError, OneForm, QuadratureRule, SystemSpec,
+from gradiform import (FieldEvalError, QuadratureRule, SystemSpec,
                        VectorField, antiexact_part, build_system, classify,
                        consistency_check, decompose, euler_maruyama_ensembles,
-                       eval_field, exact_part, integrate_rk4, jacobian,
+                       eval_field, integrate_rk4, jacobian,
                        lyapunov_check, potential, sample_ball,
                        transform_field)
 from gradiform.fields import _matvec
@@ -233,24 +233,23 @@ def test_pointwise_callable_through_every_entry_point():
     D = np.array([[2.0, 0.5], [0.0, 1.0]])
 
     def through(f):
-        form = OneForm(f)
-        d = decompose(form, X, rule)
+        d = decompose(f, X, rule)
         traj = integrate_rk4(f, X[0], 0.01, 20)
         return [eval_field(f, X), jacobian(f, X),
-                potential(form, X, rule), potential(form, X),
-                exact_part(form, X, rule), antiexact_part(form, X, rule),
+                potential(f, X, rule), potential(f, X),
+                antiexact_part(f, X, rule),
                 d.potential, d.exact_part, d.antiexact_part,
                 eval_field(transform_field(f, D), X),
                 jacobian(transform_field(f, D), X),
                 [t.states for t in euler_maruyama_ensembles(
                     f, [0.1], X, 0.01, 30, master_seed=3)[0]],
                 traj.states,
-                lyapunov_check(-potential(form, traj.states, rule),
+                lyapunov_check(-potential(f, traj.states, rule),
                                traj).max_increase,
                 classify(f, X).max_asymmetry,
                 consistency_check(f, X[:3], rule)]
 
     for a, b in zip(through(plain), through(twin)):
         assert np.array_equal(np.asarray(a), np.asarray(b))
-    assert np.allclose(potential(OneForm(plain), X, rule),
+    assert np.allclose(potential(plain, X, rule),
                        0.5 * np.sum(X * X, axis=1))

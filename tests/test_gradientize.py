@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradiform import (BarrierViolation, ConstantVerdict, MatrixFamily,
-                       OneForm, QuadratureRule, VectorField,
+                       QuadratureRule, VectorField,
                        check_necessary_constant, consistency_check,
                        eval_field, general_residual, jacobian, potential,
                        sample_ball, solve_consistency_constant, solve_general,
@@ -597,8 +597,7 @@ def consistency_check_fd(tfield, samples, quad=None):
     """The former consistency_check: central differences of the ray
     potential, 2n potentials per sample, against the field."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    form = OneForm(tfield)
-    dV = _central_difference(lambda P: potential(form, P, quad), samples,
+    dV = _central_difference(lambda P: potential(tfield, P, quad), samples,
                              fd_step(samples))
     return float(np.max(np.abs(dV - eval_field(tfield, samples))))
 
@@ -646,7 +645,7 @@ class TestConsistencyAndPotential:
     def test_potential_quadratic(self):
         field = quadratic([[2.0, 1.0], [1.0, 3.0]])
         t = transform_field(field, np.eye(2))
-        val = potential(OneForm(t), [1.0, 0.0], RULE)
+        val = potential(t, [1.0, 0.0], RULE)
         assert val == pytest.approx(1.0)
 
     def test_potential_gradient_after_symmetrizer(self):
@@ -654,13 +653,12 @@ class TestConsistencyAndPotential:
         rep = solve_symmetrizer(J)
         D = rep.chosen_D
         t = transform_field(quadratic(J), D)
-        form = OneForm(t)
         for x in sample_ball(2, 6, 1.0, seed=13):
             f = eval_field(t, x)
             h = 1e-6
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (potential(form, x + e, RULE)
-                      - potential(form, x - e, RULE)) / (2 * h)
+                fd = (potential(t, x + e, RULE)
+                      - potential(t, x - e, RULE)) / (2 * h)
                 assert abs(fd - f[i]) < 1e-8

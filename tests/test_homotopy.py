@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (OneForm, QuadratureRule, VectorField, antiexact_part,
-                       decompose, eval_field, exact_part, jacobian, potential,
+from gradiform import (QuadratureRule, VectorField, antiexact_part,
+                       decompose, eval_field, jacobian, potential,
                        sample_ball, transform_field)
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                           rotation)
@@ -51,111 +51,112 @@ class TestQuadrature:
 
 class TestPotential:
     def test_identity_field(self):
-        form = OneForm(quadratic(np.eye(2)))
-        assert potential(form, [1.0, 1.0], RULE) == pytest.approx(1.0)
+        field = quadratic(np.eye(2))
+        assert potential(field, [1.0, 1.0], RULE) == pytest.approx(1.0)
 
     def test_lorenz_closed_form(self):
-        form = OneForm(lorenz(10, 28, 8 / 3))
+        field = lorenz(10, 28, 8 / 3)
         x = np.array([1.0, 1.0, 1.0])
-        assert potential(form, x, RULE) == pytest.approx(
+        assert potential(field, x, RULE) == pytest.approx(
             lorenz_potential(x), abs=1e-12)
 
     def test_quadratic_cross(self):
-        form = OneForm(quadratic([[2.0, 1.0], [1.0, 3.0]]))
-        assert potential(form, [1.0, 0.0], RULE) == pytest.approx(1.0)
+        field = quadratic([[2.0, 1.0], [1.0, 3.0]])
+        assert potential(field, [1.0, 0.0], RULE) == pytest.approx(1.0)
 
     def test_zero_at_origin(self):
-        form = OneForm(lorenz())
-        assert potential(form, np.zeros(3), RULE) == 0.0
+        field = lorenz()
+        assert potential(field, np.zeros(3), RULE) == 0.0
 
     def test_adaptive_matches_fixed(self):
-        form = OneForm(lorenz())
+        field = lorenz()
         x = np.array([0.3, -1.2, 0.7])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # converges before the cap
-            adaptive = potential(form, x)
-        assert adaptive == pytest.approx(potential(form, x, RULE), abs=1e-10)
+            adaptive = potential(field, x)
+        assert adaptive == pytest.approx(potential(field, x, RULE), abs=1e-10)
 
     def test_adaptive_cap_warns(self):
         # a kink at t = 0.3 on the ray keeps Gauss-Legendre from converging
         kink = VectorField(dim=1, func=lambda x: np.abs(x - 0.3))
         with pytest.warns(RuntimeWarning, match="not converged at 256"):
-            V = potential(OneForm(kink), [1.0])
+            V = potential(kink, [1.0])
         assert V == pytest.approx(0.29, abs=1e-4)
 
 
 class TestExactAntiexact:
     def test_symmetric_field_all_exact(self):
         Q = np.array([[2.0, 1.0], [1.0, 3.0]])
-        form = OneForm(quadratic(Q))
+        field = quadratic(Q)
         x = np.array([0.7, -1.3])
-        assert np.allclose(exact_part(form, x, RULE), Q @ x, atol=1e-12)
-        assert np.allclose(antiexact_part(form, x, RULE), 0.0, atol=1e-12)
+        assert np.allclose(decompose(field, x, RULE).exact_part, Q @ x,
+                           atol=1e-12)
+        assert np.allclose(antiexact_part(field, x, RULE), 0.0, atol=1e-12)
 
     def test_lorenz_parts(self):
-        form = OneForm(lorenz(10, 28, 8 / 3))
+        field = lorenz(10, 28, 8 / 3)
         x = np.array([1.0, 1.0, 1.0])
-        assert np.allclose(exact_part(form, x, RULE),
+        assert np.allclose(decompose(field, x, RULE).exact_part,
                            [9.0, 18.0, -8.0 / 3.0], atol=1e-10)
-        ae = antiexact_part(form, x, RULE)
+        ae = antiexact_part(field, x, RULE)
         assert np.allclose(ae, [-9.0, 8.0, 1.0], atol=1e-10)
         assert abs(np.dot(ae, x)) < 1e-10  # radial annihilation
 
     def test_rotation_all_antiexact(self):
-        form = OneForm(rotation())
+        field = rotation()
         x = np.array([1.0, 0.0])
-        assert potential(form, x, RULE) == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(exact_part(form, x, RULE), 0.0, atol=1e-12)
-        assert np.allclose(antiexact_part(form, x, RULE), [0.0, 1.0],
+        assert potential(field, x, RULE) == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose(decompose(field, x, RULE).exact_part, 0.0,
+                           atol=1e-12)
+        assert np.allclose(antiexact_part(field, x, RULE), [0.0, 1.0],
                            atol=1e-12)
 
     def test_origin_decomposition(self):
         field = VectorField(dim=2,
                             func=lambda x: np.array([1.0 + x[1], x[0] ** 2]))
-        form = OneForm(field)
         x = np.zeros(2)
-        ae = antiexact_part(form, x, RULE)
-        ex = exact_part(form, x, RULE)
+        ae = antiexact_part(field, x, RULE)
+        ex = decompose(field, x, RULE).exact_part
         assert np.allclose(ae, 0.0, atol=1e-12)
         assert np.allclose(ex, [1.0, 0.0], atol=1e-8)
 
 
 class TestDecompose:
     def test_identity(self):
-        d = decompose(OneForm(quadratic(np.eye(2))), [1.0, 1.0], RULE)
+        d = decompose(quadratic(np.eye(2)), [1.0, 1.0], RULE)
         assert d.potential == pytest.approx(1.0)
         assert np.allclose(d.exact_part, [1.0, 1.0])
         assert np.allclose(d.antiexact_part, 0.0, atol=1e-12)
         assert d.reconstruction_residual < 1e-12
 
     def test_lorenz_reconstruction(self):
-        d = decompose(OneForm(lorenz(10, 28, 8 / 3)), [1.0, 1.0, 1.0], RULE)
+        d = decompose(lorenz(10, 28, 8 / 3), [1.0, 1.0, 1.0], RULE)
         assert np.allclose(d.exact_part + d.antiexact_part,
                            [0.0, 26.0, -5.0 / 3.0], atol=1e-8)
         assert d.reconstruction_residual < 1e-8
 
     def test_gradient_consistency_finite_difference(self):
-        form = OneForm(lorenz(10, 28, 8 / 3))
+        field = lorenz(10, 28, 8 / 3)
         x = np.array([0.4, -0.9, 1.1])
-        ex = exact_part(form, x, RULE)
+        ex = decompose(field, x, RULE).exact_part
         h = 1e-6
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (potential(form, x + e, RULE)
-                  - potential(form, x - e, RULE)) / (2 * h)
+            fd = (potential(field, x + e, RULE)
+                  - potential(field, x - e, RULE)) / (2 * h)
             assert abs(fd - ex[i]) < 1e-6
 
     def test_exact_part_curl_free(self):
-        form = OneForm(lorenz(10, 28, 8 / 3))
+        field = lorenz(10, 28, 8 / 3)
         x = np.array([0.5, 0.8, -0.3])
         h = 1e-5
         J = np.empty((3, 3))
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            J[:, j] = (exact_part(form, x + e, RULE)
-                       - exact_part(form, x - e, RULE)) / (2 * h)
+            J[:, j] = (decompose(field, x + e, RULE).exact_part
+                       - decompose(field, x - e, RULE).exact_part) / (2 * h)
         assert np.max(np.abs(J - J.T)) < 1e-6
 
 
@@ -204,7 +205,7 @@ def random_cubic_field(seed):
 def test_reconstruction_and_radial_annihilation(seed, coords):
     x = np.array(coords)
     field = random_cubic_field(seed)
-    d = decompose(OneForm(field), x, RULE)
+    d = decompose(field, x, RULE)
     assert d.reconstruction_residual < 1e-8 * (1 + np.max(np.abs(d.point)))
     assert abs(np.dot(d.antiexact_part, x)) < 1e-10 * (
         1 + np.max(np.abs(d.antiexact_part)) * np.max(np.abs(x)))
@@ -214,14 +215,13 @@ def test_reconstruction_and_radial_annihilation(seed, coords):
 @given(name=st.sampled_from(["lorenz", "jj_circuit"]),
        coords=st.lists(st.floats(-3, 3), min_size=3, max_size=3))
 def test_decompose_matches_separate_parts(name, coords):
-    # decompose samples the ray once; the parts computed one by one must
-    # agree to the last bit
-    form = OneForm(lorenz() if name == "lorenz" else jj_circuit(i=0.3))
+    # decompose samples the ray once; the parts that have their own
+    # entry point must agree with it to the last bit
+    field = lorenz() if name == "lorenz" else jj_circuit(i=0.3)
     x = np.array(coords)
-    d = decompose(form, x, RULE)
-    assert d.potential == potential(form, x, RULE)
-    assert np.array_equal(d.exact_part, exact_part(form, x, RULE))
-    assert np.array_equal(d.antiexact_part, antiexact_part(form, x, RULE))
+    d = decompose(field, x, RULE)
+    assert d.potential == potential(field, x, RULE)
+    assert np.array_equal(d.antiexact_part, antiexact_part(field, x, RULE))
 
 
 def _stack_fields():
@@ -248,14 +248,14 @@ STACK_FIELDS = _stack_fields()
 def test_stacked_rows_equal_single_points(name, adaptive, X):
     # each point's ray quadrature, and with quad=None its refinement, does
     # not depend on how many points share the batch
-    form = OneForm(STACK_FIELDS[name])
+    field = STACK_FIELDS[name]
     quad = None if adaptive else RULE
-    V = potential(form, X, quad)
-    d = decompose(form, X, quad)
+    V = potential(field, X, quad)
+    d = decompose(field, X, quad)
     assert V.shape == (len(X),)
     for m, x in enumerate(X):
-        assert V[m] == potential(form, x, quad)
-        one = decompose(form, x, quad)
+        assert V[m] == potential(field, x, quad)
+        one = decompose(field, x, quad)
         assert d.potential[m] == one.potential
         assert np.array_equal(d.exact_part[m], one.exact_part)
         assert np.array_equal(d.antiexact_part[m], one.antiexact_part)
@@ -269,7 +269,7 @@ def test_potential_matches_pointwise_loop(name):
     # within the rounding of K + N terms of the integrand's magnitude
     field = STACK_FIELDS[name]
     X = sample_ball(3, 16, 2.0, seed=8)
-    V = potential(OneForm(field), X, RULE)
+    V = potential(field, X, RULE)
     for x, v in zip(X, V):
         terms = np.array([w * x * eval_field(field, t * x)
                           for t, w in zip(RULE.nodes, RULE.weights)])
@@ -280,7 +280,7 @@ def test_potential_matches_pointwise_loop(name):
 
 def test_adaptive_refines_each_point_on_its_own():
     # the kinked field needs all 256 nodes at x = 1 but converges at 0.2
-    kink = OneForm(VectorField(dim=1, func=lambda x: np.abs(x - 0.3)))
+    kink = VectorField(dim=1, func=lambda x: np.abs(x - 0.3))
     with pytest.warns(RuntimeWarning, match="at 1 point"):
         V = potential(kink, [[0.2], [1.0]])
     with warnings.catch_warnings():

@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gradiform import (OneForm, QuadratureRule, Verdict, VectorField,
-                       circle_loop, classify, eval_field, frobenius_defect,
-                       jacobian, loop_integral, sample_ball)
+from gradiform import (QuadratureRule, Verdict, VectorField, circle_loop,
+                       classify, eval_field, jacobian, loop_integral,
+                       sample_ball)
 from gradiform.integrability import Loop
 from gradiform.zoo import jj_circuit, lorenz, quadratic, rotation
 
@@ -53,7 +53,7 @@ def unit_circle_fd():
                                           np.sin(2 * np.pi * s)], axis=1))
 
 
-def loop_integral_reference(form, loop, rule, panels=8):
+def loop_integral_reference(field, loop, rule, panels=8):
     """Circulation summed node by node, one field evaluation each, and
     the sum of the terms' magnitudes |w| |g_j v_j|."""
     total, magnitude = 0.0, 0.0
@@ -61,7 +61,7 @@ def loop_integral_reference(form, loop, rule, panels=8):
     for p in range(panels):
         for t, w in zip(rule.nodes, rule.weights):
             s = np.array([(p + t) * width])
-            g = eval_field(form.field, loop.gamma(s)[0])
+            g = eval_field(field, loop.gamma(s)[0])
             v = loop.velocity(s)[0]
             total += w * width * float(np.dot(g, v))
             magnitude += w * width * float(np.sum(np.abs(g * v)))
@@ -96,21 +96,20 @@ class TestFrobeniusDefect:
         field = quadratic([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5],
                            [0.0, 0.5, 1.0]])
         for x in SAMPLES3[:8]:
-            assert frobenius_defect(field, x) < 1e-12
+            assert classify(field, x).frobenius_defect_max < 1e-12
 
     def test_lorenz_oracle(self):
         # f=(0,26,-5/3), curl f=(2,-1,17): |f.curl f| = 163/3
-        val = frobenius_defect(lorenz(10, 28, 8 / 3), [1.0, 1.0, 1.0])
+        val = classify(lorenz(10, 28, 8 / 3),
+                       [1.0, 1.0, 1.0]).frobenius_defect_max
         assert val == pytest.approx(163.0 / 3.0, abs=1e-9)
 
     def test_dimension_two_is_zero(self):
-        assert frobenius_defect(rotation(), [0.3, 0.8]) == 0.0
+        assert classify(rotation(), [0.3, 0.8]).frobenius_defect_max == 0.0
 
-    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones((1, 3)),
-                                   np.ones(2)])
-    def test_one_point_only(self, x):
+    def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="point has shape"):
-            frobenius_defect(lorenz(), x)
+            classify(lorenz(), np.ones(2))
 
     def test_four_dims_against_triple_loop(self):
         field = swirl4()
@@ -118,7 +117,7 @@ class TestFrobeniusDefect:
         ref = [frobenius_reference(eval_field(field, x), jacobian(field, x))
                for x in X]
         for x, r in zip(X, ref):
-            assert frobenius_defect(field, x) == r
+            assert classify(field, x).frobenius_defect_max == r
         assert classify(field, X).frobenius_defect_max == max(ref)
         assert max(ref) > 0.1
 
@@ -126,26 +125,26 @@ class TestFrobeniusDefect:
         # defect is bilinear in f and its derivatives: scaling f by c
         # scales the defect by c^2
         x = np.array([0.4, -0.7, 1.1])
-        base = frobenius_defect(lorenz(), x)
+        base = classify(lorenz(), x).frobenius_defect_max
         lor = lorenz()
         scaled = VectorField(dim=3, func=lambda p: 3.0 * lor.func(p),
                              jac=lambda p: 3.0 * lor.jac(p))
-        assert frobenius_defect(scaled, x) == pytest.approx(9.0 * base,
-                                                            rel=1e-12)
+        assert classify(scaled, x).frobenius_defect_max == pytest.approx(
+            9.0 * base, rel=1e-12)
 
 
 class TestLoopIntegral:
     def test_gradient_field_zero_circulation(self):
-        form = OneForm(quadratic([[2.0, 1.0], [1.0, 3.0]]))
-        assert abs(loop_integral(form, circle_loop())) < 1e-10
+        field = quadratic([[2.0, 1.0], [1.0, 3.0]])
+        assert abs(loop_integral(field, circle_loop())) < 1e-10
 
     def test_rotation_circulation(self):
-        val = loop_integral(OneForm(rotation()), circle_loop())
+        val = loop_integral(rotation(), circle_loop())
         assert val == pytest.approx(2.0 * np.pi, abs=1e-6)
 
     def test_lorenz_nonzero_witness(self):
         loop = circle_loop(radius=1.0, center=[0.0, 0.0, 1.0], dim=3)
-        val = loop_integral(OneForm(lorenz()), loop)
+        val = loop_integral(lorenz(), loop)
         # quadrature oracle: circulation of (g1, g2) around the circle;
         # dominated by the rho*x dy term giving ~ rho*pi minus sigma*pi
         assert abs(val) > 1.0
@@ -163,18 +162,18 @@ class TestLoopIntegral:
         # dot is within N eps of the magnitude of its products, and each
         # of the K additions rounds within eps of the magnitude so far
         rule = QuadratureRule.gauss_legendre(16)
-        ref, magnitude = loop_integral_reference(OneForm(field), loop, rule)
+        ref, magnitude = loop_integral_reference(field, loop, rule)
         bound = (2 * field.dim + 2 * 8 * 16) * np.finfo(float).eps
-        assert abs(loop_integral(OneForm(field), loop, rule) - ref) \
+        assert abs(loop_integral(field, loop, rule) - ref) \
             <= bound * magnitude
 
     def test_open_curve_rejected(self):
         bad = Loop(gamma=lambda s: np.stack([s, 0.0 * s], axis=1))
         with pytest.raises(ValueError, match="not closed"):
-            loop_integral(OneForm(rotation()), bad)
+            loop_integral(rotation(), bad)
 
     def test_fd_velocity_fallback(self):
-        val = loop_integral(OneForm(rotation()), unit_circle_fd())
+        val = loop_integral(rotation(), unit_circle_fd())
         assert val == pytest.approx(2.0 * np.pi, abs=1e-6)
 
     @pytest.mark.parametrize("gamma, dgamma", [
@@ -183,7 +182,7 @@ class TestLoopIntegral:
         (circle_loop().gamma, lambda s: np.zeros((len(s) + 1, 2)))])
     def test_values_not_k_by_n_rejected(self, gamma, dgamma):
         with pytest.raises(ValueError, match="expected"):
-            loop_integral(OneForm(rotation()), Loop(gamma, dgamma))
+            loop_integral(rotation(), Loop(gamma, dgamma))
 
     def test_one_loop_evaluation(self):
         # the closedness check, then all nodes at once: gamma twice and
@@ -200,7 +199,7 @@ class TestLoopIntegral:
                 calls.append(("dgamma", len(s)))
                 return base.dgamma(s)
 
-            loop_integral(OneForm(lorenz()), Loop(gamma, dgamma),
+            loop_integral(lorenz(), Loop(gamma, dgamma),
                           QuadratureRule.gauss_legendre(order))
             nodes = 8 * order
             assert calls == [("gamma", 2), ("gamma", nodes),

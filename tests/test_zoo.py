@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -186,9 +187,14 @@ class TestRegistry:
         assert np.allclose(eval_field(field, [1.0, 0.0]), [2.0, 1.0])
 
     def test_quadratic_bad_key(self):
-        with pytest.raises(ValueError):
-            build_system(SystemSpec(name="quadratic",
-                                    params={"sigma": 1.0}, dim=2))
+        # one spelling per entry: a sign, space or leading zero would
+        # wrap an index round or let two keys name one entry
+        for key in ("sigma", "q_-1_0", "q_1_-1", "q_00_0", "q_+1_0",
+                    "q_ 1_0", "q_1_0 ", "q_0", "q_0_0_0"):
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                build_system(SystemSpec(name="quadratic",
+                                        params={"q_0_0": 1.0, key: 1.0},
+                                        dim=2))
 
     def test_analytic_potential_lookup(self):
         V = analytic_potential(SystemSpec(name="ou", params={"theta": 2.0},
