@@ -21,7 +21,7 @@ from .dynamics import (euler_maruyama_ensembles, graham_estimate,
 from .fields import FieldEvalError, jacobian
 from .gradientize import (MatrixFamily, solve_consistency_constant,
                           solve_general, solve_symmetrizer, transform_field)
-from .homotopy import QuadratureRule, decompose, potential
+from .homotopy import DEFAULT_ORDER, QuadratureRule, decompose, potential
 from .integrability import circle_loop, classify
 from .sampling import sample_ball
 from .zoo import REGISTRY, SystemSpec, analytic_potential, build_system
@@ -31,7 +31,7 @@ SCHEMA = "gradiform/1"
 DEFAULT_CONFIG = {
     "system": {"name": "lorenz", "params": {}},
     "samples": {"count": 64, "radius": 1.5, "seed": 12345},
-    "quadrature_order": 64,
+    "quadrature_order": DEFAULT_ORDER,
     "tolerances": {"closedness": 1e-8, "solver": 1e-8},
     "solver": {"family_degree": 1, "max_iter": 200, "collocation": 32,
                "run_general": False},

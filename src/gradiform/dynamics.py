@@ -118,8 +118,8 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
     if eps.ndim != 1:
         raise ValueError(f"eps_list must be one-dimensional, got shape "
                          f"{eps.shape}")
-    if (eps < 0).any():
-        raise ValueError("eps must be nonnegative")
+    if not (np.isfinite(eps) & (eps >= 0)).all():
+        raise ValueError("eps must be nonnegative and finite")
     g, shape = field.func, (field.dim,)
     h = np.array(dt)  # a 0-d array, converted once
     kicks = None

@@ -131,32 +131,21 @@ def _central_difference(f, X: np.ndarray, steps: np.ndarray) -> np.ndarray:
         X.shape[:-1] + (1,) * (diff.ndim - X.ndim) + (n,)))
 
 
-def jacobian(field: VectorField, X, scheme: str = "auto",
-             h: Optional[float] = None) -> np.ndarray:
+def jacobian(field: VectorField, X) -> np.ndarray:
     """Matrix J with J[i, j] = d g_i / d x_j at one point X (dim,), or
     one such matrix per row of stacked points (M, dim) -> (M, dim, dim).
 
-    scheme: "analytic" requires field.jac; "central" forces finite
-    differences (step h, default per-coordinate fd_step), evaluating all
-    2*dim*M shifted points in one ``eval_field`` call; "auto" uses the
-    analytic Jacobian when available.
+    The field's ``jac`` when it has one; otherwise central differences
+    at the per-coordinate step ``fd_step``, evaluating all 2*dim*M
+    shifted points in one ``eval_field`` call.
     """
     X = _as_points(field, X)
-    if scheme not in ("auto", "analytic", "central"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "analytic" and field.jac is None:
-        raise ValueError("field has no analytic Jacobian")
-    if field.jac is not None and scheme in ("auto", "analytic"):
+    if field.jac is not None:
         J = _apply(field, field.jac, X, (field.dim, field.dim),
                    "analytic Jacobian")
     else:
-        if h is not None:
-            if not h > 0:
-                raise ValueError("finite-difference step must be positive")
-            steps = np.full(X.shape, float(h))
-        else:
-            steps = fd_step(X)
-        J = _central_difference(lambda P: eval_field(field, P), X, steps)
+        J = _central_difference(lambda P: eval_field(field, P), X,
+                                fd_step(X))
     _check_finite(X, J, "Jacobian entry")
     return J
 

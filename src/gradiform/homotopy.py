@@ -3,7 +3,6 @@ of a vector field g, and the exact/antiexact decomposition
 g = exact + antiexact.  Every function here takes the field g itself."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -11,9 +10,7 @@ import numpy as np
 
 from .fields import VectorField, _as_points, eval_field, jacobian
 
-DEFAULT_ORDER = 32
-MAX_ORDER = 256
-ADAPT_RTOL = 1e-10
+DEFAULT_ORDER = 64  # the rule a call without one uses
 RULE_CACHE_SIZE = 32  # shared Gauss-Legendre rules kept, by order
 
 
@@ -73,40 +70,16 @@ class Decomposition:
     reconstruction_residual: float
 
 
-def _points(field: VectorField, x):
-    """x as stacked points (M, N), and whether it was a single point."""
+def _rule(quad: QuadratureRule | None) -> QuadratureRule:
+    """The rule given, or the shared DEFAULT_ORDER-node rule for None."""
+    return quad or QuadratureRule.gauss_legendre(DEFAULT_ORDER)
+
+
+def _points(field: VectorField, x, quad: QuadratureRule | None):
+    """x as stacked points (M, N), whether it was a single point, and
+    the rule to integrate with."""
     X = _as_points(field, x)
-    return X.reshape(-1, X.shape[-1]), X.ndim == 1
-
-
-def _adaptive(evaluate, quad, X):
-    """evaluate(rule, X) gives one row of values per point of X.  With a
-    rule, evaluate once; with quad=None, refine by node doubling, each
-    point on its own until its row converges."""
-    if quad is not None:
-        return evaluate(quad, X)
-    order = DEFAULT_ORDER
-    out = evaluate(QuadratureRule.gauss_legendre(order), X)
-    todo = np.arange(len(X))
-    while order < MAX_ORDER and todo.size:
-        order *= 2
-        cur = evaluate(QuadratureRule.gauss_legendre(order), X[todo])
-        flat = cur.reshape(len(todo), -1)
-        scale = 1.0 + np.max(np.abs(flat), axis=1)
-        change = np.max(np.abs(flat - out[todo].reshape(len(todo), -1)),
-                        axis=1)
-        out[todo] = cur
-        converged = change < ADAPT_RTOL * scale
-        todo, change, scale = (todo[~converged], change[~converged],
-                               scale[~converged])
-    if todo.size:
-        worst = int(np.argmax(change / scale))
-        warnings.warn(f"ray quadrature not converged at {MAX_ORDER} nodes "
-                      f"at {todo.size} point(s) (last change "
-                      f"{change[worst]:.3e}, tolerance "
-                      f"{ADAPT_RTOL * scale[worst]:.3e})", RuntimeWarning,
-                      stacklevel=3)
-    return out
+    return X.reshape(-1, X.shape[-1]), X.ndim == 1, _rule(quad)
 
 
 # The ray samples g(t x) and J(t x) at the rule's nodes t for every point
@@ -149,9 +122,8 @@ def potential(field: VectorField, x, quad: QuadratureRule | None = None):
     A float for one point x (N,); an array (M,) for stacked points
     (M, N), whose rows equal the single-point values bit for bit.
     """
-    X, single = _points(field, x)
-    V = _adaptive(lambda rule, X: _potential_integral(
-        X, rule, _ray_values(field, X, rule)), quad, X)
+    X, single, rule = _points(field, x, quad)
+    V = _potential_integral(X, rule, _ray_values(field, X, rule))
     return float(V[0]) if single else V
 
 
@@ -163,31 +135,24 @@ def antiexact_part(field: VectorField, x,
     product with x vanishes by antisymmetry of the integrand kernel.
     Stacked points (M, N) give one row per point.
     """
-    X, single = _points(field, x)
-    ae = _adaptive(lambda rule, X: _antiexact_integral(
-        X, rule, _ray_jacobians(field, X, rule)), quad, X)
+    X, single, rule = _points(field, x, quad)
+    ae = _antiexact_integral(X, rule, _ray_jacobians(field, X, rule))
     return ae[0] if single else ae
 
 
 def decompose(field: VectorField, x,
               quad: QuadratureRule | None = None) -> Decomposition:
     """Potential, exact and antiexact parts at x from one pass over the
-    ray; with quad=None the three are refined together.  Stacked points
-    (M, N) give one Decomposition with a leading axis M.  The exact part
-    d(kG) has component j = integral_0^1 [t (J(tx)^T x)_j + g_j(tx)] dt."""
-    X, single = _points(field, x)
-    n = X.shape[1]
+    ray.  Stacked points (M, N) give one Decomposition with a leading
+    axis M.  The exact part d(kG) has component
+    j = integral_0^1 [t (J(tx)^T x)_j + g_j(tx)] dt."""
+    X, single, rule = _points(field, x, quad)
     g = eval_field(field, X)
-
-    def evaluate(rule, X):
-        G = _ray_values(field, X, rule)
-        Js = _ray_jacobians(field, X, rule)
-        return np.concatenate([_potential_integral(X, rule, G)[:, None],
-                               _exact_integral(X, rule, G, Js),
-                               _antiexact_integral(X, rule, Js)], axis=1)
-
-    parts = _adaptive(evaluate, quad, X)
-    pot, ex, ae = parts[:, 0], parts[:, 1:1 + n], parts[:, 1 + n:]
+    G = _ray_values(field, X, rule)
+    Js = _ray_jacobians(field, X, rule)
+    pot = _potential_integral(X, rule, G)
+    ex = _exact_integral(X, rule, G, Js)
+    ae = _antiexact_integral(X, rule, Js)
     res = np.max(np.abs(g - ex - ae), axis=1)
     if single:
         return Decomposition(point=X[0], potential=float(pot[0]),

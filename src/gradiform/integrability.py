@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import VectorField, eval_field, jacobian
-from .homotopy import DEFAULT_ORDER, QuadratureRule
+from .homotopy import QuadratureRule, _rule
 
 DEFAULT_TOL = 1e-8
 PANELS = 8
@@ -102,12 +102,13 @@ def _loop_values(fn, s: np.ndarray, n: int) -> np.ndarray:
 def loop_integral(field: VectorField, loop: Loop,
                   quad: QuadratureRule | None = None) -> float:
     """Circulation of the field's one-form along a closed parameterized
-    curve, by the rule on each of PANELS equal panels of [0, 1]."""
+    curve, by the rule (DEFAULT_ORDER nodes for None) on each of PANELS
+    equal panels of [0, 1]."""
     n = field.dim
     start, end = _loop_values(loop.gamma, np.array([0.0, 1.0]), n)
     if np.max(np.abs(start - end)) > 1e-9 * (1.0 + np.max(np.abs(start))):
         raise ValueError("loop is not closed: gamma(0) != gamma(1)")
-    rule = quad or QuadratureRule.gauss_legendre(DEFAULT_ORDER)
+    rule = _rule(quad)
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
     points = _loop_values(loop.gamma, s, n)

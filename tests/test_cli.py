@@ -102,7 +102,8 @@ class TestExitCodes:
         "samples.count=abc", "samples.count=true", "samples.count=2.5",
         "samples.radius=-1", "samples.seed=-1", "simulation.ensemble=0",
         "simulation.steps=0", "simulation.dt=NaN", "simulation.eps=[-0.1]",
-        "simulation.eps=[]", "simulation.grid_range=[2, -2]",
+        "simulation.eps=[]", "simulation.eps=[NaN]",
+        "simulation.grid_range=[2, -2]",
         "simulation.burn_in_fraction=1", "solver.run_general=1",
         "samples={}", "system=3", 'system.params.sigma="a"',
         "tolerances.consistency=1e-6"])

@@ -642,9 +642,11 @@ def test_negative_eps_level_rejected():
         pytest.fail("field called with unchecked noise levels")
 
     field = VectorField(dim=1, func=never)
-    with pytest.raises(ValueError, match="eps must be nonnegative"):
-        euler_maruyama_ensembles(field, [0.1, -0.1], np.zeros((2, 1)),
-                                 0.1, 10)
+    # nan builds no noise and inf ends every row: neither is a level
+    for eps_list in ([0.1, -0.1], [np.nan], [0.1, np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            euler_maruyama_ensembles(field, eps_list, np.zeros((2, 1)),
+                                     0.1, 10)
     # a scalar is not a list of levels
     for eps_list in (0.1, -0.1, np.float64(0.1), [[0.1]]):
         with pytest.raises(ValueError, match="eps_list"):

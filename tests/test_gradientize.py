@@ -544,6 +544,18 @@ class TestSolveGeneral:
         assert np.isfinite(rep.residual_norm)
         assert rep.iterations <= 15
 
+    def test_consistency_residual_takes_the_default_rule(self):
+        # the report's check is consistency_check on the first 8 samples
+        # with the 64-node rule, whatever rule a caller uses elsewhere
+        field = lorenz()
+        family = MatrixFamily(dim=3, degree=1)
+        samples = sample_ball(3, 12, 1.0, seed=21)
+        rep = solve_general(field, family, samples, max_iter=3)
+        tfield = transform_field_general(field, family, rep.theta_final)
+        assert rep.consistency_residual == consistency_check(
+            tfield, samples[:8], QuadratureRule.gauss_legendre(64))
+        assert np.isfinite(rep.consistency_residual)
+
     def test_damping_overflow_stops_cleanly(self):
         # the damping of this fit overflows to inf before max_iter; the
         # loop ends there, at the last accepted theta, without a warning
@@ -583,12 +595,13 @@ class TestTransformFieldGeneral:
         tfield = transform_field_general(
             make(), family, perturbed_identity(family, degree, scale=0.02))
         X = sample_ball(3, 10, 1.0, seed=5)
-        J = jacobian(tfield, X, scheme="analytic")
+        J = jacobian(tfield, X)
         for m, x in enumerate(X):
             assert np.array_equal(J[m], jacobian(tfield, x))
         # central differences err by about h^2 times the third derivative
         # plus eps |f| / h, near 1e-10 here
-        central = jacobian(tfield, X, scheme="central")
+        central = jacobian(VectorField(tfield.dim, tfield.func,
+                                       vectorized=tfield.vectorized), X)
         assert np.max(np.abs(J - central)) \
             <= 1e-8 * (1.0 + np.max(np.abs(J)))
 
@@ -603,7 +616,7 @@ def consistency_check_fd(tfield, samples, quad=None):
 
 
 class TestConsistencyAndPotential:
-    @pytest.mark.parametrize("quad", [RULE, None], ids=["rule64", "adaptive"])
+    @pytest.mark.parametrize("quad", [RULE, None], ids=["rule64", "default"])
     @pytest.mark.parametrize("case", [
         "lorenz-1", "lorenz-2", "jj_circuit-1", "jj_circuit-2", "rotation",
         "lorenz-diag123"])

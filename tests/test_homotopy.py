@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradiform import (QuadratureRule, VectorField, antiexact_part,
-                       decompose, eval_field, jacobian, potential,
-                       sample_ball, transform_field)
+                       circle_loop, consistency_check, decompose, eval_field,
+                       jacobian, loop_integral, potential, sample_ball,
+                       transform_field)
+from gradiform.cli import DEFAULT_CONFIG
+from gradiform.homotopy import DEFAULT_ORDER
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
                           rotation)
 
@@ -69,19 +72,29 @@ class TestPotential:
         assert potential(field, np.zeros(3), RULE) == 0.0
 
     def test_adaptive_matches_fixed(self):
+        # quad=None is the shared DEFAULT_ORDER-node rule in every ray
+        # integral, bit for bit and without a warning; the CLI's default
+        # quadrature_order is the same number
+        assert DEFAULT_ORDER == DEFAULT_CONFIG["quadrature_order"] == 64
+        rule = QuadratureRule.gauss_legendre(DEFAULT_ORDER)
         field = lorenz()
-        x = np.array([0.3, -1.2, 0.7])
+        X = sample_ball(3, 5, 1.5, seed=2)
+        loop = circle_loop(0.7, dim=3, axes=(0, 2))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # converges before the cap
-            adaptive = potential(field, x)
-        assert adaptive == pytest.approx(potential(field, x, RULE), abs=1e-10)
-
-    def test_adaptive_cap_warns(self):
-        # a kink at t = 0.3 on the ray keeps Gauss-Legendre from converging
-        kink = VectorField(dim=1, func=lambda x: np.abs(x - 0.3))
-        with pytest.warns(RuntimeWarning, match="not converged at 256"):
-            V = potential(kink, [1.0])
-        assert V == pytest.approx(0.29, abs=1e-4)
+            warnings.simplefilter("error")
+            assert potential(field, X).tobytes() \
+                == potential(field, X, rule).tobytes()
+            assert antiexact_part(field, X).tobytes() \
+                == antiexact_part(field, X, rule).tobytes()
+            d, ref = decompose(field, X), decompose(field, X, rule)
+            for name in ("potential", "exact_part", "antiexact_part",
+                         "reconstruction_residual"):
+                assert getattr(d, name).tobytes() \
+                    == getattr(ref, name).tobytes()
+            assert loop_integral(field, loop) \
+                == loop_integral(field, loop, rule)
+            assert consistency_check(field, X) \
+                == consistency_check(field, X, rule)
 
 
 class TestExactAntiexact:
@@ -241,21 +254,19 @@ STACK_FIELDS = _stack_fields()
 
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(sorted(STACK_FIELDS)),
-       adaptive=st.booleans(),
        X=st.integers(1, 40).flatmap(lambda m: st.lists(
            st.lists(st.floats(-2, 2), min_size=3, max_size=3),
            min_size=m, max_size=m)).map(np.array))
-def test_stacked_rows_equal_single_points(name, adaptive, X):
-    # each point's ray quadrature, and with quad=None its refinement, does
-    # not depend on how many points share the batch
+def test_stacked_rows_equal_single_points(name, X):
+    # each point's ray quadrature does not depend on how many points
+    # share the batch
     field = STACK_FIELDS[name]
-    quad = None if adaptive else RULE
-    V = potential(field, X, quad)
-    d = decompose(field, X, quad)
+    V = potential(field, X, RULE)
+    d = decompose(field, X, RULE)
     assert V.shape == (len(X),)
     for m, x in enumerate(X):
-        assert V[m] == potential(field, x, quad)
-        one = decompose(field, x, quad)
+        assert V[m] == potential(field, x, RULE)
+        one = decompose(field, x, RULE)
         assert d.potential[m] == one.potential
         assert np.array_equal(d.exact_part[m], one.exact_part)
         assert np.array_equal(d.antiexact_part[m], one.antiexact_part)
@@ -277,13 +288,3 @@ def test_potential_matches_pointwise_loop(name):
             * np.abs(terms).sum()
         assert abs(v - terms.sum()) <= bound
 
-
-def test_adaptive_refines_each_point_on_its_own():
-    # the kinked field needs all 256 nodes at x = 1 but converges at 0.2
-    kink = VectorField(dim=1, func=lambda x: np.abs(x - 0.3))
-    with pytest.warns(RuntimeWarning, match="at 1 point"):
-        V = potential(kink, [[0.2], [1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert V[0] == potential(kink, [0.2])
-    assert V[0] == pytest.approx(0.04, abs=1e-12)  # 0.2 * (0.3 - 0.1)
