@@ -2,7 +2,6 @@
 ensembles, and the small-noise stationary-distribution potential."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,6 +13,7 @@ from .fields import (FieldEvalError, FieldShapeError, VectorField, _apply,
 
 BURN_IN_FRACTION = 0.2
 LYAPUNOV_TOL_SCALE = 10.0
+_BLOCK = 64  # steps of _lockstep between two finiteness checks
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,12 @@ def _kick_table(eps: np.ndarray, dt: float, steps: int, count: int,
 def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     """Trajectories of x <- step(x, k, live) from one point x0s (dim,) or
     each row of x0s (count, dim); live selects the rows x still holds.
-    step may evaluate the field unchecked: a non-finite state ends its
-    trajectory alone, cut before that state, and a FieldEvalError raised
-    by step ends every trajectory still running.  A FieldShapeError is a
-    fault in the field, not a numerical stop, and propagates."""
+    step, deterministic in its arguments, may evaluate the field
+    unchecked: a non-finite state ends its trajectory alone, cut before
+    it, and a FieldEvalError ends every trajectory still running.  A
+    FieldShapeError is a fault in the field and propagates.  A block of
+    _BLOCK steps that raises or holds a non-finite state is stepped again,
+    one checked step at a time, calling the field again on its states."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 1:
@@ -176,17 +178,26 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     lengths = np.full(count, steps + 1)
     live = slice(None)  # rows still running; an index array once one ends
     x = x0s
-    for k in range(steps):
-        try:
-            x = step(x, k, live)
-        except FieldShapeError:
-            raise
-        except FieldEvalError:
-            lengths[live] = k + 1
-            break
-        # a sum of finite values is finite unless it overflows, so a
-        # non-finite state always reaches the row-by-row test below
-        if not math.isfinite(np.add.reduce(x, None)):
+    for start in range(0, steps, _BLOCK):
+        end = min(start + _BLOCK, steps)
+        try:  # whatever goes wrong here, the checked steps below repeat it
+            y = x
+            for k in range(start, end):
+                y = step(y, k, live)
+                states[live, k + 1] = y
+            if np.isfinite(states[live, start + 1:end + 1]).all():
+                x = y
+                continue
+        except Exception:
+            pass
+        for k in range(start, end):
+            try:
+                x = step(x, k, live)
+            except FieldShapeError:
+                raise
+            except FieldEvalError:
+                lengths[live] = k + 1
+                break
             ok = np.isfinite(x).reshape(-1, n).all(axis=1)
             if not ok.all():
                 rows = np.arange(count)[live]
@@ -194,7 +205,10 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
                 if not ok.any():
                     break
                 live, x = rows[ok], x[ok]
-        states[live, k + 1] = x
+            states[live, k + 1] = x
+        else:
+            continue
+        break  # every trajectory has ended
     return [Trajectory(times=dt * np.arange(length), states=states[m, :length],
                        dt=dt, completed=bool(length == steps + 1))
             for m, length in enumerate(lengths)]
@@ -236,12 +250,13 @@ def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:
     if not eps > 0:
         raise ValueError("eps must be positive")
     counts = density.counts
-    if density.total == 0 or np.all(counts == 0):
+    occupied = counts > 0
+    if density.total == 0 or not occupied.any():
         raise ValueError("density grid is empty")
-    with np.errstate(divide="ignore"):
-        V = -eps * np.log(counts / density.total)
-    V[counts == 0] = np.nan
-    return V - np.nanmin(V)
+    v = -eps * np.log(counts[occupied] / density.total)
+    V = np.full(counts.shape, np.nan)
+    V[occupied] = v - v.min()
+    return V
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -402,6 +402,24 @@ class TestDensityAndGraham:
         assert np.isnan(est[1])
         assert est[2] == 0.0  # most occupied cell is shifted to 0
 
+    @pytest.mark.parametrize("counts", [
+        np.array([0, 7, 0]),  # one cell holds every sample: V is +0.0
+        np.array([10, 0, 30, 1]),
+        np.full((2, 3), 5),
+        np.random.default_rng(8).poisson(0.05, (10, 10, 10)),
+    ], ids=["one_cell", "1d", "uniform", "sparse_3d"])
+    @pytest.mark.parametrize("eps", [0.05, 1.0])
+    def test_graham_equals_dense_formula(self, counts, eps):
+        from gradiform.dynamics import DensityGrid
+        grid = DensityGrid(edges=[np.linspace(0, 1, n + 1)
+                                  for n in counts.shape],
+                           counts=counts, total=int(counts.sum()))
+        with np.errstate(divide="ignore"):
+            dense = -eps * np.log(counts / grid.total)
+        dense[counts == 0] = np.nan
+        dense = dense - np.nanmin(dense)
+        assert graham_estimate(grid, eps).tobytes() == dense.tobytes()
+
     def test_graham_double_well_minima(self):
         field, _ = double_well()
         x0s = np.array([[-1.0], [1.0], [-0.5], [0.5]])
@@ -619,6 +637,91 @@ def test_rows_ending_apart_with_noise_match_reference(vectorized, seed):
                                              _trajectory_rng(seed, m))
             assert traj.states.tobytes() == states.tobytes()  # also -0.0
             assert traj.completed == completed
+
+
+def ramp(vectorized):
+    """xdot = 1 below 200 and NaN from 200 on.  With dt = 1 the paths are
+    exact integers: under Euler-Maruyama at eps = 0 the start at 201 - s
+    first holds a non-finite state at state s, under RK4 (whose last stage
+    looks one step ahead) the start at 200 - s does."""
+    return VectorField(dim=1, vectorized=vectorized,
+                       func=lambda x: np.where(x < 200.0, 1.0, np.nan))
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("steps", [1, 64, 65, 191])
+def test_rows_ending_at_block_edges_match_reference(vectorized, steps):
+    # the steps are checked for finiteness in blocks of 64: rows end just
+    # before, at and after the first block's edge and inside the third
+    field = ramp(vectorized)
+    ends = np.array([63, 64, 65, 130])
+    want = [min(s, steps + 1) for s in ends] + [steps + 1]
+    x0s = np.append(201.0 - ends, 0.0)[:, None]
+    [ens] = euler_maruyama_ensembles(field, [0.0], x0s, 1.0, steps)
+    assert [len(t.states) for t in ens] == want
+    for x0, traj in zip(x0s, ens):
+        states, completed = reference_em(field, 0.0, x0, 1.0, steps, None)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.completed == completed
+    for x0, length in zip(x0s - 1.0, want):
+        traj = integrate_rk4(field, x0, 1.0, steps)
+        ref = reference_rk4(field, x0, 1.0, steps)
+        assert len(traj.states) == length
+        assert traj.states.tobytes() == ref.states.tobytes()
+        assert traj.completed == ref.completed == (length == steps + 1)
+
+
+def test_field_rejecting_nonfinite_input_never_sees_one():
+    # the start at 100 turns NaN at state 101, inside the second block of
+    # 64 steps; the field is called row by row and raises on a NaN, so the
+    # block is stepped again and the NaN row cut before the field sees it
+    def strict(x):
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite input")
+        return np.where(x < 200.0, 1.0, np.nan)
+
+    field = VectorField(dim=1, func=strict)
+    x0s = np.array([[0.0], [100.0], [-50.0]])
+    stacked = euler_maruyama_ensembles(field, [0.0, 1e-4], x0s, 1.0, 191,
+                                       master_seed=4)
+    assert [len(t.states) for t in stacked[0]] == [192, 101, 192]
+    for eps, ens in zip([0.0, 1e-4], stacked):
+        assert [t.completed for t in ens] == [True, False, True]
+        for m, traj in enumerate(ens):
+            states, completed = reference_em(field, eps, x0s[m], 1.0, 191,
+                                             _trajectory_rng(4, m))
+            assert traj.states.tobytes() == states.tobytes()
+            assert traj.completed == completed
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_field_errors_inside_a_later_block(vectorized):
+    # the start at 0 reaches 100 at step 100, in the second block of 64
+    # steps; the start at -1000 turns NaN at state 1 and has ended by then
+    def stop_at_100(x):
+        if (x >= 100.0).any():
+            raise FieldEvalError("stop")
+        return np.where(x > -500.0, 1.0, np.nan)
+
+    field = VectorField(dim=1, vectorized=vectorized, func=stop_at_100)
+    x0s = np.array([[0.0], [-20.0], [-1000.0]])
+    [ens] = euler_maruyama_ensembles(field, [0.0], x0s, 1.0, 191)
+    assert [len(t.states) for t in ens] == [101, 101, 1]
+    assert not any(t.completed for t in ens)
+    for x0, traj in zip(x0s, ens):
+        states, _ = reference_em(field, 0.0, x0, 1.0, len(traj.states) - 1,
+                                 None)
+        assert traj.states.tobytes() == states.tobytes()
+
+    def wrong_shape_at_100(x):
+        return np.zeros(x.shape[:-1] + (2,)) if (x >= 100.0).any() \
+            else np.ones_like(x)
+
+    field = VectorField(dim=1, vectorized=vectorized, func=wrong_shape_at_100)
+    with pytest.raises(FieldShapeError, match="returned shape"):
+        euler_maruyama_ensembles(field, [0.0], x0s, 1.0, 191)
+    with pytest.raises(FieldShapeError, match="returned shape"):
+        integrate_rk4(field, [0.0], 1.0, 191)
 
 
 def test_zero_eps_level_stays_forward_euler():
