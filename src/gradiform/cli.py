@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import enum
 import json
 import os
 import sys
@@ -184,6 +186,12 @@ def _samples(cfg, dim):
 
 
 def _jsonable(obj):
+    """obj as JSON values: a dataclass as its fields, an Enum as its
+    value, arrays as lists, and non-finite floats as null."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        obj = obj.value
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -245,17 +253,7 @@ def cmd_decompose(cfg):
 
 
 def _constant_report(rep):
-    return {
-        "verdict": rep.verdict.value,
-        "nullspace_dim": len(rep.nullspace_basis),
-        "nullspace_basis": rep.nullspace_basis,
-        "chosen_D": rep.chosen_D,
-        "necessary_residual": rep.necessary_residual,
-        "transformed_asymmetry": rep.transformed_asymmetry,
-        "consistency_residual": rep.consistency_residual,
-        "det_precondition_gap": rep.det_precondition_gap,
-        "identity_solves_necessary": rep.identity_solves_necessary,
-    }
+    return {**_jsonable(rep), "nullspace_dim": len(rep.nullspace_basis)}
 
 
 def cmd_gradientize(cfg):
@@ -277,15 +275,8 @@ def cmd_gradientize(cfg):
     if cfg["solver"]["run_general"]:
         family = MatrixFamily(dim=field.dim,
                               degree=cfg["solver"]["family_degree"])
-        grep = solve_general(field, family, samples,
-                             cfg["solver"]["max_iter"])
-        out["general"] = {
-            "residual_norm": grep.residual_norm,
-            "consistency_residual": grep.consistency_residual,
-            "iterations": grep.iterations,
-            "converged": grep.converged,
-            "theta_final": grep.theta_final,
-        }
+        out["general"] = solve_general(field, family, samples,
+                                       cfg["solver"]["max_iter"])
     return out
 
 

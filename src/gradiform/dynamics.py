@@ -18,22 +18,25 @@ _BLOCK = 64  # steps of _lockstep between two finiteness checks
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
+    states: np.ndarray  # shape (number of states, dim)
     dt: float
     completed: bool = True  # False when a non-finite state cut it short
 
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.states))
 
 
 @dataclass(frozen=True)
 class DensityGrid:
     edges: list  # per-axis bin edges
     counts: np.ndarray
-    total: int  # in-range samples; counts.sum() == total
     n_clipped: int = 0
+
+    @property
+    def total(self) -> int:
+        """The in-range samples."""
+        return int(self.counts.sum())
 
     def centers(self, axis: int) -> np.ndarray:
         e = self.edges[axis]
@@ -48,8 +51,10 @@ class LyapunovReport:
 
 def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     """Classical fourth-order Runge-Kutta for xdot = g(x)."""
-    # the start is checked once below and every stage keeps its shape, so
+    # the start is checked once here and every stage keeps its shape, so
     # each stage checks only the shape of the field's value
+    x0 = _as_point(field, x0)
+    _check_steps(dt, steps)
     g, shape = field.func, (field.dim,)
     # coefficients as 0-d arrays, converted once, not at every product;
     # k + k is 2.0 * k bit for bit
@@ -64,7 +69,7 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
     # faster and with the rounding of a single-point evaluation
-    return _lockstep(_as_point(field, x0), dt, steps, step)[0]
+    return _lockstep(x0, dt, steps, step)[0]
 
 
 def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
@@ -95,6 +100,13 @@ def orthogonality_residual(field: VectorField, V, x) -> float:
     return float((f + grad) @ grad)
 
 
+def _check_steps(dt: float, steps: int) -> None:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+
+
 def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     # counter-based Philox streams: index in the high counter word gives
     # disjoint 2^128-draw blocks per trajectory
@@ -111,7 +123,8 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
     The noise convention matches <z z'> = 2 eps delta(t - t'); eps = 0
     reduces exactly to forward Euler.  Start m draws its noise once from
     the counter-based stream (master_seed, m) and every level scales that
-    draw.  Each step checks only the shape of the field's value.
+    draw, all before the first step.  Each step checks only the shape of
+    the field's value.
     """
     x0s = _as_points(field, np.atleast_2d(x0s))
     eps = np.asarray(eps_list, dtype=float)
@@ -120,15 +133,13 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
                          f"{eps.shape}")
     if not (np.isfinite(eps) & (eps >= 0)).all():
         raise ValueError("eps must be nonnegative and finite")
+    _check_steps(dt, steps)
+    kicks = (_kick_table(eps, dt, steps, *x0s.shape, master_seed)
+             if (eps > 0).any() else None)
     g, shape = field.func, (field.dim,)
     h = np.array(dt)  # a 0-d array, converted once
-    kicks = None
 
     def step(x, k, live):
-        nonlocal kicks
-        if k == 0 and (eps > 0).any():
-            # built at the first step, once _lockstep has checked dt, steps
-            kicks = _kick_table(eps, dt, steps, *x0s.shape, master_seed)
         x = x + h * _apply(field, g, x, shape, "field")
         if kicks is not None:
             x += kicks[k, live]  # one contiguous block until a row ends
@@ -160,17 +171,14 @@ def _kick_table(eps: np.ndarray, dt: float, steps: int, count: int,
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     """Trajectories of x <- step(x, k, live) from one point x0s (dim,) or
-    each row of x0s (count, dim); live selects the rows x still holds.
-    step, deterministic in its arguments, may evaluate the field
-    unchecked: a non-finite state ends its trajectory alone, cut before
-    it, and a FieldEvalError ends every trajectory still running.  A
-    FieldShapeError is a fault in the field and propagates.  A block of
-    _BLOCK steps that raises or holds a non-finite state is stepped again,
-    one checked step at a time, calling the field again on its states."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    each row of x0s (count, dim), for dt > 0 and steps >= 1; live selects
+    the rows x still holds.  step, a pure function of its arguments, may
+    evaluate the field unchecked: a non-finite state ends its trajectory
+    alone, cut before it, and a FieldEvalError ends every trajectory still
+    running.  A FieldShapeError is a fault in the field and propagates.  A
+    block of _BLOCK steps that raises or holds a non-finite state is
+    stepped again, one checked step at a time, calling the field again on
+    its states."""
     n = x0s.shape[-1]
     count = x0s.size // n
     states = np.empty((count, steps + 1, n))
@@ -209,8 +217,8 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
         else:
             continue
         break  # every trajectory has ended
-    return [Trajectory(times=dt * np.arange(length), states=states[m, :length],
-                       dt=dt, completed=bool(length == steps + 1))
+    return [Trajectory(states=states[m, :length], dt=dt,
+                       completed=bool(length == steps + 1))
             for m, length in enumerate(lengths)]
 
 
@@ -239,7 +247,7 @@ def stationary_density(trajs: list, bins, ranges,
             f"all samples fall outside the grid ranges {box(ranges)}; the "
             f"post-burn-in samples span {box(zip(data.min(0), data.max(0)))}")
     return DensityGrid(edges=[np.asarray(e) for e in edges], counts=counts,
-                       total=total, n_clipped=len(data) - total)
+                       n_clipped=len(data) - total)
 
 
 def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:
@@ -251,7 +259,7 @@ def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:
         raise ValueError("eps must be positive")
     counts = density.counts
     occupied = counts > 0
-    if density.total == 0 or not occupied.any():
+    if not occupied.any():
         raise ValueError("density grid is empty")
     v = -eps * np.log(counts[occupied] / density.total)
     V = np.full(counts.shape, np.nan)

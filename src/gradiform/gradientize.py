@@ -132,18 +132,21 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL
 
     chosen = None
     if basis:
-        rng = np.random.default_rng(SEARCH_SEED)
-        best_det = 0.0
-        for _ in range(SEARCH_DRAWS):
-            c = rng.standard_normal(len(basis))
-            c /= np.linalg.norm(c)
-            D = sum(ci * Bi for ci, Bi in zip(c, basis))
-            D /= np.linalg.norm(D, "fro") / np.sqrt(n)
-            d = abs(np.linalg.det(D))
-            if d > best_det:
-                best_det, chosen = d, D
-        if best_det <= DET_FLOOR:
-            chosen = None
+        # one draw per row from one seeded stream; each norm stays one
+        # call per row and per matrix, so D and the pick (the first of
+        # largest |det|) equal those of a draw-by-draw search bit for bit
+        C = np.random.default_rng(SEARCH_SEED).standard_normal(
+            (SEARCH_DRAWS, len(basis)))
+        C /= np.array([np.linalg.norm(c) for c in C])[:, None]
+        D = np.zeros((SEARCH_DRAWS, n, n))
+        for c, B in zip(C.T, basis):
+            D += c[:, None, None] * B
+        D /= (np.array([np.linalg.norm(d, "fro") for d in D])
+              / np.sqrt(n))[:, None, None]
+        dets = np.abs(np.linalg.det(D))
+        best = int(np.argmax(dets))
+        if dets[best] > DET_FLOOR:
+            chosen = D[best]
     return _constant_solve_report(J, basis, chosen, tol)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,23 +31,15 @@ class ClosednessReport:
 
 @dataclass(frozen=True)
 class Loop:
-    """Closed C^1 curve s in [0, 1] -> R^N, with optional derivative.
+    """Closed C^1 curve s in [0, 1] -> R^N and its derivative.
 
     gamma and dgamma map parameters s (K,) to points (K, N), one row per
     parameter.
     """
 
     gamma: Callable[[np.ndarray], np.ndarray]
-    dgamma: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dgamma: Callable[[np.ndarray], np.ndarray]
     label: str = "loop"
-
-    def velocity(self, s: np.ndarray) -> np.ndarray:
-        if self.dgamma is not None:
-            return np.asarray(self.dgamma(s), dtype=float)
-        h = 1e-6
-        lo, hi = np.maximum(0.0, s - h), np.minimum(1.0, s + h)
-        return ((np.asarray(self.gamma(hi), float)
-                 - np.asarray(self.gamma(lo), float)) / (hi - lo)[:, None])
 
 
 def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
@@ -112,7 +104,7 @@ def loop_integral(field: VectorField, loop: Loop,
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
     points = _loop_values(loop.gamma, s, n)
-    velocity = _loop_values(loop.velocity, s, n)
+    velocity = _loop_values(loop.dgamma, s, n)
     terms = (np.tile(rule.weights, PANELS) * width
              * (eval_field(field, points) * velocity).sum(axis=1))
     return float(np.cumsum(terms)[-1])  # in node order, one after another

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from gradiform import (VectorField, euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, orthogonality_residual,
                        stationary_density, write_trajectory_csv)
-from gradiform.dynamics import Trajectory, _trajectory_rng
+from gradiform import dynamics
+from gradiform.dynamics import DensityGrid, Trajectory, _trajectory_rng
 from gradiform.fields import (FieldEvalError, FieldShapeError, _apply,
                               eval_field)
 from gradiform.gradientize import transform_field
-from gradiform.zoo import double_well, lorenz, ou, rotation
+from gradiform.zoo import double_well, lorenz, ou, quadratic, rotation
 
 
 def decay_field():
@@ -188,8 +189,7 @@ def reference_rk4(field, x0, dt, steps):
             break
         states.append(x.copy())
     states = np.array(states)
-    return Trajectory(times=dt * np.arange(len(states)), states=states,
-                      dt=dt, completed=completed)
+    return Trajectory(states=states, dt=dt, completed=completed)
 
 
 RK4_FIELDS = {
@@ -328,6 +328,29 @@ class TestEulerMaruyama:
         var = np.var(traj.states[200_000:, 0])
         assert var == pytest.approx(eps, rel=0.1)
 
+    @pytest.mark.parametrize("field, eps_list, calls, length", [
+        # x grows 10^5-fold a step: every row is non-finite at state 62,
+        # inside the first block, which is then stepped again
+        (quadratic([[1e8]]), [0.05, 0.0], 1, 62),
+        (decay_field(), [0.1, 0.0], 1, 201),
+        (decay_field(), [0.0, 0.0], 0, 201)],
+        ids=["first_block_stepped_again", "stable", "no_noise"])
+    def test_kick_table_built_once(self, monkeypatch, field, eps_list,
+                                   calls, length):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return kick_table(*args)
+
+        kick_table = dynamics._kick_table
+        monkeypatch.setattr(dynamics, "_kick_table", counted)
+        x0s = np.linspace(0.1, 1.5, 8)[:, None]
+        ensembles = euler_maruyama_ensembles(field, eps_list, x0s, 1e-3,
+                                             200, master_seed=4)
+        assert len(made) == calls
+        assert {len(t.states) for ens in ensembles for t in ens} == {length}
+
     def test_ensemble_deterministic_per_index(self):
         x0s = np.zeros((3, 1))
         [e1] = euler_maruyama_ensembles(decay_field(), [0.1], x0s, 0.01,
@@ -388,16 +411,21 @@ class TestDensityAndGraham:
                                   burn_in=0).total == 102
 
     def test_graham_uniform_density_constant(self):
-        from gradiform.dynamics import DensityGrid
         grid = DensityGrid(edges=[np.linspace(0, 1, 6)],
-                           counts=np.full(5, 20), total=100)
+                           counts=np.full(5, 20))
         est = graham_estimate(grid, 0.5)
         assert np.allclose(est, 0.0)
 
-    def test_graham_masks_empty_cells(self):
-        from gradiform.dynamics import DensityGrid
+    def test_graham_rejects_empty_grid(self):
         grid = DensityGrid(edges=[np.linspace(0, 1, 4)],
-                           counts=np.array([10, 0, 30]), total=40)
+                           counts=np.zeros(3, dtype=np.int64))
+        assert grid.total == 0
+        with pytest.raises(ValueError, match="density grid is empty"):
+            graham_estimate(grid, 1.0)
+
+    def test_graham_masks_empty_cells(self):
+        grid = DensityGrid(edges=[np.linspace(0, 1, 4)],
+                           counts=np.array([10, 0, 30]))
         est = graham_estimate(grid, 1.0)
         assert np.isnan(est[1])
         assert est[2] == 0.0  # most occupied cell is shifted to 0
@@ -410,10 +438,9 @@ class TestDensityAndGraham:
     ], ids=["one_cell", "1d", "uniform", "sparse_3d"])
     @pytest.mark.parametrize("eps", [0.05, 1.0])
     def test_graham_equals_dense_formula(self, counts, eps):
-        from gradiform.dynamics import DensityGrid
         grid = DensityGrid(edges=[np.linspace(0, 1, n + 1)
                                   for n in counts.shape],
-                           counts=counts, total=int(counts.sum()))
+                           counts=counts)
         with np.errstate(divide="ignore"):
             dense = -eps * np.log(counts / grid.total)
         dense[counts == 0] = np.nan
@@ -460,10 +487,10 @@ def blow_up_trajectory():
     lambda: integrate_rk4(decay_field(), [1.0], dt=0.1, steps=30),
     lambda: integrate_rk4(lorenz(), [0.3, -0.2, 0.1], dt=1e-3, steps=200),
     blow_up_trajectory,
-    lambda: Trajectory(times=np.array([0.0, 1e308, 5e-324]),
-                       states=np.array([[-0.0, 5e-324], [1e308, -1e308],
-                                        [-5e-324, 0.1]]), dt=1.0),
-    lambda: Trajectory(times=np.zeros(0), states=np.zeros((0, 2)), dt=1.0),
+    # subnormal times 0, 5e-324, 1e-323
+    lambda: Trajectory(states=np.array([[-0.0, 5e-324], [1e308, -1e308],
+                                        [-5e-324, 0.1]]), dt=5e-324),
+    lambda: Trajectory(states=np.zeros((0, 2)), dt=1.0),
 ], ids=["1d", "3d", "cut_short", "extreme_values", "no_states"])
 def test_trajectory_csv_matches_csv_writer(make, tmp_path):
     traj = make()

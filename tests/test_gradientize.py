@@ -111,7 +111,50 @@ def consistency_matrix_reference(J):
     return M
 
 
+def chosen_D_reference(basis, n):
+    """The search one draw at a time: the first draw of largest |det|."""
+    if not basis:
+        return None
+    rng = np.random.default_rng(gradientize.SEARCH_SEED)
+    best_det, chosen = 0.0, None
+    for _ in range(gradientize.SEARCH_DRAWS):
+        c = rng.standard_normal(len(basis))
+        c /= np.linalg.norm(c)
+        D = sum(ci * Bi for ci, Bi in zip(c, basis))
+        D /= np.linalg.norm(D, "fro") / np.sqrt(n)
+        d = abs(np.linalg.det(D))
+        if d > best_det:
+            best_det, chosen = d, D
+    return chosen if best_det > gradientize.DET_FLOOR else None
+
+
+def _orthogonal(seed, n):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (n, n)))[0]
+
+
+def _spd_unit_det(seed, n):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    S = A @ A.T + np.eye(n)
+    return S / np.linalg.det(S) ** (1.0 / n)
+
+
 class TestConsistencyConstant:
+    @pytest.mark.parametrize("J", [
+        ROT, np.eye(1), np.eye(3), np.eye(4), _orthogonal(3, 2),
+        _orthogonal(4, 3), _orthogonal(5, 4), _spd_unit_det(6, 2),
+        np.random.default_rng(1).standard_normal((3, 3))],
+        # nullspaces of 1, 1, 6, 10, 1, 2, 2, 1 and 0 matrices
+        ids=["rot", "one", "eye3", "eye4", "orth2", "orth3", "orth4", "spd2",
+             "random3"])
+    def test_chosen_D_equals_draw_by_draw_search(self, J):
+        rep = solve_consistency_constant(J)
+        ref = chosen_D_reference(rep.nullspace_basis, J.shape[0])
+        if ref is None:
+            assert rep.chosen_D is None
+        else:
+            assert rep.chosen_D.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("J", [ROT, np.eye(3), np.random.default_rng(
         1).standard_normal((3, 3)), np.random.default_rng(2).standard_normal(
             (4, 4))])

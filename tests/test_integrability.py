@@ -47,12 +47,6 @@ def frobenius_reference(f, J):
     return worst
 
 
-def unit_circle_fd():
-    """The unit circle without a derivative: velocity by differences."""
-    return Loop(gamma=lambda s: np.stack([np.cos(2 * np.pi * s),
-                                          np.sin(2 * np.pi * s)], axis=1))
-
-
 def loop_integral_reference(field, loop, rule, panels=8):
     """Circulation summed node by node, one field evaluation each, and
     the sum of the terms' magnitudes |w| |g_j v_j|."""
@@ -62,7 +56,7 @@ def loop_integral_reference(field, loop, rule, panels=8):
         for t, w in zip(rule.nodes, rule.weights):
             s = np.array([(p + t) * width])
             g = eval_field(field, loop.gamma(s)[0])
-            v = loop.velocity(s)[0]
+            v = loop.dgamma(s)[0]
             total += w * width * float(np.dot(g, v))
             magnitude += w * width * float(np.sum(np.abs(g * v)))
     return total, magnitude
@@ -155,7 +149,7 @@ class TestLoopIntegral:
         (lorenz(), circle_loop(radius=0.6, center=[0.3, -0.4, 0.8], dim=3,
                                axes=(0, 2))),
         (rotation(), circle_loop(radius=0.7)),
-        (rotation(), unit_circle_fd())])
+        (rotation(), circle_loop(radius=1.3, center=[0.2, -0.1]))])
     def test_matches_node_by_node_sum(self, field, loop):
         # the batch takes each g.v as an elementwise sum where the node
         # loop takes a BLAS dot; both then add the nodes in order.  Each
@@ -168,17 +162,16 @@ class TestLoopIntegral:
             <= bound * magnitude
 
     def test_open_curve_rejected(self):
-        bad = Loop(gamma=lambda s: np.stack([s, 0.0 * s], axis=1))
+        bad = Loop(gamma=lambda s: np.stack([s, 0.0 * s], axis=1),
+                   dgamma=lambda s: np.stack([1.0 + 0.0 * s, 0.0 * s],
+                                             axis=1))
         with pytest.raises(ValueError, match="not closed"):
             loop_integral(rotation(), bad)
 
-    def test_fd_velocity_fallback(self):
-        val = loop_integral(rotation(), unit_circle_fd())
-        assert val == pytest.approx(2.0 * np.pi, abs=1e-6)
-
     @pytest.mark.parametrize("gamma, dgamma", [
-        (lambda s: np.array([1.0, 0.0]), None),  # one point, not (K, N)
-        (lambda s: np.zeros((len(s), 3)), None),  # wrong dimension
+        # one point, not (K, N)
+        (lambda s: np.array([1.0, 0.0]), circle_loop().dgamma),
+        (lambda s: np.zeros((len(s), 3)), circle_loop().dgamma),  # wrong N
         (circle_loop().gamma, lambda s: np.zeros((len(s) + 1, 2)))])
     def test_values_not_k_by_n_rejected(self, gamma, dgamma):
         with pytest.raises(ValueError, match="expected"):
