@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (euler_maruyama_ensembles, graham_estimate,
-                       integrate_rk4, lyapunov_check, orthogonality_residual,
-                       stationary_density, write_trajectory_csv)
+from .dynamics import (BURN_IN_FRACTION, euler_maruyama_ensembles,
+                       graham_estimate, integrate_rk4, lyapunov_check,
+                       orthogonality_residual, stationary_density,
+                       write_trajectory_csv)
 from .fields import FieldEvalError, jacobian
 from .gradientize import (MatrixFamily, solve_consistency_constant,
                           solve_general, solve_symmetrizer, transform_field)
@@ -34,11 +35,10 @@ DEFAULT_CONFIG = {
     "system": {"name": "lorenz", "params": {}},
     "samples": {"count": 64, "radius": 1.5, "seed": 12345},
     "quadrature_order": DEFAULT_ORDER,
-    "tolerances": {"closedness": 1e-8, "solver": 1e-8},
     "solver": {"family_degree": 1, "max_iter": 200, "collocation": 32,
                "run_general": False},
     "simulation": {"dt": 1e-3, "steps": 2000, "eps": [0.05], "ensemble": 8,
-                   "master_seed": 2024, "burn_in_fraction": 0.2,
+                   "master_seed": 2024, "burn_in_fraction": BURN_IN_FRACTION,
                    "x0_radius": 0.5, "grid_bins": 40,
                    "grid_range": [-2.0, 2.0]},
     "potential_source": "homotopy",
@@ -65,7 +65,7 @@ def _merge(defaults, overrides, path=""):
 
 
 def load_config(path=None, overrides=()):
-    """Resolve the run config: file, then --set overrides, then env seed."""
+    """Resolve the run config: file, then --set overrides."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -95,13 +95,6 @@ def load_config(path=None, overrides=()):
                                      and parts[1:2] == ["params"]):
             raise ConfigError(f"unknown config key {key!r}")
         node[leaf] = val
-    env_seed = os.environ.get("GRADIFORM_SEED")
-    if env_seed is not None:
-        try:
-            cfg["simulation"]["master_seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"GRADIFORM_SEED must be an integer, "
-                              f"got {env_seed!r}")
     _validate(cfg)
     return cfg
 
@@ -117,8 +110,7 @@ _NUMBERS = [
     (int, "in [0, 2**128)", lambda v: 0 <= v < 2 ** 128,
      ["simulation.master_seed"]),
     (float, "positive", lambda v: v > 0, ["samples.radius", "simulation.dt"]),
-    (float, "nonnegative", lambda v: v >= 0,
-     ["tolerances.closedness", "tolerances.solver", "simulation.x0_radius"]),
+    (float, "nonnegative", lambda v: v >= 0, ["simulation.x0_radius"]),
     (float, "in [0, 1)", lambda v: 0 <= v < 1,
      ["simulation.burn_in_fraction"]),
 ]
@@ -218,8 +210,7 @@ def cmd_classify(cfg):
         loops.append(circle_loop(radius=min(1.0, cfg["samples"]["radius"]),
                                  dim=field.dim))
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
-    report = classify(field, samples, tol=cfg["tolerances"]["closedness"],
-                      loops=loops, quad=quad)
+    report = classify(field, samples, loops=loops, quad=quad)
     return {
         "verdict": report.verdict.value,
         "max_asymmetry": report.max_asymmetry,
@@ -258,14 +249,13 @@ def _constant_report(rep):
 
 def cmd_gradientize(cfg):
     field, _ = _system(cfg)
-    tol = cfg["tolerances"]["solver"]
     origin = np.zeros(field.dim)
     J0 = jacobian(field, origin)
     samples = sample_ball(field.dim, cfg["solver"]["collocation"],
                           cfg["samples"]["radius"], cfg["samples"]["seed"])
     jac_spread = float(np.max(np.abs(jacobian(field, samples) - J0)))
-    consistency_rep = solve_consistency_constant(J0, tol=tol)
-    symmetrizer_rep = solve_symmetrizer(J0, tol=tol)
+    consistency_rep = solve_consistency_constant(J0)
+    symmetrizer_rep = solve_symmetrizer(J0)
     out = {
         "jacobian_at_origin": J0,
         "jacobian_is_constant": jac_spread <= 1e-10 * (1 + np.max(np.abs(J0))),
@@ -286,8 +276,7 @@ def cmd_simulate(cfg, traj_dir=None):
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     source = cfg["potential_source"]
     if source == "gradientize":
-        rep = solve_symmetrizer(jacobian(field, np.zeros(field.dim)),
-                                tol=cfg["tolerances"]["solver"])
+        rep = solve_symmetrizer(jacobian(field, np.zeros(field.dim)))
         if rep.chosen_D is None:
             raise ConfigError(
                 "potential_source=gradientize but no gradientizing matrix "

@@ -224,16 +224,15 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
 
 def stationary_density(trajs: list, bins, ranges,
                        burn_in: Optional[int] = None) -> DensityGrid:
-    """Histogram of the trajectories' post-burn-in states (default
-    burn-in: first 20%)."""
-    if burn_in is not None and burn_in < 0:
+    """Histogram of the trajectories' states from index burn_in on, the
+    same cut for every row.  The default cut is BURN_IN_FRACTION of the
+    longest row, so a row cut short adds no state of its transient."""
+    if burn_in is None:
+        burn_in = int(BURN_IN_FRACTION
+                      * max((len(t.states) for t in trajs), default=0))
+    if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    chunks = []
-    for traj in trajs:
-        cut = burn_in if burn_in is not None \
-            else int(BURN_IN_FRACTION * len(traj.states))
-        if cut < len(traj.states):
-            chunks.append(traj.states[cut:])
+    chunks = [t.states[burn_in:] for t in trajs if len(t.states) > burn_in]
     if not chunks:
         raise ValueError("no post-burn-in samples")
     data = np.vstack(chunks)

@@ -13,13 +13,12 @@ import numpy as np
 
 from .fields import VectorField, _apply, _matvec, eval_field, jacobian
 from .homotopy import QuadratureRule, antiexact_part
-from .integrability import _relative_asymmetry
+from .integrability import DEFAULT_TOL, _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
 DET_FLOOR = 1e-10
 SEARCH_DRAWS = 64
 SEARCH_SEED = 0  # the random draws of solve_consistency_constant
-DEFAULT_TOL = 1e-8
 EIG_COND_MAX = 1e6  # a larger cond(P) puts the symmetrizer optimum < 1e-8
 PATH_GROWTH = 50.0
 GAP_RTOL = 1e-10
@@ -75,13 +74,12 @@ def _square(J) -> np.ndarray:
 
 
 def _constant_solve_report(J: np.ndarray, basis: list,
-                           D: Optional[np.ndarray],
-                           tol: float) -> ConstantSolveReport:
+                           D: Optional[np.ndarray]) -> ConstantSolveReport:
     """Residuals and verdict of a constant solve that chose D, or found
     no invertible D (None): the Infeasible report."""
     det_gap = abs(np.linalg.det(J) - 1.0)
     identity_ok = float(np.max(np.abs(J - J.T))) \
-        <= tol * (1.0 + np.max(np.abs(J)))
+        <= DEFAULT_TOL * (1.0 + np.max(np.abs(J)))
     if D is None:
         return ConstantSolveReport(
             nullspace_basis=basis, chosen_D=None,
@@ -94,8 +92,8 @@ def _constant_solve_report(J: np.ndarray, basis: list,
     asym = _relative_asymmetry(A)
     # for a linear field the exact-part gradient is sym(A) x
     consistency = 0.5 * float(np.max(np.abs(A - A.T)))
-    if (float(necessary) / (1.0 + float(np.max(np.abs(J)))) <= tol
-            and asym <= tol):
+    if (float(necessary) / (1.0 + float(np.max(np.abs(J)))) <= DEFAULT_TOL
+            and asym <= DEFAULT_TOL):
         verdict = ConstantVerdict.GRADIENTIZED
     else:
         verdict = ConstantVerdict.CONSISTENCY_ONLY
@@ -115,13 +113,13 @@ def _null_basis(M: np.ndarray) -> list[np.ndarray]:
     return null
 
 
-def solve_consistency_constant(J, tol: float = DEFAULT_TOL
-                               ) -> ConstantSolveReport:
+def solve_consistency_constant(J) -> ConstantSolveReport:
     """Nullspace of the linear map D -> D - J^T D^T, then an invertible
     representative found by seeded random coefficient search.
 
     The equation is the constant-matrix consistency relation
-    D (D^T)^{-1} = J^T written as a homogeneous linear system.
+    D (D^T)^{-1} = J^T written as a homogeneous linear system.  The
+    verdict's threshold is integrability.DEFAULT_TOL.
     """
     J = _square(J)
     n = J.shape[0]
@@ -147,7 +145,7 @@ def solve_consistency_constant(J, tol: float = DEFAULT_TOL
         best = int(np.argmax(dets))
         if dets[best] > DET_FLOOR:
             chosen = D[best]
-    return _constant_solve_report(J, basis, chosen, tol)
+    return _constant_solve_report(J, basis, chosen)
 
 
 def _sym_basis(n: int) -> list[np.ndarray]:
@@ -214,7 +212,7 @@ def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
         t *= PATH_GROWTH
 
 
-def solve_symmetrizer(J, tol: float = DEFAULT_TOL) -> ConstantSolveReport:
+def solve_symmetrizer(J) -> ConstantSolveReport:
     """Find symmetric positive-definite S with S J = J^T S, then D from
     the Cholesky factorization S = D^T D.
 
@@ -222,7 +220,8 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL) -> ConstantSolveReport:
     symmetrizer space (min |S|_F subject to S >= I), scaled to
     lambda_max(S) = 1.  Infeasible when the space is empty, J is defective
     (cond(P) > EIG_COND_MAX), the start is not positive definite (as for
-    any complex spectrum), or the optimum is at most 1e-8.
+    any complex spectrum), or the optimum is at most 1e-8.  The verdict's
+    threshold is integrability.DEFAULT_TOL.
     """
     J = _square(J)
     n = J.shape[0]
@@ -234,10 +233,10 @@ def solve_symmetrizer(J, tol: float = DEFAULT_TOL) -> ConstantSolveReport:
     c = _min_norm_above_identity(J, np.array(basis)) if basis else None
     S = None if c is None else np.tensordot(c / np.linalg.norm(c), basis, 1)
     if S is None or np.linalg.eigvalsh(S)[0] <= 1e-8:
-        return _constant_solve_report(J, basis, None, tol)
+        return _constant_solve_report(J, basis, None)
     S /= np.linalg.eigvalsh(S)[-1]
     D = np.linalg.cholesky(S).T  # S = D^T D with D upper triangular
-    return _constant_solve_report(J, basis, D, tol)
+    return _constant_solve_report(J, basis, D)
 
 
 def transform_field(field: VectorField, D) -> VectorField:
@@ -420,9 +419,10 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
         raise ValueError("samples must be nonempty")
     sweep = _residual_sweep(field, family, samples)
 
-    def rms(r):
+    def rms(r):  # 0 for N = 1: a 1-D form is closed, with no i < k entry
         general = r[:r.size - len(samples)]
-        return float(np.sqrt(np.mean(general * general)))
+        return float(np.sqrt(np.mean(general * general))) \
+            if general.size else 0.0
 
     theta = family.identity_params()
     r, Jr = sweep(theta)

@@ -11,7 +11,7 @@ import numpy as np
 from .fields import VectorField, eval_field, jacobian
 from .homotopy import QuadratureRule, _rule
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # the one threshold of "symmetric up to rounding"
 PANELS = 8
 
 
@@ -110,21 +110,22 @@ def loop_integral(field: VectorField, loop: Loop,
     return float(np.cumsum(terms)[-1])  # in node order, one after another
 
 
-def classify(field: VectorField, samples, tol: float = DEFAULT_TOL,
-             loops=(), quad: QuadratureRule | None = None
-             ) -> ClosednessReport:
-    """Closed, else FrobeniusIntegrable (local) when the wedge obstruction
-    vanishes at every sample (N,) or (M, N), else NonIntegrable.  The
-    obstruction is |g . curl g| for N = 3, and 0 for N < 3."""
+def classify(field: VectorField, samples, loops=(),
+             quad: QuadratureRule | None = None) -> ClosednessReport:
+    """Closed when the relative Jacobian asymmetry is at most DEFAULT_TOL
+    at every sample (N,) or (M, N), else FrobeniusIntegrable (local) when
+    the wedge obstruction is at most DEFAULT_TOL there, else
+    NonIntegrable.  The obstruction is |g . curl g| for N = 3, and 0 for
+    N < 3."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("at least one sample point is required")
     J = jacobian(field, samples)
     asym = float(np.max(_relative_asymmetry(J)))
     defect = float(np.max(_wedge_defect(eval_field(field, samples), J)))
-    if asym <= tol:
+    if asym <= DEFAULT_TOL:
         verdict = Verdict.CLOSED
-    elif defect <= tol:
+    elif defect <= DEFAULT_TOL:
         verdict = Verdict.FROBENIUS_INTEGRABLE
     else:
         verdict = Verdict.NON_INTEGRABLE

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _jsonable,
                            _write_report, load_config, main)
+from gradiform.dynamics import BURN_IN_FRACTION
 from gradiform.zoo import REGISTRY
 
 
@@ -29,8 +30,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 class TestConfig:
     def test_defaults_load(self):
-        cfg = load_config()
-        assert cfg == DEFAULT_CONFIG or cfg["system"]["name"] == "lorenz"
+        assert load_config() == DEFAULT_CONFIG
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -64,15 +64,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(overrides=["nope.key=1"])
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_environment_sets_no_seed(self, monkeypatch):
+        # the master seed is set in the config or by --set, nowhere else
         monkeypatch.setenv("GRADIFORM_SEED", "777")
-        cfg = load_config()
-        assert cfg["simulation"]["master_seed"] == 777
+        assert load_config()["simulation"]["master_seed"] == 2024
 
-    def test_env_seed_bad_value(self, monkeypatch):
-        monkeypatch.setenv("GRADIFORM_SEED", "seven")
-        with pytest.raises(ConfigError):
-            load_config()
+    def test_burn_in_default_is_the_library_default(self):
+        assert DEFAULT_CONFIG["simulation"]["burn_in_fraction"] \
+            is BURN_IN_FRACTION
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ConfigError, match="unknown system"):
@@ -106,7 +105,8 @@ class TestExitCodes:
         "simulation.grid_range=[2, -2]",
         "simulation.burn_in_fraction=1", "solver.run_general=1",
         "samples={}", "system=3", 'system.params.sigma="a"',
-        "tolerances.consistency=1e-6"])
+        "tolerances.consistency=1e-6", "tolerances.closedness=1e-6",
+        "tolerances.solver=1e-6"])
     def test_bad_value_two(self, override, capsys):
         assert main(["classify", "--set", override]) == 2
         assert "config error" in capsys.readouterr().err
@@ -427,14 +427,14 @@ class TestDeterminism:
         _, b = run_cli(tmp_path, *args, name="b.json")
         assert _strip_timings(a) == _strip_timings(b)
 
-    def test_env_seed_changes_graham(self, tmp_path, monkeypatch):
+    def test_env_seed_changes_graham(self, tmp_path):
         args = ["graham", "--set", "system.name=ou",
                 "--set", "simulation.steps=5000",
                 "--set", "simulation.ensemble=2",
                 "--set", "simulation.grid_bins=10"]
         _, a = run_cli(tmp_path, *args, name="a.json")
-        monkeypatch.setenv("GRADIFORM_SEED", "31337")
-        _, b = run_cli(tmp_path, *args, name="b.json")
+        _, b = run_cli(tmp_path, *args, "--set",
+                       "simulation.master_seed=31337", name="b.json")
         assert b["config"]["simulation"]["master_seed"] == 31337
         assert a["result"] != b["result"]
 

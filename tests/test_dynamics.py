@@ -410,6 +410,20 @@ class TestDensityAndGraham:
         assert stationary_density(ens, bins=5, ranges=[(-3.0, 3.0)],
                                   burn_in=0).total == 102
 
+    def test_default_burn_in_cuts_every_row_at_one_index(self):
+        # xdot = x^2 from 2 leaves every finite float at t = 0.5: the rows
+        # hold 1001 and 516 states, and both are cut at 0.2 * 1001 = 200,
+        # not the short one at 0.2 * 516 = 103
+        field = VectorField(dim=1, func=lambda x: x * x)
+        [ens] = euler_maruyama_ensembles(field, [0.0], [[-0.5], [2.0]],
+                                         1e-3, 1000)
+        assert [len(t.states) for t in ens] == [1001, 516]
+        ranges = [(-1e300, 1e300)]
+        dens = stationary_density(ens, bins=5, ranges=ranges)
+        assert (dens.total, dens.n_clipped) == (801 + 316, 0)
+        assert np.array_equal(dens.counts, stationary_density(
+            ens, bins=5, ranges=ranges, burn_in=200).counts)
+
     def test_graham_uniform_density_constant(self):
         grid = DensityGrid(edges=[np.linspace(0, 1, 6)],
                            counts=np.full(5, 20))

@@ -15,11 +15,11 @@ from gradiform import (BarrierViolation, ConstantVerdict, MatrixFamily,
                        transform_field_general)
 from gradiform.fields import _central_difference, fd_step
 from gradiform import gradientize
-from gradiform.gradientize import (DEFAULT_TOL, _constant_solve_report,
+from gradiform.gradientize import (_constant_solve_report,
                                   _min_norm_above_identity, _null_basis,
                                   _residual_sweep, _sym_basis)
-from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
-                           rotation)
+from gradiform.zoo import (double_well, jj_circuit, jj_circuit_linear,
+                           lorenz, ou, quadratic, rotation)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 RULE = QuadratureRule.gauss_legendre(64)
@@ -77,11 +77,10 @@ def symmetrizer_nelder_mead(J):
                 c = res.x / np.linalg.norm(res.x)
                 best_S = sum(ci * Bi for ci, Bi in zip(c, basis))
     if best_S is None or best_min <= 1e-8:
-        return _constant_solve_report(J, basis, None, DEFAULT_TOL)
+        return _constant_solve_report(J, basis, None)
     S = 0.5 * (best_S + best_S.T)
     S /= np.linalg.eigvalsh(S)[-1]
-    return _constant_solve_report(J, basis, np.linalg.cholesky(S).T,
-                                  DEFAULT_TOL)
+    return _constant_solve_report(J, basis, np.linalg.cholesky(S).T)
 
 
 def assert_matches_nelder_mead(J):
@@ -598,6 +597,20 @@ class TestSolveGeneral:
         assert rep.consistency_residual == consistency_check(
             tfield, samples[:8], QuadratureRule.gauss_legendre(64))
         assert np.isfinite(rep.consistency_residual)
+
+    @pytest.mark.parametrize("field", [ou()[0], double_well()[0],
+                                       quadratic([[-1.0]])],
+                             ids=["ou", "double_well", "quadratic"])
+    def test_one_dimensional_field_is_closed_at_the_start(self, field):
+        # a 1-D form is always closed: its residual has no i < k entry,
+        # so its rms is 0 and the identity start needs no iteration
+        family = MatrixFamily(dim=1, degree=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_general(field, family, sample_ball(1, 8, 1.0, seed=3))
+        assert (rep.converged, rep.iterations, rep.residual_norm) \
+            == (True, 0, 0.0)
+        assert np.array_equal(rep.theta_final, family.identity_params())
 
     def test_damping_overflow_stops_cleanly(self):
         # the damping of this fit overflows to inf before max_iter; the
