@@ -7,11 +7,14 @@ import argparse
 import copy
 import dataclasses
 import enum
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -177,29 +180,101 @@ def _samples(cfg, dim):
     return sample_ball(dim, s["count"], s["radius"], s["seed"])
 
 
-def _jsonable(obj):
-    """obj as JSON values: a dataclass as its fields, an Enum as its
-    value, arrays as lists, and non-finite floats as null."""
-    if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, enum.Enum):
-        obj = obj.value
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":  # masked/failed entries become null
-            obj = np.where(np.isfinite(obj), obj, None)
-        return obj.tolist()
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if np.isfinite(f) else None  # masked/failed entries
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _to_json(obj) -> str:
+    """The text json.dumps(..., sort_keys=True) gives for obj as JSON
+    values: a dataclass as its fields, an Enum as its value, arrays as
+    lists, and non-finite floats (masked/failed entries) as null."""
+    out = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def _emit(obj, out):
+    """Append the text of obj to the list of fragments out."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(", ")
+            out.append(encode_basestring_ascii(key) + ": ")
+            _emit(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, val in enumerate(obj):
+            if i:
+                out.append(", ")
+            _emit(val, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim:
+            _emit_floats(obj, _finite_blocks(obj), out)
+        else:
+            _emit(obj.tolist(), out)
+    elif isinstance(obj, np.floating):
+        _emit(float(obj), out)
+    elif isinstance(obj, np.integer):
+        _emit(int(obj), out)
+    elif isinstance(obj, np.bool_):
+        _emit(bool(obj), out)
+    elif isinstance(obj, enum.Enum):
+        _emit(obj.value, out)
+    elif dataclasses.is_dataclass(obj):
+        _emit({f.name: getattr(obj, f.name)
+               for f in dataclasses.fields(obj)}, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
+
+
+def _finite_blocks(a):
+    """[m_0, ..., m_{ndim-2}]: m_d[i_0, ..., i_d] says whether the
+    sub-array a[i_0, ..., i_d] holds a finite cell."""
+    blocks = []
+    live = np.isfinite(a)
+    for _ in range(a.ndim - 1):
+        live = live.any(axis=-1)
+        blocks.insert(0, live)
+    return blocks
+
+
+# one text per shape; a process writes reports of few grid shapes
+@functools.lru_cache(maxsize=None)
+def _null_text(shape):
+    """The text of a float array of this shape with no finite cell."""
+    if not shape:
+        return "null"
+    return "[" + ", ".join([_null_text(shape[1:])] * shape[0]) + "]"
+
+
+def _emit_floats(a, blocks, out):
+    """Append the text of the float array a (ndim >= 1), where blocks are
+    its _finite_blocks: a sub-array with no finite cell is its cached
+    null text, so only the rows that hold one are converted."""
+    if not blocks:
+        out.append("[" + ", ".join([float.__repr__(v) if math.isfinite(v)
+                                    else "null" for v in a.tolist()]) + "]")
+        return
+    null = _null_text(a.shape[1:])
+    out.append("[")
+    for i, live in enumerate(blocks[0].tolist()):
+        if i:
+            out.append(", ")
+        if live:
+            _emit_floats(a[i], [m[i] for m in blocks[1:]], out)
+        else:
+            out.append(null)
+    out.append("]")
 
 
 def cmd_classify(cfg):
@@ -225,11 +300,12 @@ def cmd_decompose(cfg):
     samples = _samples(cfg, field.dim)
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     d = decompose(field, samples, quad)
-    rows = [{"point": x, "potential": float(v), "exact_part": ex,
-             "antiexact_part": ae, "reconstruction_residual": float(res)}
-            for x, v, ex, ae, res in zip(d.point, d.potential, d.exact_part,
-                                         d.antiexact_part,
-                                         d.reconstruction_residual)]
+    rows = [{"point": x, "potential": v, "exact_part": ex,
+             "antiexact_part": ae, "reconstruction_residual": res}
+            for x, v, ex, ae, res in zip(
+                d.point.tolist(), d.potential.tolist(),
+                d.exact_part.tolist(), d.antiexact_part.tolist(),
+                d.reconstruction_residual.tolist())]
     # x . antiexact(x) per point, the same dot product as for one point
     radial = np.matmul(d.antiexact_part[:, None, :], d.point[:, :, None])
     return {
@@ -244,7 +320,8 @@ def cmd_decompose(cfg):
 
 
 def _constant_report(rep):
-    return {**_jsonable(rep), "nullspace_dim": len(rep.nullspace_basis)}
+    fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    return {**fields, "nullspace_dim": len(rep.nullspace_basis)}
 
 
 def cmd_gradientize(cfg):
@@ -265,8 +342,9 @@ def cmd_gradientize(cfg):
     if cfg["solver"]["run_general"]:
         family = MatrixFamily(dim=field.dim,
                               degree=cfg["solver"]["family_degree"])
+        quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
         out["general"] = solve_general(field, family, samples,
-                                       cfg["solver"]["max_iter"])
+                                       cfg["solver"]["max_iter"], quad)
     return out
 
 
@@ -379,7 +457,7 @@ COMMANDS = {
 
 
 def _write_report(report, out_path):
-    text = json.dumps(_jsonable(report), sort_keys=True) + "\n"
+    text = _to_json(report) + "\n"
     if out_path is None:
         sys.stdout.write(text)
         return

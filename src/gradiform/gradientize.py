@@ -409,11 +409,13 @@ def _residual_sweep(field: VectorField, family: MatrixFamily,
 
 
 def solve_general(field: VectorField, family: MatrixFamily, samples,
-                  max_iter: int = 200) -> GeneralSolveReport:
+                  max_iter: int = 200,
+                  quad: QuadratureRule | None = None) -> GeneralSolveReport:
     """Damped least squares (Levenberg-Marquardt with gain-ratio damping)
     on the stacked residual at the collocation samples, plus a log-barrier
     keeping D(y) invertible; at most max_iter iterations, fewer when the
-    damping overflows."""
+    damping overflows.  The consistency check of the result integrates
+    its rays with quad (the shared default rule when None)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
@@ -464,7 +466,7 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
     converged = final_rms < TARGET_RMS
     tfield = transform_field_general(field, family, theta)
     try:
-        consistency = consistency_check(tfield, samples[: min(8, len(samples))])
+        consistency = consistency_check(tfield, samples[:8], quad)
     except (BarrierViolation, RuntimeError):
         consistency = np.inf
     return GeneralSolveReport(theta_final=theta, residual_norm=final_rms,

@@ -1,3 +1,5 @@
+import dataclasses
+import enum
 import json
 import os
 import re
@@ -8,11 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _jsonable,
+from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _to_json,
                            _write_report, load_config, main)
 from gradiform.dynamics import BURN_IN_FRACTION
-from gradiform.zoo import REGISTRY
+from gradiform.gradientize import (MatrixFamily, consistency_check,
+                                   transform_field_general)
+from gradiform.homotopy import QuadratureRule
+from gradiform.sampling import sample_ball
+from gradiform.zoo import REGISTRY, SystemSpec, build_system
 
 
 def run_cli(tmp_path, *argv, name="report.json"):
@@ -268,6 +275,31 @@ class TestReports:
         assert gen["converged"]
         assert gen["residual_norm"] < 1e-8
 
+    def test_general_consistency_takes_quadrature_order(self, tmp_path):
+        sets = ["--set", "solver.run_general=true", "--set",
+                "solver.max_iter=2", "--set", "solver.collocation=8"]
+        general = {}
+        for order in (16, 64):
+            code, rep = run_cli(tmp_path, "gradientize", *sets, "--set",
+                                f"quadrature_order={order}",
+                                name=f"order{order}.json")
+            assert code == 0
+            general[order] = rep["result"]["general"]
+        assert general[16]["theta_final"] == general[64]["theta_final"]
+        field = build_system(SystemSpec(name="lorenz", params={}, dim=0))
+        family = MatrixFamily(dim=3,
+                              degree=DEFAULT_CONFIG["solver"]["family_degree"])
+        tfield = transform_field_general(
+            field, family, np.array(general[16]["theta_final"]))
+        samples = sample_ball(3, 8, DEFAULT_CONFIG["samples"]["radius"],
+                              DEFAULT_CONFIG["samples"]["seed"])
+        for order, rep in general.items():
+            quad = QuadratureRule.gauss_legendre(order)
+            assert rep["consistency_residual"] == consistency_check(
+                tfield, samples, quad)
+        assert general[16]["consistency_residual"] != \
+            general[64]["consistency_residual"]
+
     def test_simulate_double_well_monotone(self, tmp_path):
         code, rep = run_cli(tmp_path, "simulate",
                             "--set", "system.name=double_well",
@@ -359,6 +391,10 @@ class TestReports:
 
 def jsonable_reference(obj):
     """Report values element by element: non-finite floats become None."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        obj = obj.value
     if isinstance(obj, dict):
         return {k: jsonable_reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -375,17 +411,75 @@ def jsonable_reference(obj):
     return obj
 
 
+def reference_text(obj):
+    return json.dumps(jsonable_reference(obj), sort_keys=True)
+
+
+class Color(enum.Enum):
+    RED = "Röt"
+    BLUE = 2
+
+
+@dataclasses.dataclass
+class Pair:
+    grid: np.ndarray
+    color: Color
+
+
 def test_jsonable_matches_elementwise_reference():
     a = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
                   [1e308, -2.5, 1.0 / 3.0]])
-    cases = [a, a[:, 1], a[:2].astype(np.float32), np.array(-0.0),
+    sparse = np.full((4, 3, 5), np.nan)
+    sparse[1, 2, 3], sparse[3, 0, 0] = -0.0, 1e308
+    cases = [a, a[:, 1], a.T, a[:2].astype(np.float32), np.array(-0.0),
              np.array(np.nan), np.arange(6).reshape(2, 3), a > 0,
-             np.empty((0, 3)), np.float64(-0.0), np.int64(7), np.bool_(True),
+             np.empty((0, 3)), np.empty((3, 0)), np.empty((2, 0, 3)),
+             np.full((2, 3, 2, 2), np.inf), sparse, sparse[:, ::-1],
+             np.ones((2, 2, 2)), np.float64(-0.0), np.float32(0.1),
+             np.int64(7), np.bool_(True), Color.RED, Color.BLUE,
+             Pair(sparse, Color.BLUE), "naïve \u2192 \"q\"\n", {"ключ": "€"},
              {"grid": a, "rows": [a[0], (np.float64(np.inf), -0.0)]}]
     for obj in cases:
-        got = json.dumps(_jsonable(obj), sort_keys=True)
-        assert got == json.dumps(jsonable_reference(obj), sort_keys=True)
-    assert json.dumps(_jsonable(a[0])) == "[0.0, -0.0, null]"
+        assert _to_json(obj) == reference_text(obj)
+    assert _to_json(a[0]) == "[0.0, -0.0, null]"
+
+
+_NULL_CELL = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def float_grids(draw):
+    """Float arrays of 1-4 dims whose cells are all finite, all
+    non-finite, or a random share of each."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    finite = st.floats(allow_nan=False, allow_infinity=False,
+                       width=8 * np.dtype(dtype).itemsize)
+    elements, fill = draw(st.sampled_from([
+        (st.one_of(finite, _NULL_CELL), _NULL_CELL),
+        (_NULL_CELL, _NULL_CELL),
+        (finite, finite)]))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                  max_side=5))
+    return draw(hnp.arrays(dtype, shape, elements=elements, fill=fill))
+
+
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([-0.0, 5e-324, 1e308]), float_grids(),
+    hnp.arrays(np.int64, _SHAPES), hnp.arrays(np.bool_, _SHAPES),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.sampled_from(Color))
+_REPORTS = st.recursive(_REPORT_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(), kids, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_REPORTS)
+def test_writer_matches_reference_property(obj):
+    assert _to_json(obj) == reference_text(obj)
 
 
 def test_write_report_one_sorted_line(tmp_path, capsys):
@@ -398,12 +492,37 @@ def test_write_report_one_sorted_line(tmp_path, capsys):
     _write_report(report, out)
     assert out.read_text() == text
     assert text.endswith("\n") and text.count("\n") == 1
+    assert text == reference_text(report) + "\n"
     parsed = json.loads(text)
-    assert parsed == _jsonable(report)
     assert list(parsed) == ["alpha", "mid", "zeta"]
     assert list(parsed["zeta"]) == ["a", "b"]
     assert parsed["zeta"] == {"a": None, "b": [1.5, None]}
     assert "NaN" not in text and "Infinity" not in text
+
+
+_QUADRATIC_3D = ["system.name=quadratic", "system.params.q_0_0=-1",
+                 "system.params.q_1_1=-1", "system.params.q_2_2=-1",
+                 "system.params.q_0_1=0.5", "simulation.eps=[0.05,0.1]",
+                 "simulation.steps=200"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "samples.count=8"],
+    ["decompose", "samples.count=8"],
+    ["gradientize", "solver.run_general=true", "solver.max_iter=2",
+     "solver.collocation=8"],
+    ["simulate", "simulation.steps=50", "simulation.ensemble=2"],
+    ["graham", "system.name=ou", "simulation.steps=200"],
+    ["zoo-list"],
+    ["graham"] + _QUADRATIC_3D,
+], ids=["classify", "decompose", "gradientize", "simulate", "graham",
+        "zoo-list", "graham-quadratic-3d"])
+def test_every_command_writes_canonical_json(tmp_path, argv):
+    out = tmp_path / "report.json"
+    sets = [arg for item in argv[1:] for arg in ("--set", item)]
+    assert main([argv[0], *sets, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def _strip_timings(report):
