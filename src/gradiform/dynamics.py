@@ -60,12 +60,12 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     # k + k is 2.0 * k bit for bit
     half, h, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
 
-    def step(x, k, live):
+    def step(x, k, live, out):
         k1 = _apply(field, g, x, shape, "field")
         k2 = _apply(field, g, x + half * k1, shape, "field")
         k3 = _apply(field, g, x + half * k2, shape, "field")
         k4 = _apply(field, g, x + h * k3, shape, "field")
-        return x + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        return np.add(x, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), out=out)
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
     # faster and with the rounding of a single-point evaluation
@@ -139,10 +139,10 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
     g, shape = field.func, (field.dim,)
     h = np.array(dt)  # a 0-d array, converted once
 
-    def step(x, k, live):
-        x = x + h * _apply(field, g, x, shape, "field")
+    def step(x, k, live, out):
+        x = np.add(x, h * _apply(field, g, x, shape, "field"), out=out)
         if kicks is not None:
-            x += kicks[k, live]  # one contiguous block until a row ends
+            x += kicks[k, live]  # a view of step k's kicks until a row ends
         return x
 
     trajs = _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
@@ -153,54 +153,65 @@ def _kick_table(eps: np.ndarray, dt: float, steps: int, count: int,
                 dim: int, master_seed: int) -> np.ndarray:
     """K[k, m * len(eps) + i] = z_m[k] sqrt(2 eps_i dt): stream
     (master_seed, m) draws start m's whole path once, and every level
-    scales that draw.  The table is step-major, so step k adds one
-    contiguous block of rows.  Rows at eps = 0 hold -0.0, and x + (-0.0)
-    is x bit for bit, so those rows stay exact forward Euler.  The table
-    is len(eps) times the size of the draw, and the draw and table are
-    both held while it is built."""
+    scales that draw.  Step k's kicks are stored as one coordinate-major
+    array (dim, rows), the layout of _lockstep's states, and K[k] is its
+    Fortran-order (rows, dim) view.  Rows at eps = 0 hold -0.0, and
+    x + (-0.0) is x bit for bit, so those rows stay exact forward Euler.
+    The table is len(eps) times the size of the draw, and the draw and
+    table are both held while it is built."""
     noise = np.empty((count, steps, dim))
     for m in range(count):
         _trajectory_rng(master_seed, m).standard_normal(out=noise[m])
-    kicks = np.multiply(noise.transpose(1, 0, 2)[:, :, None],
-                        np.sqrt(2.0 * eps * dt)[:, None], order="C")
-    kicks[:, :, eps == 0] = -0.0
-    return kicks.reshape(steps, -1, dim)
+    kicks = np.multiply(noise.transpose(1, 2, 0)[..., None],
+                        np.sqrt(2.0 * eps * dt), order="C")
+    kicks[..., eps == 0] = -0.0
+    return kicks.reshape(steps, dim, -1).swapaxes(1, 2)
 
 
 # overflow is expected in the steps: a non-finite state ends its row
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
-    """Trajectories of x <- step(x, k, live) from one point x0s (dim,) or
-    each row of x0s (count, dim), for dt > 0 and steps >= 1; live selects
-    the rows x still holds.  step, a pure function of its arguments, may
-    evaluate the field unchecked: a non-finite state ends its trajectory
-    alone, cut before it, and a FieldEvalError ends every trajectory still
-    running.  A FieldShapeError is a fault in the field and propagates.  A
-    block of _BLOCK steps that raises or holds a non-finite state is
-    stepped again, one checked step at a time, calling the field again on
-    its states."""
+    """Trajectories of x <- step(x, k, live, out) from one point x0s (dim,)
+    or each row of x0s (count, dim), for dt > 0 and steps >= 1; live
+    selects the rows x still holds, and step writes its result into out,
+    or into a new array when out is None.  step, which reads only its
+    arguments and writes only out, may evaluate the field unchecked: a
+    non-finite state ends its trajectory alone, cut before it, and a
+    FieldEvalError ends every trajectory still running.  A FieldShapeError
+    is a fault in the field and propagates.  A block of _BLOCK steps that
+    raises or holds a non-finite state is stepped again, one checked step
+    at a time, calling the field again on its states.
+
+    Each step's states are stored as one coordinate-major array,
+    (dim, count) for rows and (dim,) for one point, and states[k] is its
+    view in the shape of x0s: Fortran-order (count, dim) for rows.  While
+    every row runs, step writes into the next step's array; once one has
+    ended, the rows still running are held compacted and copied in."""
     n = x0s.shape[-1]
     count = x0s.size // n
-    states = np.empty((count, steps + 1, n))
-    states[:, 0] = x0s
+    states = np.empty((steps + 1,) + x0s.shape[::-1]).swapaxes(1, -1)
+    states[0] = x0s
+    x = states[0]
     lengths = np.full(count, steps + 1)
     live = slice(None)  # rows still running; an index array once one ends
-    x = x0s
     for start in range(0, steps, _BLOCK):
         end = min(start + _BLOCK, steps)
         try:  # whatever goes wrong here, the checked steps below repeat it
             y = x
             for k in range(start, end):
-                y = step(y, k, live)
-                states[live, k + 1] = y
-            if np.isfinite(states[live, start + 1:end + 1]).all():
+                if isinstance(live, slice):
+                    y = step(y, k, live, states[k + 1])
+                else:
+                    y = step(y, k, live, None)
+                    states[k + 1, live] = y
+            if np.isfinite(states[start + 1:end + 1, live]).all():
                 x = y
                 continue
         except Exception:
             pass
         for k in range(start, end):
             try:
-                x = step(x, k, live)
+                x = step(x, k, live, None)
             except FieldShapeError:
                 raise
             except FieldEvalError:
@@ -213,20 +224,31 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
                 if not ok.any():
                     break
                 live, x = rows[ok], x[ok]
-            states[live, k + 1] = x
+            states[k + 1, live] = x
         else:
             continue
         break  # every trajectory has ended
-    return [Trajectory(states=states[m, :length], dt=dt,
+    rows = states.reshape(steps + 1, count, n).swapaxes(0, 1)
+    return [Trajectory(states=rows[m, :length], dt=dt,
                        completed=bool(length == steps + 1))
             for m, length in enumerate(lengths)]
 
 
-def stationary_density(trajs: list, bins, ranges,
+def stationary_density(trajs: list, bins: int, ranges,
                        burn_in: Optional[int] = None) -> DensityGrid:
     """Histogram of the trajectories' states from index burn_in on, the
     same cut for every row.  The default cut is BURN_IN_FRACTION of the
-    longest row, so a row cut short adds no state of its transient."""
+    longest row, so a row cut short adds no state of its transient.
+
+    bins, an int >= 1, is the number of equal bins on every axis, and
+    ranges holds one (lo, hi) per axis with lo < hi and a finite hi - lo;
+    any other bins or ranges is a ValueError.  A sample with a coordinate
+    outside its range is clipped.  The others find their bin on each axis
+    as np.histogram finds one for equal bins: the index of
+    (x - lo) / (hi - lo) * bins, then one comparison with the edges in
+    each direction, the last bin closed.  The edges, counts and clipped
+    samples are those of NumPy's multidimensional histogram whenever a
+    bin is wider than the float spacing at max(|lo|, |hi|)."""
     if burn_in is None:
         burn_in = int(BURN_IN_FRACTION
                       * max((len(t.states) for t in trajs), default=0))
@@ -235,18 +257,43 @@ def stationary_density(trajs: list, bins, ranges,
     chunks = [t.states[burn_in:] for t in trajs if len(t.states) > burn_in]
     if not chunks:
         raise ValueError("no post-burn-in samples")
-    data = np.vstack(chunks)
-    counts, edges = np.histogramdd(data, bins=bins, range=ranges)
-    counts = counts.astype(np.int64)
-    total = int(counts.sum())
+    samples = np.concatenate([c.T for c in chunks], axis=1)  # (dim, N)
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"bins must be an int >= 1, got {bins!r}")
+    pairs = np.array(ranges, dtype=float)
+    if pairs.shape != (len(samples), 2) or not all(
+            0 < hi - lo < np.inf for lo, hi in pairs.tolist()):
+        raise ValueError(f"ranges must hold one (lo, hi) with lo < hi and "
+                         f"a finite hi - lo per axis, got {ranges!r}")
+    bins, dim, pairs = int(bins), len(pairs), pairs.tolist()
+    if bins ** dim > np.iinfo(np.intp).max:
+        raise ValueError(f"a grid of {bins}^{dim} cells is more than an "
+                         "array can index")
+    inside = np.ones(samples.shape[1], dtype=bool)
+    for (lo, hi), x in zip(pairs, samples):
+        inside &= (x >= lo) & (x <= hi)
+    kept = samples if inside.all() else [x[inside] for x in samples]
+    edges, flat = [], 0
+    for (lo, hi), x in zip(pairs, kept):
+        e = np.linspace(lo, hi, bins + 1)
+        i = ((x - lo) / (hi - lo) * bins).astype(np.intp)
+        i[i == bins] = bins - 1  # x = hi, in the closed last bin
+        # the quotient may round across an edge: one step back either way
+        i -= x < e[i]
+        i += (x >= e[i + 1]) & (i < bins - 1)
+        edges.append(e)
+        flat = flat * bins + i
+    counts = np.bincount(flat, minlength=bins ** dim).reshape((bins,) * dim)
+    total = len(kept[0])
     if total == 0:
         def box(pairs):
             return " x ".join(f"[{lo:.3g}, {hi:.3g}]" for lo, hi in pairs)
         raise ValueError(
-            f"all samples fall outside the grid ranges {box(ranges)}; the "
-            f"post-burn-in samples span {box(zip(data.min(0), data.max(0)))}")
-    return DensityGrid(edges=[np.asarray(e) for e in edges], counts=counts,
-                       n_clipped=len(data) - total)
+            f"all samples fall outside the grid ranges {box(pairs)}; the "
+            f"post-burn-in samples span "
+            f"{box(zip(samples.min(1), samples.max(1)))}")
+    return DensityGrid(edges=edges, counts=counts,
+                       n_clipped=samples.shape[1] - total)
 
 
 def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 # cube root of machine epsilon: balances truncation vs round-off for
 # central differences
 _H0 = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_FLOAT = np.dtype(float)
 
 
 class FieldEvalError(RuntimeError):
@@ -70,21 +71,24 @@ def _as_point(field: VectorField, x) -> np.ndarray:
 def _apply(field: VectorField, fn, X: np.ndarray, shape: tuple,
            what: str) -> np.ndarray:
     """fn at the points X, each value of the given shape.  A vectorized
-    field, or a single point, takes one call; any other field is called
-    row by row, the only pointwise evaluation path."""
+    field, or a single point, takes one call and one shape check; any
+    other field is called row by row, the only pointwise evaluation
+    path."""
     if field.vectorized or X.ndim == 1:
-        out = np.asarray(fn(X), dtype=float)
-    else:
-        out = np.empty((len(X),) + shape)
-        for m, x in enumerate(X):
-            val = np.asarray(fn(x), dtype=float)
-            if val.shape != shape:
-                raise FieldShapeError(
-                    f"{what} returned shape {val.shape}, expected {shape}")
-            out[m] = val
-    if out.shape != X.shape[:-1] + shape:
-        raise FieldShapeError(f"{what} returned shape {out.shape}, "
-                              f"expected {X.shape[:-1] + shape}")
+        out = fn(X)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
+        if out.shape != X.shape[:-1] + shape:
+            raise FieldShapeError(f"{what} returned shape {out.shape}, "
+                                  f"expected {X.shape[:-1] + shape}")
+        return out
+    out = np.empty((len(X),) + shape)
+    for m, x in enumerate(X):
+        val = np.asarray(fn(x), dtype=float)
+        if val.shape != shape:
+            raise FieldShapeError(
+                f"{what} returned shape {val.shape}, expected {shape}")
+        out[m] = val
     return out
 
 

@@ -6,9 +6,11 @@ points (see ``VectorField``).  ``lorenz`` and ``jj_circuit`` unpack
 components with ``_unpack``: a single point computes on Python floats,
 which round as numpy's float64 scalars do at a fraction of their cost,
 and stacked points compute the same expressions on columns.
-``double_well`` unpacks with ``p.T`` (numpy scalars for one point): a
-Python float power raises ``OverflowError`` where numpy gives inf.  The
-linear fields multiply through ``fields._matvec``.
+``double_well`` computes one point on numpy scalars, because a Python
+float power raises ``OverflowError`` where numpy gives inf, and stacked
+points as ``x - x ** 3`` on the whole (M, 1) array, with no column taken
+out and stacked again.  The linear fields multiply through
+``fields._matvec``.
 """
 from __future__ import annotations
 
@@ -131,8 +133,10 @@ def double_well():
     # most one unit in the last place), so a single point and the same
     # point inside a batch can differ in the last bit
     def func(x):
-        x0 = x.T[0]
-        return np.array([x0 - x0 ** 3]).T
+        if x.ndim == 2:
+            return x - x ** 3
+        x0 = x[0]
+        return np.array([x0 - x0 ** 3])
 
     def jac(x):
         x0 = x.T[0]

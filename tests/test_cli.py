@@ -152,6 +152,19 @@ class TestExitCodes:
         assert span.shape == (3, 2) and np.all(span[:, 0] <= span[:, 1])
         assert np.max(np.abs(span)) > 2.0
 
+    def test_grid_too_large_to_index_three(self, capsys):
+        # (10^7)^3 cells exceed the largest array index
+        code = main(["graham", "--set", "system.name=quadratic",
+                     "--set", "system.params.q_0_0=-1",
+                     "--set", "system.params.q_1_1=-1",
+                     "--set", "system.params.q_2_2=-1",
+                     "--set", "simulation.steps=50",
+                     "--set", "simulation.grid_bins=10000000"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical abort:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_numerical_abort_three(self, tmp_path, capsys):
         # gradientized potential requested for a field with no
         # symmetrizer: the pipeline aborts instead of reporting garbage

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradiform import (VectorField, euler_maruyama_ensembles, graham_estimate,
@@ -477,6 +477,78 @@ class TestDensityAndGraham:
         assert abs(right_min - 1.0) <= width
 
 
+def histogramdd_reference(samples, bins, ranges):
+    """np.histogramdd's edges, counts and clipped samples."""
+    counts, edges = np.histogramdd(samples, bins=bins, range=ranges)
+    return edges, counts.astype(np.int64), len(samples) - int(counts.sum())
+
+
+@st.composite
+def axis_range(draw, bins):
+    """(lo, hi) of ints, or of floats whose bins are at least one float
+    spacing wide at max(|lo|, |hi|)."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-100, 100))
+        return lo, lo + draw(st.integers(1, 100))
+    lo, hi = sorted([draw(st.floats(-1e300, 1e300)),
+                     draw(st.floats(-1e300, 1e300))])
+    assume(lo < hi
+           and (hi - lo) / bins >= np.spacing(max(abs(lo), abs(hi))))
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_binning_equals_histogramdd(data):
+    # every edge, the floats either side of it, random in-range values
+    # and finite values far outside, mixed across axes; a row at every lo
+    # keeps one sample inside
+    dim = data.draw(st.integers(1, 3))
+    bins = data.draw(st.integers(1, 50))
+    ranges = [data.draw(axis_range(bins)) for _ in range(dim)]
+    columns = []
+    for lo, hi in ranges:
+        e = np.linspace(lo, hi, bins + 1)
+        columns.append(np.concatenate([
+            e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+            data.draw(st.lists(st.floats(lo, hi), max_size=20)),
+            [-1e308, 1e308]]))
+    n = max(map(len, columns))
+    samples = np.vstack([np.column_stack([
+        np.roll(np.resize(c, n), data.draw(st.integers(0, n - 1)))
+        for c in columns]), [lo for lo, _ in ranges]])
+    split = data.draw(st.integers(0, len(samples)))
+    trajs = [Trajectory(states=samples[:split], dt=1.0),
+             Trajectory(states=samples[split:], dt=1.0)]
+    edges, counts, clipped = histogramdd_reference(samples, bins, ranges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = stationary_density(trajs, bins, ranges, burn_in=0)
+    assert len(grid.edges) == dim
+    for got, want in zip(grid.edges, edges):
+        assert got.tobytes() == want.tobytes()
+    assert grid.counts.dtype == np.int64
+    assert np.array_equal(grid.counts, counts)
+    assert grid.n_clipped == clipped
+
+
+@pytest.mark.parametrize("dim, bins, ranges", [
+    (1, 0, [(0, 1)]), (1, -3, [(0, 1)]), (1, 2.0, [(0, 1)]),
+    (1, "4", [(0, 1)]), (1, None, [(0, 1)]), (1, 4, [(1, 1)]),
+    (1, 4, [(2, 1)]), (1, 4, [(0, np.inf)]), (1, 4, [(np.nan, 1)]),
+    (1, 4, [(-1e308, 1e308)]), (1, 4, [(0, 1), (0, 1)]),
+    (1, 4, [(0, 1, 2)]), (1, 4, [0, 1]), (1, 4, []),
+    (3, 10 ** 7, [(0, 1)] * 3)])
+def test_density_rejects_bad_grids(dim, bins, ranges):
+    # the width of (-1e308, 1e308) overflows; 10^21 cells cannot be indexed
+    trajs = [Trajectory(states=np.zeros((3, dim)), dt=1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError,
+                           match="bins must|ranges must|can index"):
+            stationary_density(trajs, bins, ranges, burn_in=0)
+
+
 def csv_writer_bytes(traj, path):
     """The file csv.writer makes of the trajectory, row by row."""
     with open(path, "w", newline="") as fh:
@@ -590,6 +662,8 @@ def test_one_nan_among_many_rows_ends_only_its_row():
     assert sum(t.completed for t in ens) == 9_999
 
 
+# overflow only ends a row here, as in the lockstep
+@np.errstate(over="ignore", invalid="ignore")
 def reference_em(field, eps, x0, dt, steps, rng):
     """Euler-Maruyama of one start as a 1-row batch, step by step."""
     z = rng.standard_normal((steps, len(x0))) if eps > 0 else None
@@ -617,15 +691,22 @@ def cubic_pair(x):  # one point only: a field without vectorized=True
     return np.array([-x[0] ** 3 + x[1], -x[1] - 0.5 * x[0]])
 
 
+# not symmetric, so a coordinate swapped with a row shows; quadratic and
+# lorenz return stacked values as transposed (Fortran-order) views
+Q3 = np.array([[-1.2, 0.4, 0.1], [-0.3, -0.9, 0.5], [0.2, -0.6, -1.1]])
+EM_FIELDS = {"double_well": lambda: double_well()[0],
+             "cubic_pair": lambda: VectorField(dim=2, func=cubic_pair),
+             "quadratic3": lambda: quadratic(Q3), "lorenz": lorenz}
+
+
 @settings(max_examples=25, deadline=None)
-@given(vectorized=st.booleans(), seed=st.integers(0, 2 ** 31),
+@given(name=st.sampled_from(sorted(EM_FIELDS)), seed=st.integers(0, 2 ** 31),
        count=st.integers(1, 5), steps=st.integers(1, 200),
        eps_list=st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.5, 3.0]),
                          min_size=1, max_size=3))
-def test_stacked_levels_equal_one_call_per_eps(vectorized, seed, count,
-                                               steps, eps_list):
-    field = (double_well()[0] if vectorized
-             else VectorField(dim=2, func=cubic_pair))
+def test_stacked_levels_equal_one_call_per_eps(name, seed, count, steps,
+                                               eps_list):
+    field = EM_FIELDS[name]()
     x0s = np.linspace(-1.5, 1.5, count * field.dim).reshape(count, -1)
     stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, steps,
                                        master_seed=seed)
@@ -657,21 +738,48 @@ def test_nonfinite_row_at_one_level_ends_alone(vectorized):
             field, [eps], x0s, 0.1, 50, master_seed=3)[0])
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rows_ending_apart_with_noise_match_reference(vectorized, seed):
+def band(vectorized):
     # the drift is NaN outside the band |x_i| < 2: at eps = 1 rows leave it
     # at different steps, while the rows at eps = 0.01 keep drawing noise
     # after them, so the kick add runs on a shrinking set of rows
     field = VectorField(dim=2, vectorized=vectorized,
                         func=lambda x: np.where(abs(x) < 2.0, -x, np.nan))
-    x0s = np.array([[0.0, 0.0], [1.0, -0.5], [1.9, 0.3], [-1.5, 1.5]])
+    return field, np.array([[0.0, 0.0], [1.0, -0.5], [1.9, 0.3], [-1.5, 1.5]])
+
+
+def unstable_quadratic():
+    # x_1 grows 1000-fold a step: at eps = 0 the starts at 1, 1e-100 and
+    # 1e-200 are non-finite at states 103, 136 and 169, and the start at 0
+    # runs on; the noise of the other levels ends their rows within a few
+    # steps of each other
+    Q = np.array([[19980.0, 1.0, 0.5], [0.0, -1.0, 2.0], [0.0, 0.0, -2.0]])
+    return quadratic(Q), np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3],
+                                   [1e-100, 0.0, 0.0], [1e-200, 0.0, 0.0]])
+
+
+def unstable_lorenz():
+    # forward Euler at dt = 0.05 is unstable here: these starts overflow
+    # within 20-35 steps, and the start at the fixed point 0 runs on at
+    # eps = 0
+    return lorenz(), 5.0 * np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3],
+                                     [1.9, 0.3, -1.0], [-1.5, 1.5, 2.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: band(True), lambda: band(False), unstable_quadratic,
+    unstable_lorenz],
+    # True and False: the band field vectorized or called row by row
+    ids=["True", "False", "quadratic3", "lorenz"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rows_ending_apart_with_noise_match_reference(make, seed):
+    field, x0s = make()
     eps_list = [0.0, 1.0, 0.01]
     stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, 200,
                                        master_seed=seed)
-    ended = [len(t.states) for t in stacked[1] if not t.completed]
-    assert len(set(ended)) >= 2
-    assert all(t.completed for t in stacked[2])
+    ended = {len(t.states) for ens in stacked for t in ens
+             if not t.completed}
+    assert len(ended) >= 2
+    assert any(t.completed for ens in stacked for t in ens)
     for eps, ens in zip(eps_list, stacked):
         for m, traj in enumerate(ens):
             states, completed = reference_em(field, eps, x0s[m], 0.05, 200,
