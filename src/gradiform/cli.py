@@ -155,9 +155,10 @@ def _validate(cfg):
                           "positive numbers")
     grid = sim["grid_range"]
     if not (isinstance(grid, list) and len(grid) == 2
-            and all(_is_number(v) for v in grid) and grid[0] < grid[1]):
+            and all(_is_number(v) for v in grid)
+            and 0 < float(grid[1]) - float(grid[0]) < math.inf):
         raise ConfigError("simulation.grid_range must be [low, high] with "
-                          "low < high")
+                          "low < high and a finite high - low")
     if not isinstance(cfg["solver"]["run_general"], bool):
         raise ConfigError("solver.run_general must be true or false")
     if cfg["potential_source"] not in ("homotopy", "gradientize"):

@@ -198,10 +198,11 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
         end = min(start + _BLOCK, steps)
         try:  # whatever goes wrong here, the checked steps below repeat it
             y = x
-            for k in range(start, end):
-                if isinstance(live, slice):
+            if isinstance(live, slice):  # every row runs: write in place
+                for k in range(start, end):
                     y = step(y, k, live, states[k + 1])
-                else:
+            else:
+                for k in range(start, end):
                     y = step(y, k, live, None)
                     states[k + 1, live] = y
             if np.isfinite(states[start + 1:end + 1, live]).all():

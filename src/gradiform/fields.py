@@ -9,7 +9,6 @@ import numpy as np
 # cube root of machine epsilon: balances truncation vs round-off for
 # central differences
 _H0 = float(np.finfo(float).eps) ** (1.0 / 3.0)
-_FLOAT = np.dtype(float)
 
 
 class FieldEvalError(RuntimeError):
@@ -75,9 +74,7 @@ def _apply(field: VectorField, fn, X: np.ndarray, shape: tuple,
     other field is called row by row, the only pointwise evaluation
     path."""
     if field.vectorized or X.ndim == 1:
-        out = fn(X)
-        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-            out = np.asarray(out, dtype=float)
+        out = np.asarray(fn(X), dtype=float)
         if out.shape != X.shape[:-1] + shape:
             raise FieldShapeError(f"{what} returned shape {out.shape}, "
                                   f"expected {X.shape[:-1] + shape}")

@@ -110,6 +110,7 @@ class TestExitCodes:
         "simulation.steps=0", "simulation.dt=NaN", "simulation.eps=[-0.1]",
         "simulation.eps=[]", "simulation.eps=[NaN]",
         "simulation.grid_range=[2, -2]",
+        "simulation.grid_range=[-1e308, 1e308]",
         "simulation.burn_in_fraction=1", "solver.run_general=1",
         "samples={}", "system=3", 'system.params.sigma="a"',
         "tolerances.consistency=1e-6", "tolerances.closedness=1e-6",

@@ -699,7 +699,7 @@ EM_FIELDS = {"double_well": lambda: double_well()[0],
              "quadratic3": lambda: quadratic(Q3), "lorenz": lorenz}
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(name=st.sampled_from(sorted(EM_FIELDS)), seed=st.integers(0, 2 ** 31),
        count=st.integers(1, 5), steps=st.integers(1, 200),
        eps_list=st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.5, 3.0]),
@@ -744,7 +744,25 @@ def band(vectorized):
     # after them, so the kick add runs on a shrinking set of rows
     field = VectorField(dim=2, vectorized=vectorized,
                         func=lambda x: np.where(abs(x) < 2.0, -x, np.nan))
-    return field, np.array([[0.0, 0.0], [1.0, -0.5], [1.9, 0.3], [-1.5, 1.5]])
+    x0s = np.array([[0.0, 0.0], [1.0, -0.5], [1.9, 0.3], [-1.5, 1.5]])
+    return field, x0s, noisy_apart
+
+
+def noisy_apart(stacked):
+    """At eps = 1 rows end at different steps, and every row at
+    eps = 0.01 runs to the end."""
+    ended = {len(t.states) for t in stacked[1] if not t.completed}
+    return len(ended) >= 2 and all(t.completed for t in stacked[2])
+
+
+def noiseless_apart(stacked):
+    """At eps = 0 rows end at different steps while the start at 0 runs
+    on, and the noisy rows end at different steps too."""
+    def ended(levels):
+        return {len(t.states) for ens in levels for t in ens
+                if not t.completed}
+    return (len(ended(stacked[:1])) >= 2 and stacked[0][0].completed
+            and len(ended(stacked[1:])) >= 2)
 
 
 def unstable_quadratic():
@@ -753,16 +771,18 @@ def unstable_quadratic():
     # runs on; the noise of the other levels ends their rows within a few
     # steps of each other
     Q = np.array([[19980.0, 1.0, 0.5], [0.0, -1.0, 2.0], [0.0, 0.0, -2.0]])
-    return quadratic(Q), np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3],
-                                   [1e-100, 0.0, 0.0], [1e-200, 0.0, 0.0]])
+    x0s = np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3],
+                    [1e-100, 0.0, 0.0], [1e-200, 0.0, 0.0]])
+    return quadratic(Q), x0s, noiseless_apart
 
 
 def unstable_lorenz():
     # forward Euler at dt = 0.05 is unstable here: these starts overflow
     # within 20-35 steps, and the start at the fixed point 0 runs on at
     # eps = 0
-    return lorenz(), 5.0 * np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3],
-                                     [1.9, 0.3, -1.0], [-1.5, 1.5, 2.0]])
+    x0s = 5.0 * np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3],
+                          [1.9, 0.3, -1.0], [-1.5, 1.5, 2.0]])
+    return lorenz(), x0s, noiseless_apart
 
 
 @pytest.mark.parametrize("make", [
@@ -772,14 +792,11 @@ def unstable_lorenz():
     ids=["True", "False", "quadratic3", "lorenz"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rows_ending_apart_with_noise_match_reference(make, seed):
-    field, x0s = make()
+    field, x0s, apart = make()
     eps_list = [0.0, 1.0, 0.01]
     stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, 200,
                                        master_seed=seed)
-    ended = {len(t.states) for ens in stacked for t in ens
-             if not t.completed}
-    assert len(ended) >= 2
-    assert any(t.completed for ens in stacked for t in ens)
+    assert apart(stacked)
     for eps, ens in zip(eps_list, stacked):
         for m, traj in enumerate(ens):
             states, completed = reference_em(field, eps, x0s[m], 0.05, 200,
