@@ -142,7 +142,7 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
     def step(x, k, live, out):
         x = np.add(x, h * _apply(field, g, x, shape, "field"), out=out)
         if kicks is not None:
-            x += kicks[k, live]  # a view of step k's kicks until a row ends
+            x += kicks[k, live]  # a view of step k's kicks while all rows run
         return x
 
     trajs = _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
@@ -178,15 +178,16 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     arguments and writes only out, may evaluate the field unchecked: a
     non-finite state ends its trajectory alone, cut before it, and a
     FieldEvalError ends every trajectory still running.  A FieldShapeError
-    is a fault in the field and propagates.  A block of _BLOCK steps that
-    raises or holds a non-finite state is stepped again, one checked step
-    at a time, calling the field again on its states.
+    is a fault in the field and propagates.  While every row runs, a block
+    of _BLOCK steps is stepped unchecked, each step writing into the next
+    step's array; a block that raises or holds a non-finite state is
+    stepped again, one checked step at a time, calling the field again on
+    its states.  Once a row has ended, every step is checked: the rows
+    still running are held compacted and copied in.
 
     Each step's states are stored as one coordinate-major array,
     (dim, count) for rows and (dim,) for one point, and states[k] is its
-    view in the shape of x0s: Fortran-order (count, dim) for rows.  While
-    every row runs, step writes into the next step's array; once one has
-    ended, the rows still running are held compacted and copied in."""
+    view in the shape of x0s: Fortran-order (count, dim) for rows."""
     n = x0s.shape[-1]
     count = x0s.size // n
     states = np.empty((steps + 1,) + x0s.shape[::-1]).swapaxes(1, -1)
@@ -196,20 +197,16 @@ def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
     live = slice(None)  # rows still running; an index array once one ends
     for start in range(0, steps, _BLOCK):
         end = min(start + _BLOCK, steps)
-        try:  # whatever goes wrong here, the checked steps below repeat it
-            y = x
-            if isinstance(live, slice):  # every row runs: write in place
+        if isinstance(live, slice):  # every row runs: unchecked, in place
+            try:  # whatever goes wrong here, the checked steps repeat it
+                y = x
                 for k in range(start, end):
                     y = step(y, k, live, states[k + 1])
-            else:
-                for k in range(start, end):
-                    y = step(y, k, live, None)
-                    states[k + 1, live] = y
-            if np.isfinite(states[start + 1:end + 1, live]).all():
-                x = y
-                continue
-        except Exception:
-            pass
+                if np.isfinite(states[start + 1:end + 1]).all():
+                    x = y
+                    continue
+            except Exception:
+                pass
         for k in range(start, end):
             try:
                 x = step(x, k, live, None)

@@ -244,9 +244,9 @@ def transform_field(field: VectorField, D) -> VectorField:
 
     The transformed field is vectorized: stacked points go through the
     base field in one batch, and the base field's values get their own
-    shape check.
+    shape check.  The field keeps its own copy of D.
     """
-    D = np.asarray(D, dtype=float)
+    D = np.array(D, dtype=float)
     n = field.dim
     if D.shape != (n, n):
         raise ValueError("D must match the field dimension")

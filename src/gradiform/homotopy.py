@@ -16,20 +16,22 @@ RULE_CACHE_SIZE = 32  # shared Gauss-Legendre rules kept, by order
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights on [0, 1]."""
+    """Nodes/weights on [0, 1], held as read-only copies of the arrays
+    given, so that no write can move them past the checks."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d and equal length")
         if np.any(nodes < 0) or np.any(nodes > 1):
             raise ValueError("nodes must lie in [0, 1]")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -39,13 +41,10 @@ class QuadratureRule:
         """n-node Gauss-Legendre rule mapped from [-1, 1] to [0, 1].
 
         Rules are built once per order and shared: a repeat call returns
-        the same object, whose arrays are read-only.
+        the same object.
         """
         x, w = np.polynomial.legendre.leggauss(n)
-        rule = cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
-        rule.nodes.flags.writeable = False
-        rule.weights.flags.writeable = False
-        return rule
+        return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Weighted sum over the leading axis of per-node values.

@@ -103,8 +103,8 @@ def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
 
 
 def quadratic(Q) -> VectorField:
-    """Linear field g(x) = Q x with exact Jacobian Q."""
-    Q = np.asarray(Q, dtype=float)
+    """Linear field g(x) = Q x with exact Jacobian Q, from a copy of Q."""
+    Q = np.array(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
     return VectorField(dim=Q.shape[0], func=lambda x: _matvec(Q, x),
@@ -112,10 +112,9 @@ def quadratic(Q) -> VectorField:
 
 
 def _constant_jacobian(Q):
-    """Jacobian of a linear field: Q at one point, Q broadcast over the
-    rows of stacked points."""
-    return lambda x: Q if x.ndim == 1 else np.broadcast_to(
-        Q, x.shape[:1] + Q.shape)
+    """Jacobian of a linear field: a read-only view of Q, broadcast over
+    the rows of stacked points."""
+    return lambda x: np.broadcast_to(Q, x.shape[:-1] + Q.shape)
 
 
 def rotation() -> VectorField:

@@ -257,3 +257,48 @@ def test_pointwise_callable_through_every_entry_point():
         assert np.array_equal(np.asarray(a), np.asarray(b))
     assert np.allclose(potential(plain, X, rule),
                        0.5 * np.sum(X * X, axis=1))
+
+
+def _jacobian_at_one_point():
+    field = quadratic([[-1.0, 0.5], [0.0, -2.0]])
+    return field, None, [jacobian(field, np.ones(2))]
+
+
+def _rule_arrays():
+    nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    return lorenz(), QuadratureRule(nodes, weights), [nodes, weights]
+
+
+def _transform_matrix():
+    D = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return transform_field(lorenz(), D), None, [D]
+
+
+def _quadratic_matrix():
+    Q = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    return quadratic(Q), None, [Q]
+
+
+@pytest.mark.parametrize("build", [_jacobian_at_one_point, _rule_arrays,
+                                   _transform_matrix, _quadratic_matrix])
+def test_writes_after_construction_change_nothing(build):
+    # each array was handed in or handed out: a write into it raises (the
+    # array is read-only) or leaves values, Jacobians and potential as
+    # they were
+    field, rule, arrays = build()
+    X = sample_ball(field.dim, 4, 1.0, seed=2)
+
+    def values():
+        return [np.array(v) for v in (
+            eval_field(field, X[0]), eval_field(field, X),
+            jacobian(field, X[0]), jacobian(field, X),
+            potential(field, X[0], rule), potential(field, X, rule))]
+
+    before = values()
+    for a in arrays:
+        try:
+            a.flat[0] = -3.0
+        except ValueError:
+            pass
+    for a, b in zip(before, values()):
+        assert np.array_equal(a, b)
