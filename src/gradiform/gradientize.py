@@ -480,9 +480,9 @@ def transform_field_general(field: VectorField, family: MatrixFamily,
     its Jacobian B M^-1 (B = df/dy, M = dx/dy) at that y.
 
     A vectorized field: Newton iteration from y = x inverts all points in
-    lockstep, each stopping at its own tolerance.
+    lockstep, each stopping at its own tolerance.  theta is copied.
     """
-    n = field.dim
+    n, theta = field.dim, np.array(theta, dtype=float)
 
     def invert(X):
         Y = X.copy()

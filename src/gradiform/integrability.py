@@ -45,7 +45,7 @@ class Loop:
 def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
                 axes=(0, 1)) -> Loop:
     """Unit-speed-parameterized circle in the (axes[0], axes[1]) plane."""
-    c = np.zeros(dim) if center is None else np.asarray(center, float)
+    c = np.zeros(dim) if center is None else np.array(center, float)
     i, j = axes
 
     def gamma(s):

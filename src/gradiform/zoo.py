@@ -6,10 +6,10 @@ points (see ``VectorField``).  ``lorenz`` and ``jj_circuit`` unpack
 components with ``_unpack``: a single point computes on Python floats,
 which round as numpy's float64 scalars do at a fraction of their cost,
 and stacked points compute the same expressions on columns.
-``double_well`` computes one point on numpy scalars, because a Python
-float power raises ``OverflowError`` where numpy gives inf, and stacked
-points as ``x - x ** 3`` on the whole (M, 1) array, with no column taken
-out and stacked again.  The linear fields multiply through
+``double_well`` computes one point on its Python float and stacked
+points as ``x - x * x * x`` on the whole (M, 1) array, with no column
+taken out and stacked again; both round alike, so one point equals its
+batch row bit for bit.  The linear fields multiply through
 ``fields._matvec``.
 """
 from __future__ import annotations
@@ -128,14 +128,14 @@ def double_well():
     V maps one point (1,) to a float and stacked points (M, 1) to (M,).
     """
 
-    # x ** 3 on an array rounds differently from x ** 3 on a scalar (by at
-    # most one unit in the last place), so a single point and the same
-    # point inside a batch can differ in the last bit
+    # x * x * x, not x ** 3, which numpy computes slowly on arrays of
+    # negative bases; products round alike on an array and on a Python
+    # float (whose * gives inf without raising): one point is a batch row
     def func(x):
         if x.ndim == 2:
-            return x - x ** 3
-        x0 = x[0]
-        return np.array([x0 - x0 ** 3])
+            return x - x * x * x
+        x0 = x.item()
+        return np.array([x0 - x0 * x0 * x0])
 
     def jac(x):
         x0 = x.T[0]

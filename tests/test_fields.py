@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (FieldEvalError, QuadratureRule, SystemSpec,
-                       VectorField, antiexact_part, build_system, classify,
-                       consistency_check, decompose, euler_maruyama_ensembles,
-                       eval_field, integrate_rk4, jacobian,
-                       lyapunov_check, potential, sample_ball,
-                       transform_field)
+from gradiform import (FieldEvalError, MatrixFamily, QuadratureRule,
+                       SystemSpec, VectorField, antiexact_part, build_system,
+                       circle_loop, classify, consistency_check, decompose,
+                       euler_maruyama_ensembles, eval_field, integrate_rk4,
+                       jacobian, loop_integral, lyapunov_check, potential,
+                       sample_ball, transform_field, transform_field_general)
 from gradiform.fields import _central_difference, _matvec
 from gradiform.zoo import (REGISTRY, jj_circuit, jj_circuit_linear, lorenz,
                            quadratic)
@@ -118,14 +118,10 @@ def _single_point_bound(name, field, X, G):
     single-point values G: 0 where the batch computes exactly what a
     single point computes.
 
-    double_well: x ** 3 rounds by up to 1 ulp differently on arrays than
-    on scalars, which moves g = x - x ** 3 by at most that ulp plus one
-    ulp of g.  Linear fields: a single point takes the BLAS product Q x,
-    stacked rows an elementwise sum; each is within n eps sum_j |Q_ij x_j|
-    of the exact value, so they differ by at most twice that.
+    Linear fields: a single point takes the BLAS product Q x, stacked
+    rows an elementwise sum; each is within n eps sum_j |Q_ij x_j| of the
+    exact value, so they differ by at most twice that.
     """
-    if name == "double_well":
-        return EPS * (np.abs(X) ** 3 + np.abs(G))
     if name.startswith(("quadratic", "jj_circuit_linear", "rotation")):
         Q = field.jac(X[0])
         return 2 * field.dim * EPS * (np.abs(X) @ np.abs(Q).T)
@@ -153,6 +149,22 @@ def test_zoo_batch_matches_single_points(data, name):
     for f in (field, without_jac(field)):
         J = jacobian(f, X)
         assert np.array_equal(J, np.array([jacobian(f, x) for x in X]))
+
+
+def test_double_well_overflow_is_a_batch_row():
+    # from |x| = 1e103 on the cube overflows: one point gives the inf of
+    # its batch row, -inf for x > 0 and inf for x < 0.  At 2.9, x ** 3
+    # rounds differently on a scalar and on an array
+    g = build_system(SystemSpec("double_well", {}, 1)).func
+    mags = np.array([1e102, 1e103, 3e150, 1e200, 1e300])
+    X = np.concatenate([mags, -mags, [0.0, -0.0, 2.9, -2.9]])[:, None]
+    with np.errstate(over="ignore"):
+        G = g(X)
+    for x, row in zip(X, G):
+        assert g(x).tobytes() == row.tobytes()
+    assert np.isfinite(G[[0, 5, 10, 11, 12, 13], 0]).all()
+    assert np.array_equal(G[1:5, 0], [-np.inf] * 4)
+    assert np.array_equal(G[6:10, 0], [np.inf] * 4)
 
 
 def matvec_left_to_right(A, x):
@@ -261,38 +273,51 @@ def test_pointwise_callable_through_every_entry_point():
 
 def _jacobian_at_one_point():
     field = quadratic([[-1.0, 0.5], [0.0, -2.0]])
-    return field, None, [jacobian(field, np.ones(2))]
+    return field, None, (), [jacobian(field, np.ones(2))]
 
 
 def _rule_arrays():
     nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
-    return lorenz(), QuadratureRule(nodes, weights), [nodes, weights]
+    return lorenz(), QuadratureRule(nodes, weights), (), [nodes, weights]
 
 
 def _transform_matrix():
     D = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    return transform_field(lorenz(), D), None, [D]
+    return transform_field(lorenz(), D), None, (), [D]
 
 
 def _quadratic_matrix():
     Q = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    return quadratic(Q), None, [Q]
+    return quadratic(Q), None, (), [Q]
+
+
+def _circle_center():
+    c = np.array([0.5, 0.0, 0.0])
+    return lorenz(), None, (circle_loop(1.0, c, dim=3),), [c]
+
+
+def _general_theta():
+    family = MatrixFamily(3, 1)
+    theta = family.identity_params()
+    return transform_field_general(lorenz(), family, theta), None, (), [theta]
 
 
 @pytest.mark.parametrize("build", [_jacobian_at_one_point, _rule_arrays,
-                                   _transform_matrix, _quadratic_matrix])
+                                   _transform_matrix, _quadratic_matrix,
+                                   _circle_center, _general_theta])
 def test_writes_after_construction_change_nothing(build):
     # each array was handed in or handed out: a write into it raises (the
-    # array is read-only) or leaves values, Jacobians and potential as
-    # they were
-    field, rule, arrays = build()
+    # array is read-only) or leaves values, Jacobians, potential and loop
+    # integrals as they were
+    field, rule, loops, arrays = build()
     X = sample_ball(field.dim, 4, 1.0, seed=2)
 
     def values():
         return [np.array(v) for v in (
             eval_field(field, X[0]), eval_field(field, X),
             jacobian(field, X[0]), jacobian(field, X),
-            potential(field, X[0], rule), potential(field, X, rule))]
+            potential(field, X[0], rule), potential(field, X, rule),
+            [loop_integral(field, loop, rule) for loop in loops])]
 
     before = values()
     for a in arrays:
