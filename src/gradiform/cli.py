@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (BURN_IN_FRACTION, euler_maruyama_ensembles,
-                       graham_estimate, integrate_rk4, lyapunov_check,
-                       orthogonality_residual, stationary_density,
+from .dynamics import (BURN_IN_FRACTION, Trajectory,
+                       euler_maruyama_ensembles, graham_estimate,
+                       integrate_rk4, lyapunov_check, stationary_density,
                        write_trajectory_csv)
-from .fields import FieldEvalError, jacobian
+from .fields import FieldEvalError, _matvec, eval_field, jacobian
 from .gradientize import (MatrixFamily, solve_consistency_constant,
                           solve_general, solve_symmetrizer, transform_field)
 from .homotopy import DEFAULT_ORDER, QuadratureRule, decompose, potential
@@ -349,6 +349,19 @@ def cmd_gradientize(cfg):
     return out
 
 
+def _mapped_rk4(field, D, x0, dt, steps):
+    """RK4 of f(x) = D g(D^-1 x) from x0 as D times RK4 of g from D^-1 x0,
+    equal up to rounding since RK4 commutes with x = D y.  State 0 is x0;
+    the states end before the first one that D maps to a non-finite."""
+    base = integrate_rk4(field, _matvec(np.linalg.inv(D), x0), dt, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _matvec(D, base.states)
+    X[0] = x0
+    n = int(np.isfinite(X).all(axis=1).cumprod().sum())
+    return Trajectory(states=X[:n], dt=dt,
+                      completed=base.completed and n == len(X))
+
+
 def cmd_simulate(cfg, traj_dir=None):
     field, _ = _system(cfg)
     sim = cfg["simulation"]
@@ -361,8 +374,9 @@ def cmd_simulate(cfg, traj_dir=None):
                 "potential_source=gradientize but no gradientizing matrix "
                 f"was found (verdict {rep.verdict.value})")
         flow = transform_field(field, rep.chosen_D)
+        run = functools.partial(_mapped_rk4, field, rep.chosen_D)
     else:
-        flow = field
+        flow, run = field, functools.partial(integrate_rk4, field)
 
     def candidate(X):  # descends along xdot = g when the form is closed
         return -potential(flow, X, quad)
@@ -373,8 +387,9 @@ def cmd_simulate(cfg, traj_dir=None):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 V = candidate(traj.states)
-                ortho = orthogonality_residual(flow, candidate,
-                                               traj.states[-1])
+                x = traj.states[-1]  # grad V = -d(kG), the exact part
+                grad = -decompose(flow, x, quad).exact_part
+                ortho = float((eval_field(flow, x) + grad) @ grad)
         except FieldEvalError:
             V, ortho = np.nan, np.nan
         if not (np.isfinite(V).all() and np.isfinite(ortho)):
@@ -393,7 +408,7 @@ def cmd_simulate(cfg, traj_dir=None):
         traj_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for idx, x0 in enumerate(x0s):
-        traj = integrate_rk4(flow, x0, sim["dt"], sim["steps"])
+        traj = run(x0, sim["dt"], sim["steps"])
         rows.append({"x0": x0, **lyapunov_row(traj)})
         if traj_dir is not None:
             write_trajectory_csv(traj, traj_dir / f"trajectory_{idx:03d}.csv")

@@ -154,17 +154,17 @@ def jacobian(field: VectorField, X) -> np.ndarray:
 def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A x at one point, or at each row of stacked points (M, n).
 
-    A single point takes the BLAS product.  Stacked rows are summed
-    elementwise instead, because a batched BLAS product rounds each row
-    differently with the number of rows.  The products
+    Every row is summed elementwise, not by BLAS, because a BLAS product
+    rounds each row differently with the number of rows.  The products
     P[j, i, m] = A[i, j] X[m, j] are laid out in C order, batch axis
     innermost, and summed over the leading axis j: term by term, left to
     right, for every M.  So a row's bits do not depend on the batch it is
     in, a batch of one included (a reduce over a contiguous axis would
-    sum 8 or more terms pairwise).  The result is the transposed (M, n)
-    view of the (n, M) sums.
+    sum 8 or more terms pairwise), and a single point (n,) is summed as a
+    batch of one.  The result is the transposed (M, n) view of the (n, M)
+    sums.
     """
     if X.ndim == 1:
-        return A @ X
+        return _matvec(A, X[None])[0]
     P = np.multiply(A.T[:, :, None], X.T[:, None, :], order="C")
     return np.add.reduce(P, axis=0).T

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _to_json,
-                           _write_report, load_config, main)
-from gradiform.dynamics import BURN_IN_FRACTION
+from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _mapped_rk4,
+                           _to_json, _write_report, load_config, main)
+from gradiform.dynamics import BURN_IN_FRACTION, integrate_rk4
 from gradiform.gradientize import (MatrixFamily, consistency_check,
-                                   transform_field_general)
+                                   transform_field, transform_field_general)
 from gradiform.homotopy import QuadratureRule
 from gradiform.sampling import sample_ball
-from gradiform.zoo import REGISTRY, SystemSpec, build_system
+from gradiform.zoo import (REGISTRY, SystemSpec, build_system, jj_circuit,
+                           lorenz, quadratic)
 
 
 def run_cli(tmp_path, *argv, name="report.json"):
@@ -387,6 +388,52 @@ class TestReports:
         assert lines[0] == "t,x_1"
         assert len(lines) == 52
 
+    def test_simulate_gradientize_blowup_is_unfinished(self, tmp_path,
+                                                       capsys):
+        # the gradientized Lorenz field at dt=0.2: every row diverges,
+        # cut short or with a candidate that overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(tmp_path, "simulate",
+                                "--set", "potential_source=gradientize",
+                                "--set", "simulation.dt=0.2",
+                                "--set", "simulation.steps=200")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = rep["result"]["trajectories"]
+        assert len(rows) == 8
+        keys = {"x0", "completed", "max_increase", "monotone",
+                "orthogonality_residual_at_end"}
+        assert all(set(row) == keys for row in rows)
+        assert not any(row["completed"] or row["monotone"] for row in rows)
+
+    def test_simulate_gradientize_traj_csv_export(self, tmp_path):
+        traj_dir = tmp_path / "trajs"
+        code = main(["simulate", "--set", "potential_source=gradientize",
+                     "--set", "simulation.steps=50",
+                     "--set", "simulation.ensemble=2",
+                     "--traj-dir", str(traj_dir),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 0
+        files = sorted(traj_dir.glob("trajectory_*.csv"))
+        assert len(files) == 2
+        for f in files:
+            lines = f.read_text().strip().splitlines()
+            assert lines[0] == "t,x_1,x_2,x_3"
+            assert len(lines) == 52
+
+    def test_simulate_exact_gradient_residual_is_rounding(self, tmp_path):
+        # double_well is -V' exactly, and its candidate's gradient is the
+        # exact part d(kG), so f + grad V is rounding, not a difference
+        # quotient's error (up to about 1e-11 at the central difference)
+        code, rep = run_cli(tmp_path, "simulate",
+                            "--set", "system.name=double_well",
+                            "--set", "simulation.steps=200",
+                            "--set", "simulation.ensemble=4")
+        assert code == 0
+        for row in rep["result"]["trajectories"]:
+            assert abs(row["orthogonality_residual_at_end"]) <= 1e-14
+
     def test_graham_ou_blocks(self, tmp_path):
         cfg = {"system": {"name": "ou", "params": {"theta": 1.0}},
                "simulation": {"steps": 20000, "ensemble": 4,
@@ -655,3 +702,45 @@ def test_config_fuzz_exit_codes(sets):
     with tempfile.TemporaryDirectory() as tmp:
         code = main(argv + ["--out", os.path.join(tmp, "report.json")])
     assert code in (0, 2, 3)
+
+
+# -- the gradientized flow, stepped in the base field's coordinates --------
+
+_BASE_FIELDS = {"lorenz": lorenz(),
+                "jj_circuit": jj_circuit(i=0.3, r=1.2, beta_c=0.7,
+                                         beta_L=1.9),
+                "linear": quadratic([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0],
+                                     [0.0, 0.0, 0.5]])}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_BASE_FIELDS)),
+       E=hnp.arrays(float, (3, 3), elements=st.floats(-0.3, 0.3)),
+       x0=hnp.arrays(float, 3, elements=st.floats(-3, 3)),
+       dt=st.floats(1e-3, 2e-2), steps=st.integers(1, 250))
+def test_mapped_rk4_equals_composed_field(name, E, x0, dt, steps):
+    # RK4 commutes with x = D y, so the two trajectories differ only by
+    # rounding: a few eps times cond(D) per stage, grown by at most
+    # e^(0.9 t) on Lorenz over t <= 5; 1e-10 leaves a margin of 1e3
+    field, D = _BASE_FIELDS[name], np.eye(3) + E  # diagonally dominant
+    got = _mapped_rk4(field, D, x0, dt, steps)
+    ref = integrate_rk4(transform_field(field, D), x0, dt, steps)
+    assert len(got.states) == len(ref.states) == steps + 1
+    assert got.completed and ref.completed
+    assert got.dt == dt
+    err = np.abs(got.states - ref.states).max(axis=1)
+    assert (err <= 1e-10 * (1 + np.abs(ref.states).max(axis=1))).all()
+    assert got.states[0].tobytes() == x0.tobytes()
+
+
+def test_mapped_rk4_cut_before_the_first_overflowing_state():
+    # y = (e^t, 0) stays finite, but D y passes the largest float once
+    # e^t > 1.79: the trajectory ends at its last finite mapped state
+    D = np.diag([1e308, 1.0])
+    x0 = np.array([1e308, 0.0])
+    traj = _mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0,
+                       0.1, 20)
+    assert not traj.completed
+    assert np.isfinite(traj.states).all()
+    assert len(traj.states) == 6  # e^0.5 < 1.79 < e^0.6
+    assert traj.states[0].tobytes() == x0.tobytes()
