@@ -43,7 +43,8 @@ DEFAULT_CONFIG = {
     "simulation": {"dt": 1e-3, "steps": 2000, "eps": [0.05], "ensemble": 8,
                    "master_seed": 2024, "burn_in_fraction": BURN_IN_FRACTION,
                    "x0_radius": 0.5, "grid_bins": 40,
-                   "grid_range": [-2.0, 2.0]},
+                   # None: the system's own default grid (zoo.REGISTRY)
+                   "grid_range": None},
     "potential_source": "homotopy",
 }
 
@@ -154,11 +155,12 @@ def _validate(cfg):
         raise ConfigError("simulation.eps must be a nonempty list of "
                           "positive numbers")
     grid = sim["grid_range"]
-    if not (isinstance(grid, list) and len(grid) == 2
+    if grid is not None and not (
+            isinstance(grid, list) and len(grid) == 2
             and all(_is_number(v) for v in grid)
             and 0 < float(grid[1]) - float(grid[0]) < math.inf):
-        raise ConfigError("simulation.grid_range must be [low, high] with "
-                          "low < high and a finite high - low")
+        raise ConfigError("simulation.grid_range must be null or [low, high] "
+                          "with low < high and a finite high - low")
     if not isinstance(cfg["solver"]["run_general"], bool):
         raise ConfigError("solver.run_general must be true or false")
     if cfg["potential_source"] not in ("homotopy", "gradientize"):
@@ -423,7 +425,7 @@ def cmd_simulate(cfg, traj_dir=None):
 def cmd_graham(cfg):
     field, spec = _system(cfg)
     sim = cfg["simulation"]
-    lo, hi = sim["grid_range"]
+    lo, hi = sim["grid_range"] or REGISTRY[spec.name]["grid_range"]
     ranges = [(lo, hi)] * field.dim
     bins = sim["grid_bins"]
     analytic = analytic_potential(spec)

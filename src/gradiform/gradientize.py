@@ -20,7 +20,7 @@ DET_FLOOR = 1e-10
 SEARCH_DRAWS = 64
 SEARCH_SEED = 0  # the random draws of solve_consistency_constant
 EIG_COND_MAX = 1e6  # a larger cond(P) puts the symmetrizer optimum < 1e-8
-PATH_GROWTH = 50.0
+PATH_GROWTH = 200.0  # the predictor's first try; then its square roots
 GAP_RTOL = 1e-10
 NEWTON_TOL = 1e-2  # above the decrement's rounding floor at the path's end
 NEWTON_MAX_STEPS = 50
@@ -167,6 +167,8 @@ def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
     P^-1 (J = P diag(w) P^-1) scaled to lambda_min = 2; None when P is
     ill-conditioned or that start is not positive definite.  The damped
     Newton step needs no line search: the barrier is self-concordant.
+    Each centring starts from the path's tangent, linear in 1/t, at mu t:
+    the largest mu of PATH_GROWTH and its square roots that stays feasible.
 
     A one-element basis (n = 1) takes the closed form c = 1 / lambda, for
     the eigenvalue lambda of B nearest 0 on the side of B's sign; None when
@@ -185,31 +187,42 @@ def _min_norm_above_identity(J: np.ndarray, basis: np.ndarray
     m, n = basis.shape[:2]
     # S(c) = (c @ flat).reshape(n, n), the product tensordot(c, basis, 1)
     # forms, bit for bit
-    flat, eye_n, eye_m = basis.reshape(m, -1), np.eye(n), np.eye(m)
+    flat, eye, eye_m = basis.reshape(m, -1), np.eye(n).ravel(), np.eye(m)
     lam = np.linalg.eigvalsh((c @ flat).reshape(n, n))[0]
     if not lam > 0:
         return None
     c *= 2.0 / lam
-    t = 1.0 / (c @ c)
+    t = 10.0 / (c @ c)
+    centred, h, mus = c, 0.0 * c, [1.0]
     while True:
-        centred = c
+        for mu in mus:
+            c = centred - t * (1.0 - 1.0 / mu) * h
+            lam, Q = np.linalg.eigh((c @ flat - eye).reshape(n, n))
+            if lam[0] > 0:
+                break
+        else:  # the slack fell below the rounding of S
+            return centred
+        t *= mu
         for _ in range(NEWTON_MAX_STEPS):
-            lam, Q = np.linalg.eigh((c @ flat).reshape(n, n) - eye_n)
-            if lam[0] <= 0:  # the slack fell below the rounding of S
-                return centred
             # Bt_k = W^1/2 B_k W^1/2 for W = (S - I)^-1, in its eigenbasis:
             # tr(W B_k) = tr(Bt_k) and tr(W B_k W B_l) = <Bt_k, Bt_l>
-            Bt = (Q.T @ basis @ Q) / np.sqrt(np.outer(lam, lam))
-            A = Bt.reshape(m, -1)
-            g = t * c - np.trace(Bt, axis1=1, axis2=2)
-            d = -np.linalg.solve(t * eye_m + A @ A.T, g)
-            decrement = np.sqrt(max(-g @ d, 0.0))
-            c = c + d / (1.0 + decrement)
+            Qs = Q / np.sqrt(lam)
+            A = (Qs.T @ basis @ Qs).reshape(m, -1)
+            g = t * c - A @ eye
+            # one solve gives the Newton step -H^-1 g and the path's
+            # tangent dc/dt = -H^-1 c, h = H^-1 c
+            x, h = np.linalg.solve(t * eye_m + A @ A.T, np.array([g, c]).T).T
+            decrement = max(g @ x, 0.0) ** 0.5
+            c = c - x / (1.0 + decrement)
             if decrement < NEWTON_TOL:
                 break
+            lam, Q = np.linalg.eigh((c @ flat - eye).reshape(n, n))
+            if lam[0] <= 0:
+                return centred
+        centred = c
         if n / t < GAP_RTOL * (c @ c):  # the duality gap of the barrier
             return c
-        t *= PATH_GROWTH
+        mus = PATH_GROWTH ** 0.5 ** np.arange(4)
 
 
 def solve_symmetrizer(J) -> ConstantSolveReport:
@@ -225,18 +238,21 @@ def solve_symmetrizer(J) -> ConstantSolveReport:
     """
     J = _square(J)
     n = J.shape[0]
-    sym_basis = _sym_basis(n)
-    M = np.column_stack([(B @ J - J.T @ B).ravel() for B in sym_basis])
-    coeffs = _null_basis(M)
-    basis = [sum(ci * Bi for ci, Bi in zip(c, sym_basis)) for c in coeffs]
+    sym_basis = np.array(_sym_basis(n))
+    k = len(sym_basis)
+    coeffs = np.array(_null_basis(
+        (sym_basis @ J - J.T @ sym_basis).reshape(k, -1).T)).reshape(-1, k)
+    # each B = sum_i coeffs_i sym_i, summed in order from +0.0: an entry
+    # that is zero in every term is 0.0, never -0.0
+    basis = np.add.reduce(coeffs[:, :, None, None] * sym_basis, axis=1,
+                          initial=0.0)
 
-    c = _min_norm_above_identity(J, np.array(basis)) if basis else None
+    c = _min_norm_above_identity(J, basis) if len(basis) else None
     S = None if c is None else np.tensordot(c / np.linalg.norm(c), basis, 1)
-    if S is None or np.linalg.eigvalsh(S)[0] <= 1e-8:
-        return _constant_solve_report(J, basis, None)
-    S /= np.linalg.eigvalsh(S)[-1]
-    D = np.linalg.cholesky(S).T  # S = D^T D with D upper triangular
-    return _constant_solve_report(J, basis, D)
+    w = [0.0] if S is None else np.linalg.eigvalsh(S)
+    # D^T D = S / lambda_max(S), with D upper triangular
+    D = None if w[0] <= 1e-8 else np.linalg.cholesky(S / w[-1]).T
+    return _constant_solve_report(J, list(basis), D)
 
 
 def transform_field(field: VectorField, D) -> VectorField:

@@ -184,49 +184,56 @@ def _build_quadratic(params):
 
 
 # name -> (builder taking a params dict, default params, analytic potential
-# builder or None); the CLI resolves systems through this table
+# builder or None, dim, graham's default range per axis); the CLI reads it
 REGISTRY = {
     "lorenz": {
         "build": lambda p: lorenz(**p),
         "defaults": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
         "potential": None,
         "dim": 3,
+        "grid_range": [-30.0, 50.0],
     },
     "jj_circuit": {
         "build": lambda p: jj_circuit(**p),
         "defaults": {"i": 0.0, "r": 1.0, "beta_c": 1.0, "beta_L": 1.0},
         "potential": None,
         "dim": 3,
+        "grid_range": [-2.0, 2.0],
     },
     "jj_circuit_linear": {
         "build": lambda p: jj_circuit_linear(**p),
         "defaults": {"i": 0.0, "r": 1.0, "beta_c": 1.0, "beta_L": 1.0},
         "potential": None,
         "dim": 3,
+        "grid_range": [-2.0, 2.0],
     },
     "quadratic": {
         "build": _build_quadratic,
         "defaults": {"q_0_0": -1.0},
         "potential": None,
         "dim": None,
+        "grid_range": [-2.0, 2.0],
     },
     "rotation": {
         "build": lambda p: rotation(),
         "defaults": {},
         "potential": None,
         "dim": 2,
+        "grid_range": [-2.0, 2.0],
     },
     "double_well": {
         "build": lambda p: double_well()[0],
         "defaults": {},
         "potential": lambda p: double_well()[1],
         "dim": 1,
+        "grid_range": [-2.0, 2.0],
     },
     "ou": {
         "build": lambda p: ou(**p)[0],
         "defaults": {"theta": 1.0},
         "potential": lambda p: ou(**p)[1],
         "dim": 1,
+        "grid_range": [-2.0, 2.0],
     },
 }
 

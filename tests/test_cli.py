@@ -143,11 +143,32 @@ class TestExitCodes:
         assert err.startswith("numerical abort:")
         assert "Traceback" not in err and err.count("\n") == 1
 
-    def test_default_graham_names_the_sample_span(self, capsys):
-        # the default Lorenz ensemble leaves the default [-2, 2]^3 grid
-        assert main(["graham"]) == 3
+    def test_default_graham_gives_a_report(self, tmp_path):
+        # an unset grid is the system's own: Lorenz's [-30, 50] per axis
+        # holds every post-burn-in sample of the default ensemble
+        code, rep = run_cli(tmp_path, "graham")
+        assert code == 0
+        assert rep["config"]["simulation"]["grid_range"] is None
+        block, = rep["result"]["estimates"]
+        assert block["total_samples"] > 0 and block["n_clipped"] == 0
+        assert [(e[0], e[-1]) for e in block["grid_edges"]] \
+            == [(-30.0, 50.0)] * 3
+        _, same = run_cli(tmp_path, "graham", "--set",
+                          "simulation.grid_range=[-30.0, 50.0]", name="b.json")
+        assert same["result"] == rep["result"]
+
+    def test_default_grid_per_system(self):
+        assert {name: entry["grid_range"] for name, entry in REGISTRY.items()
+                } == {name: [-30.0, 50.0] if name == "lorenz" else [-2.0, 2.0]
+                      for name in REGISTRY}
+
+    def test_narrow_grid_names_the_sample_span(self, capsys):
+        # the default Lorenz ensemble leaves an explicit [-2, 2]^3 grid
+        assert main(["graham", "--set",
+                     "simulation.grid_range=[-2, 2]"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical abort:")
+        assert "Traceback" not in err and err.count("\n") == 1
         assert "grid ranges [-2, 2] x [-2, 2] x [-2, 2]" in err
         span = np.array(re.findall(r"\[(\S+), (\S+)\]",
                                    err.split("samples span ")[1]), dtype=float)

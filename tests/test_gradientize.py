@@ -44,15 +44,19 @@ def random_real_diagonalizable(rng, n=3, cond_cap=50.0):
     return P @ np.diag(lam) @ np.linalg.inv(P)
 
 
+def symmetrizer_basis(J):
+    """A Frobenius-orthonormal basis of {S symmetric : S J = J^T S}."""
+    sym_basis = _sym_basis(J.shape[0])
+    M = np.column_stack([(B @ J - J.T @ B).ravel() for B in sym_basis])
+    return [sum(ci * Bi for ci, Bi in zip(c, sym_basis))
+            for c in _null_basis(M)]
+
+
 def symmetrizer_nelder_mead(J):
     """The former solve_symmetrizer: maximise lambda_min(S) / |S|_F over the
     symmetrizer space by Nelder-Mead from 14 starts, 8 of them random."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    n = J.shape[0]
-    sym_basis = _sym_basis(n)
-    M = np.column_stack([(B @ J - J.T @ B).ravel() for B in sym_basis])
-    basis = [sum(ci * Bi for ci, Bi in zip(c, sym_basis))
-             for c in _null_basis(M)]
+    basis = symmetrizer_basis(J)
     best_S, best_min = None, -np.inf
     if basis:
         m = len(basis)
@@ -262,6 +266,78 @@ class TestSymmetrizer:
              "defective"])
     def test_matches_nelder_mead_fixed(self, J):
         assert_matches_nelder_mead(J)
+
+
+def kkt_residual(J):
+    """The relative stationarity residual of solve_symmetrizer's S, which
+    solves min |c| subject to S(c) = sum c_k B_k >= I: with S scaled to
+    lambda_min = 1, the multiplier Z = V Y V^T >= 0 on the eigenvectors V
+    of lambda <= 1 + 1e-6 must give <Z, B_k> = c_k (Boyd & Vandenberghe,
+    Convex Optimization, ch. 5).  Y is fitted by least squares and must be
+    positive semidefinite."""
+    basis = np.array(symmetrizer_basis(J))
+    D = solve_symmetrizer(J).chosen_D
+    S = D.T @ D
+    S /= np.linalg.eigvalsh(S)[0]
+    c = np.einsum("kij,ij->k", basis, S)  # the basis is orthonormal
+    w, V = np.linalg.eigh(S)
+    V = V[:, w <= 1.0 + 1e-6]
+    iu = np.triu_indices(V.shape[1])
+    # <V Y V^T, B_k> = sum_ab Y_ab (V^T B_k V)_ab, Y symmetric
+    A = (V.T @ basis @ V)[:, iu[0], iu[1]] \
+        * np.where(iu[0] == iu[1], 1.0, 2.0)
+    y = np.linalg.lstsq(A, c, rcond=None)[0]
+    Y = np.zeros((V.shape[1],) * 2)
+    Y[iu] = y
+    Y = Y + Y.T - np.diag(np.diag(Y))
+    assert np.linalg.eigvalsh(Y)[0] >= -1e-6 * np.max(np.abs(Y))
+    return float(np.linalg.norm(A @ y - c) / np.linalg.norm(c))
+
+
+# the benchmark survey's quadratic1: the second 3x3 draw of seed 7
+QUADRATIC1 = np.round(np.random.default_rng(7).standard_normal((2, 3, 3))[1],
+                      6)
+
+
+def test_kkt_certificate():
+    # 300 random real-diagonalizable 2x2 to 4x4 matrices, cond(P) capped at
+    # 50 and at 500, and the fixed cases
+    cases = [random_real_diagonalizable(np.random.default_rng(seed),
+                                        2 + seed % 3, (50.0, 500.0)[seed % 2])
+             for seed in range(300)]
+    cases += [jacobian(lorenz(), np.zeros(3)), SPLIT_PAIR, QUADRATIC1]
+    assert max(kkt_residual(J) for J in cases) <= 1e-6
+
+
+def _stops_short(seed):
+    # P diag(1, 1, 2) P^-1 with cond(P) 583 (seed 158) and 1605 (seed 29):
+    # the optimal S has cond ~ 1e5, and the barrier's slack reaches the
+    # rounding of S before the gap target
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((3, 3))
+    P = rng.standard_normal((3, 3))
+    return P @ np.diag([1.0, 1.0, 2.0]) @ np.linalg.inv(P)
+
+
+@pytest.mark.parametrize("seed, bound", [(158, 2.34e-5), (29, 2.40e-5)])
+def test_kkt_certificate_where_the_path_stops_short(seed, bound):
+    # the certificate sees the solver stop short here; the bound is the
+    # residual of the path without a predictor, rounded up
+    assert kkt_residual(_stops_short(seed)) <= bound
+
+
+def test_lorenz_solve_eigendecompositions(monkeypatch):
+    # 29 eigh/eigvalsh calls on Lorenz's J(0); a path without the tangent
+    # predictor takes 71
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kw):
+            calls.append(1)
+            return _f(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    J = jacobian(lorenz(), np.zeros(3))
+    assert solve_symmetrizer(J).verdict is ConstantVerdict.GRADIENTIZED
+    assert len(calls) <= 40
 
 
 def test_one_by_one_closed_form_equals_barrier_path(monkeypatch):
