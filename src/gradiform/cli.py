@@ -459,7 +459,7 @@ def cmd_graham(cfg):
 def cmd_zoo_list(cfg):
     return {"systems": [
         {"name": name, "defaults": entry["defaults"],
-         "dim": entry["dim"],
+         "dim": entry["dim"], "grid_range": entry["grid_range"],
          "has_analytic_potential": entry["potential"] is not None}
         for name, entry in sorted(REGISTRY.items())]}
 

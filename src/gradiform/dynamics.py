@@ -64,20 +64,19 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     # the stage arithmetic runs on Python floats, whose + and * round as
     # float64 arrays do, at a fraction of a ufunc call's cost on (dim,);
     # k + k is 2.0 * k bit for bit
-    def step(x, k, live, out):
+    def step(x, out):
         xs = x.tolist()
         k1 = _apply(field, g, x, shape, "field").tolist()
         k2 = stage([a + half * b for a, b in zip(xs, k1)])
         k3 = stage([a + half * b for a, b in zip(xs, k2)])
         k4 = stage([a + dt * b for a, b in zip(xs, k3)])
-        out = np.empty(shape) if out is None else out
         out[...] = [a + sixth * (b + (c + c) + (d + d) + e)
                     for a, b, c, d, e in zip(xs, k1, k2, k3, k4)]
         return out
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
     # faster and with the rounding of a single-point evaluation
-    return _lockstep(x0, dt, steps, step)[0]
+    return _lockstep(_state_buffer(x0, steps), dt, step)[0]
 
 
 def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
@@ -130,9 +129,11 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
 
     The noise convention matches <z z'> = 2 eps delta(t - t'); eps = 0
     reduces exactly to forward Euler.  Start m draws its noise once from
-    the counter-based stream (master_seed, m) and every level scales that
-    draw, all before the first step.  Each step checks only the shape of
-    the field's value.
+    the counter-based stream (master_seed, m), and every level scales
+    that draw straight into the state buffer, all before the first step:
+    the array of state k + 1 holds step k's kicks, and step k adds
+    x_k + dt g(x_k) into it.  A vectorized field is called directly on
+    every row; each step checks only the shape of the field's value.
     """
     x0s = _as_points(field, np.atleast_2d(x0s))
     eps = np.asarray(eps_list, dtype=float)
@@ -142,95 +143,120 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
     if not (np.isfinite(eps) & (eps >= 0)).all():
         raise ValueError("eps must be nonnegative and finite")
     _check_steps(dt, steps)
-    kicks = (_kick_table(eps, dt, steps, *x0s.shape, master_seed)
-             if (eps > 0).any() else None)
-    g, shape = field.func, (field.dim,)
+    states = _state_buffer(np.repeat(x0s, len(eps), axis=0), steps)
+    noisy = bool((eps > 0).any())
+    if noisy:
+        _kick_table(eps, dt, len(x0s), master_seed, states)
+    g, shape, vectorized = field.func, (field.dim,), field.vectorized
     h = np.array(dt)  # a 0-d array, converted once
 
-    def step(x, k, live, out):
-        x = np.add(x, h * _apply(field, g, x, shape, "field"), out=out)
-        if kicks is not None:
-            x += kicks[k, live]  # a view of step k's kicks while all rows run
-        return x
+    def step(x, out):
+        if vectorized:
+            v = np.asarray(g(x), dtype=float)
+            if v.shape != x.shape:
+                raise FieldShapeError(f"field returned shape {v.shape}, "
+                                      f"expected {x.shape}")
+        else:
+            v = _apply(field, g, x, shape, "field")
+        if not noisy:
+            return np.add(x, h * v, out=out)
+        v = h * v
+        v += x
+        out += v  # kick + (x + dt g(x)), (x + dt g(x)) + kick bit for bit
+        return out
 
-    trajs = _lockstep(np.repeat(x0s, len(eps), axis=0), dt, steps, step)
+    trajs = _lockstep(states, dt, step)
     return [trajs[i::len(eps)] for i in range(len(eps))]
 
 
-def _kick_table(eps: np.ndarray, dt: float, steps: int, count: int,
-                dim: int, master_seed: int) -> np.ndarray:
-    """K[k, m * len(eps) + i] = z_m[k] sqrt(2 eps_i dt): stream
-    (master_seed, m) draws start m's whole path once, and every level
-    scales that draw.  Step k's kicks are stored as one coordinate-major
-    array (dim, rows), the layout of _lockstep's states, and K[k] is its
-    Fortran-order (rows, dim) view.  Rows at eps = 0 hold -0.0, and
-    x + (-0.0) is x bit for bit, so those rows stay exact forward Euler.
-    The table is len(eps) times the size of the draw, and the draw and
-    table are both held while it is built."""
+def _kick_table(eps: np.ndarray, dt: float, count: int, master_seed: int,
+                states: np.ndarray) -> None:
+    """Write the kick z_m[k] sqrt(2 eps_i dt) of row m * len(eps) + i at
+    step k into states[k + 1]: stream (master_seed, m) draws start m's
+    whole path once, and every level scales that draw.  states is the
+    buffer of _state_buffer, so states[1:] is one coordinate-major
+    (steps, dim, count, len(eps)) array, the multiply's out.  Rows at
+    eps = 0 hold -0.0, and x + (-0.0) is x bit for bit, so those rows
+    stay exact forward Euler.  Besides the states, only the draw is held
+    while the kicks are written."""
+    steps, dim = len(states) - 1, states.shape[-1]
     noise = np.empty((count, steps, dim))
     for m in range(count):
         _trajectory_rng(master_seed, m).standard_normal(out=noise[m])
-    kicks = np.multiply(noise.transpose(1, 2, 0)[..., None],
-                        np.sqrt(2.0 * eps * dt), order="C")
+    kicks = states[1:].swapaxes(1, 2).reshape(steps, dim, count, len(eps))
+    np.multiply(noise.transpose(1, 2, 0)[..., None], np.sqrt(2.0 * eps * dt),
+                out=kicks)
     kicks[..., eps == 0] = -0.0
-    return kicks.reshape(steps, dim, -1).swapaxes(1, 2)
+
+
+def _state_buffer(x0s: np.ndarray, steps: int) -> np.ndarray:
+    """The states of steps steps from one point x0s (dim,) or from each
+    row of x0s (count, dim), with states[0] = x0s.  Each step's states
+    are stored as one coordinate-major array, (dim, count) for rows and
+    (dim,) for one point, and states[k] is its view in the shape of x0s:
+    Fortran-order (count, dim) for rows."""
+    states = np.empty((steps + 1,) + x0s.shape[::-1]).swapaxes(1, -1)
+    states[0] = x0s
+    return states
 
 
 # overflow is expected in the steps: a non-finite state ends its row
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(x0s: np.ndarray, dt: float, steps: int, step) -> list:
-    """Trajectories of x <- step(x, k, live, out) from one point x0s (dim,)
-    or each row of x0s (count, dim), for dt > 0 and steps >= 1; live
-    selects the rows x still holds, and step writes its result into out,
-    or into a new array when out is None.  step, which reads only its
-    arguments and writes only out, may evaluate the field unchecked: a
-    non-finite state ends its trajectory alone, cut before it, and a
-    FieldEvalError ends every trajectory still running.  A FieldShapeError
-    is a fault in the field and propagates.  While every row runs, a block
-    of _BLOCK steps is stepped unchecked, each step writing into the next
-    step's array; a block that raises or holds a non-finite state is
-    stepped again, one checked step at a time, calling the field again on
-    its states.  Once a row has ended, every step is checked: the rows
-    still running are held compacted and copied in.
+def _lockstep(states: np.ndarray, dt: float, step) -> list:
+    """Trajectories of x <- step(x, out) from states[0] through the buffer
+    states of _state_buffer, for dt > 0 and at least one step.  step
+    writes the next state into out, the array of that state, and returns
+    it; it may first read what out holds, which is the step's kicks under
+    Euler-Maruyama.  step, which reads only its arguments and writes only
+    out, may evaluate the field unchecked: a non-finite state ends its
+    trajectory alone, cut before it, and a FieldEvalError ends every
+    trajectory still running.  A FieldShapeError is a fault in the field
+    and propagates.
 
-    Each step's states are stored as one coordinate-major array,
-    (dim, count) for rows and (dim,) for one point, and states[k] is its
-    view in the shape of x0s: Fortran-order (count, dim) for rows."""
-    n = x0s.shape[-1]
-    count = x0s.size // n
-    states = np.empty((steps + 1,) + x0s.shape[::-1]).swapaxes(1, -1)
-    states[0] = x0s
+    While every row runs, a block of _BLOCK steps is stepped unchecked:
+    the loop walks the block's arrays, each step writing into the next.
+    The block is copied first; a block that raises or holds a non-finite
+    state is restored from its copy and stepped again, one checked step
+    at a time, calling the field again on its states.  Once a row has
+    ended, every step is checked: the rows still running are held
+    compacted, their part of out gathered before the step and their
+    states scattered back after it."""
+    steps = len(states) - 1
+    n = states.shape[-1]
+    count = states[0].size // n
     x = states[0]
     lengths = np.full(count, steps + 1)
     live = slice(None)  # rows still running; an index array once one ends
     for start in range(0, steps, _BLOCK):
-        end = min(start + _BLOCK, steps)
+        block = states[start + 1:start + 1 + _BLOCK]
         if isinstance(live, slice):  # every row runs: unchecked, in place
+            held = block.copy(order="K")
             try:  # whatever goes wrong here, the checked steps repeat it
                 y = x
-                for k in range(start, end):
-                    y = step(y, k, live, states[k + 1])
-                if np.isfinite(states[start + 1:end + 1]).all():
+                for out in block:
+                    y = step(y, out)
+                if np.isfinite(block).all():
                     x = y
                     continue
             except Exception:
                 pass
-        for k in range(start, end):
+            block[...] = held
+        for k in range(start + 1, start + 1 + len(block)):
             try:
-                x = step(x, k, live, None)
+                x = step(x, states[k, live])
             except FieldShapeError:
                 raise
             except FieldEvalError:
-                lengths[live] = k + 1
+                lengths[live] = k
                 break
             ok = np.isfinite(x).reshape(-1, n).all(axis=1)
             if not ok.all():
                 rows = np.arange(count)[live]
-                lengths[rows[~ok]] = k + 1
+                lengths[rows[~ok]] = k
                 if not ok.any():
                     break
                 live, x = rows[ok], x[ok]
-            states[k + 1, live] = x
+            states[k, live] = x
         else:
             continue
         break  # every trajectory has ended

@@ -226,6 +226,10 @@ class TestReports:
         names = [s["name"] for s in rep["result"]["systems"]]
         assert "lorenz" in names and "double_well" in names
         assert names == sorted(names)
+        ranges = {s["name"]: s["grid_range"]
+                  for s in rep["result"]["systems"]}
+        assert ranges["lorenz"] == [-30.0, 50.0]
+        assert ranges["ou"] == [-2.0, 2.0]
 
     def test_classify_lorenz(self, tmp_path):
         code, rep = run_cli(tmp_path, "classify",

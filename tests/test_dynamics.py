@@ -331,27 +331,29 @@ class TestEulerMaruyama:
         var = np.var(traj.states[200_000:, 0])
         assert var == pytest.approx(eps, rel=0.1)
 
-    @pytest.mark.parametrize("field, eps_list, calls, length", [
+    @pytest.mark.parametrize("field, eps_list, draws, length", [
         # x grows 10^5-fold a step: every row is non-finite at state 62,
-        # inside the first block, which is then stepped again
+        # inside the first block, which is then stepped again from the
+        # kicks it held before, not from a second draw
         (quadratic([[1e8]]), [0.05, 0.0], 1, 62),
         (decay_field(), [0.1, 0.0], 1, 201),
         (decay_field(), [0.0, 0.0], 0, 201)],
         ids=["first_block_stepped_again", "stable", "no_noise"])
     def test_kick_table_built_once(self, monkeypatch, field, eps_list,
-                                   calls, length):
+                                   draws, length):
+        # each start's Philox stream is made once per draw
         made = []
 
-        def counted(*args):
-            made.append(args)
-            return kick_table(*args)
+        def counted(master_seed, index):
+            made.append((master_seed, index))
+            return trajectory_rng(master_seed, index)
 
-        kick_table = dynamics._kick_table
-        monkeypatch.setattr(dynamics, "_kick_table", counted)
+        trajectory_rng = dynamics._trajectory_rng
+        monkeypatch.setattr(dynamics, "_trajectory_rng", counted)
         x0s = np.linspace(0.1, 1.5, 8)[:, None]
         ensembles = euler_maruyama_ensembles(field, eps_list, x0s, 1e-3,
                                              200, master_seed=4)
-        assert len(made) == calls
+        assert made == [(4, m) for m in range(8)] * draws
         assert {len(t.states) for ens in ensembles for t in ens} == {length}
 
     def test_ensemble_deterministic_per_index(self):
@@ -806,6 +808,60 @@ def test_rows_ending_apart_with_noise_match_reference(make, seed):
                                              _trajectory_rng(seed, m))
             assert traj.states.tobytes() == states.tobytes()  # also -0.0
             assert traj.completed == completed
+
+
+def hurwitz_q(seed):
+    """-(SPD) + skew, as the benchmark's stable 3x3 matrices: every
+    eigenvalue has a negative real part, and Q is not symmetric."""
+    rng = np.random.default_rng(seed)
+    A, K = rng.standard_normal((2, 3, 3))
+    return -(A @ A.T / 3.0 + 0.5 * np.eye(3)) + 0.5 * (K - K.T)
+
+
+def em_3d_against_reference(seed, count, steps, eps_list, vectorized,
+                            radius):
+    """Euler-Maruyama of the stable linear field g = Q x, NaN where
+    max|x_i| >= radius, from count starts inside that box: every state,
+    length and completed flag of every level against reference_em, byte
+    for byte.  Returns the lengths per level."""
+    base = quadratic(hurwitz_q(seed))
+    field = VectorField(dim=3, vectorized=vectorized, func=lambda x: np.where(
+        np.abs(x).max(axis=-1, keepdims=True) < radius, base.func(x), np.nan))
+    x0s = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3))
+    stacked = euler_maruyama_ensembles(field, eps_list, x0s, 0.05, steps,
+                                       master_seed=seed)
+    for eps, ens in zip(eps_list, stacked):
+        assert len(ens) == count
+        for m, traj in enumerate(ens):
+            states, completed = reference_em(field, eps, x0s[m], 0.05, steps,
+                                             _trajectory_rng(seed, m))
+            assert traj.states.tobytes() == states.tobytes()  # also -0.0
+            assert traj.completed == completed
+    return [[len(t.states) for t in ens] for ens in stacked]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), count=st.integers(1, 4),
+       steps=st.integers(1, 300), vectorized=st.booleans(),
+       radius=st.sampled_from([1.5, 3.0, np.inf]),
+       eps_list=st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.5, 2.0]),
+                         min_size=2, max_size=4).filter(
+                             lambda levels: 0.0 in levels and any(levels)))
+def test_em_3d_equals_reference(seed, count, steps, vectorized, radius,
+                                eps_list):
+    # at radius 1.5 the noisiest rows leave the box at different steps,
+    # so the block they leave in is restored from its copy of the kicks
+    # and stepped again, checked, while the other rows run on
+    em_3d_against_reference(seed, count, steps, eps_list, vectorized, radius)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_em_3d_rows_ending_in_different_blocks(vectorized):
+    # at eps = 0.5 the rows end at states 9, 9, 144 and 92: in the first,
+    # third and second blocks of 64 steps; every row at 0 and 0.1 runs on
+    lengths = em_3d_against_reference(1, 4, 300, [0.0, 0.1, 0.5],
+                                      vectorized, 1.5)
+    assert lengths == [[301] * 4, [301] * 4, [9, 9, 144, 92]]
 
 
 def ramp(vectorized):
