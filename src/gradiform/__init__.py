@@ -18,8 +18,8 @@ from .gradientize import (BarrierViolation, ConstantSolveReport,
                           transform_field_general)
 from .dynamics import (DensityGrid, LyapunovReport, Trajectory,
                        euler_maruyama_ensembles, graham_estimate,
-                       integrate_rk4, lyapunov_check, orthogonality_residual,
-                       stationary_density, write_trajectory_csv)
+                       integrate_rk4, lyapunov_check, stationary_density,
+                       write_trajectory_csv)
 from .sampling import sample_ball
 from .zoo import SystemSpec, analytic_potential, build_system
 from . import zoo

@@ -8,8 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import (FieldEvalError, FieldShapeError, VectorField, _apply,
-                     _as_point, _as_points, _central_difference, eval_field,
-                     fd_step)
+                     _as_points)
 
 BURN_IN_FRACTION = 0.2
 LYAPUNOV_TOL_SCALE = 10.0
@@ -53,7 +52,9 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
     """Classical fourth-order Runge-Kutta for xdot = g(x)."""
     # the start is checked once here and every stage keeps its shape, so
     # each stage checks only the shape of the field's value
-    x0 = _as_point(field, x0)
+    x0 = _as_points(field, x0)
+    if x0.ndim != 1:
+        raise ValueError(f"point has shape {x0.shape}; one start only")
     _check_steps(dt, steps)
     g, shape = field.func, (field.dim,)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -96,15 +97,6 @@ def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
     scale = 1.0 + float(np.max(np.abs(vals)))
     allowance = LYAPUNOV_TOL_SCALE * traj.dt ** 2 * scale
     return LyapunovReport(max_increase=max_inc, monotone=max_inc <= allowance)
-
-
-def orthogonality_residual(field: VectorField, V, x) -> float:
-    """(f + grad V)^T grad V with a finite-difference gradient of V,
-    which maps stacked points (K, dim) to values (K,)."""
-    x = _as_point(field, x)
-    f = eval_field(field, x)
-    grad = _central_difference(V, x, fd_step(x))
-    return float((f + grad) @ grad)
 
 
 def _check_steps(dt: float, steps: int) -> None:

@@ -57,16 +57,6 @@ def _as_points(field: VectorField, X) -> np.ndarray:
     return X
 
 
-def _as_point(field: VectorField, x) -> np.ndarray:
-    """x as a float array of one point (dim,), for the callers that take
-    no stacked points; any other shape is a ValueError."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.dim,):
-        raise ValueError(
-            f"point has shape {x.shape}, field dimension is {field.dim}")
-    return x
-
-
 def _apply(field: VectorField, fn, X: np.ndarray, shape: tuple,
            what: str) -> np.ndarray:
     """fn at the points X, each value of the given shape.  A vectorized

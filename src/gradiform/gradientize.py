@@ -49,8 +49,8 @@ class ConstantSolveReport:
     consistency_residual: float
     verdict: ConstantVerdict
     # |det J - 1|: an invertible solution of D = J^T D^T forces det J = 1
-    det_precondition_gap: float = np.nan
-    identity_solves_necessary: bool = False
+    det_precondition_gap: float
+    identity_solves_necessary: bool
 
 
 def check_necessary_constant(D: np.ndarray, J: np.ndarray) -> float:
@@ -78,8 +78,7 @@ def _constant_solve_report(J: np.ndarray, basis: list,
     """Residuals and verdict of a constant solve that chose D, or found
     no invertible D (None): the Infeasible report."""
     det_gap = abs(np.linalg.det(J) - 1.0)
-    identity_ok = float(np.max(np.abs(J - J.T))) \
-        <= DEFAULT_TOL * (1.0 + np.max(np.abs(J)))
+    identity_ok = _relative_asymmetry(J) <= DEFAULT_TOL
     if D is None:
         return ConstantSolveReport(
             nullspace_basis=basis, chosen_D=None,

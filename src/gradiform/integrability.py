@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -26,7 +26,7 @@ class ClosednessReport:
     max_asymmetry: float
     frobenius_defect_max: float
     verdict: Verdict
-    loop_integrals: list = dc_field(default_factory=list)
+    loop_integrals: list
 
 
 @dataclass(frozen=True)

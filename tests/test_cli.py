@@ -36,6 +36,45 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def nested(key, val):
+    """The object {a: {b: {c: val}}} of the dot path key a.b.c."""
+    for part in reversed(key.split(".")):
+        val = {part: val}
+    return val
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+# a valid value for every leaf of DEFAULT_CONFIG; system.params, empty by
+# default, takes an object of finite numbers
+VALID_LEAF_VALUES = {
+    "system.name": st.sampled_from(sorted(REGISTRY)),
+    "system.params": st.dictionaries(
+        st.sampled_from(["sigma", "rho", "q_0_1", "i"]), _FINITE,
+        max_size=3),
+    "samples.count": st.integers(1, 10 ** 6),
+    "samples.radius": st.floats(1e-6, 1e6),
+    "samples.seed": st.integers(0, 2 ** 63),
+    "quadrature_order": st.integers(1, 64),
+    "solver.family_degree": st.integers(0, 4),
+    "solver.max_iter": st.integers(0, 10 ** 4),
+    "solver.collocation": st.integers(1, 256),
+    "solver.run_general": st.booleans(),
+    "simulation.dt": st.floats(1e-9, 1.0),
+    "simulation.steps": st.integers(1, 10 ** 6),
+    "simulation.eps": st.lists(st.floats(1e-6, 10.0), min_size=1,
+                               max_size=4),
+    "simulation.ensemble": st.integers(1, 64),
+    "simulation.master_seed": st.integers(0, 2 ** 128 - 1),
+    "simulation.burn_in_fraction": st.floats(0.0, 0.99),
+    "simulation.x0_radius": st.floats(0.0, 1e6),
+    "simulation.grid_bins": st.integers(1, 1000),
+    "simulation.grid_range": st.one_of(
+        st.none(), st.tuples(_FINITE, st.floats(1e-3, 1e6)).map(
+            lambda p: [p[0], p[0] + p[1]])),
+    "potential_source": st.sampled_from(["homotopy", "gradientize"]),
+}
+
+
 class TestConfig:
     def test_defaults_load(self):
         assert load_config() == DEFAULT_CONFIG
@@ -71,6 +110,62 @@ class TestConfig:
     def test_set_bad_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["nope.key=1"])
+
+    @pytest.mark.parametrize("override, where", [
+        ("nope.key=1", "'nope'"), ("samples.bogus.x=1", "'samples.bogus'"),
+        ("simulation.bogus=1", "'simulation.bogus'")])
+    def test_set_unknown_key_names_its_first_segment(self, override, where,
+                                                    tmp_path):
+        # the message a config file holding the same object gets
+        with pytest.raises(ConfigError, match=f"unknown config key {where}"):
+            load_config(overrides=[override])
+        key, _, val = override.partition("=")
+        with pytest.raises(ConfigError, match=f"unknown config key {where}"):
+            load_config(write_config(tmp_path, nested(key, int(val))))
+
+    def test_set_object_merges_as_in_a_file(self, tmp_path):
+        cfg = load_config(overrides=['samples={"count": 4}'])
+        assert cfg["samples"] == {**DEFAULT_CONFIG["samples"], "count": 4}
+        # an empty object leaves its section as it was: exit 0
+        code, rep = run_cli(tmp_path, "zoo-list", "--set", "samples={}")
+        assert code == 0 and rep["config"] == DEFAULT_CONFIG
+
+    def test_set_system_params_accumulate(self):
+        # the argv of a random quadratic: nine entries of Q, one per --set
+        Q = np.arange(9.0).reshape(3, 3) - 4.0
+        sets = [f"system.params.q_{i}_{j}={float(Q[i, j])!r}"
+                for i in range(3) for j in range(3)]
+        cfg = load_config(overrides=["system.name=quadratic"] + sets)
+        assert cfg["system"]["params"] == {
+            f"q_{i}_{j}": Q[i, j] for i in range(3) for j in range(3)}
+
+    def test_file_params_kept_under_set_params(self, tmp_path):
+        path = write_config(tmp_path, {"system": {"params": {"sigma": 12.0}}})
+        cfg = load_config(path, ["system.params.rho=20.0"])
+        assert cfg["system"] == {"name": "lorenz",
+                                 "params": {"sigma": 12.0, "rho": 20.0}}
+
+    def test_every_leaf_has_valid_values(self):
+        def leaves(node, prefix=""):
+            for key, val in node.items():
+                if isinstance(val, dict) and val:
+                    yield from leaves(val, prefix + key + ".")
+                else:
+                    yield prefix + key
+        assert sorted(leaves(DEFAULT_CONFIG)) == sorted(VALID_LEAF_VALUES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_set_equals_file_for_every_leaf(self, data, tmp_path_factory):
+        # each default leaf, given a valid value by --set k=json(v) or by a
+        # file holding the nested object {k: v}, resolves the same config
+        key = data.draw(st.sampled_from(sorted(VALID_LEAF_VALUES)))
+        val = data.draw(VALID_LEAF_VALUES[key])
+        path = write_config(tmp_path_factory.mktemp("cfg"), nested(key, val))
+        by_set = load_config(overrides=[f"{key}={json.dumps(val)}"])
+        assert by_set == load_config(path)
+        section, _, leaf = key.rpartition(".")
+        assert (by_set[section] if section else by_set)[leaf] == val
 
     def test_environment_sets_no_seed(self, monkeypatch):
         # the master seed is set in the config or by --set, nowhere else
@@ -113,7 +208,8 @@ class TestExitCodes:
         "simulation.grid_range=[2, -2]",
         "simulation.grid_range=[-1e308, 1e308]",
         "simulation.burn_in_fraction=1", "solver.run_general=1",
-        "samples={}", "system=3", 'system.params.sigma="a"',
+        "samples=3", "system=3", "system.params=3",
+        'system.params.sigma="a"',
         "tolerances.consistency=1e-6", "tolerances.closedness=1e-6",
         "tolerances.solver=1e-6"])
     def test_bad_value_two(self, override, capsys):

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradiform import (VectorField, euler_maruyama_ensembles, graham_estimate,
-                       integrate_rk4, lyapunov_check, orthogonality_residual,
-                       stationary_density, write_trajectory_csv)
+                       integrate_rk4, lyapunov_check, stationary_density,
+                       write_trajectory_csv)
 from gradiform import dynamics
 from gradiform.dynamics import DensityGrid, Trajectory, _trajectory_rng
 from gradiform.fields import (FieldEvalError, FieldShapeError, _apply,
@@ -51,6 +51,8 @@ class TestRK4:
     def test_one_start_only(self):
         with pytest.raises(ValueError, match="point has shape"):
             integrate_rk4(decay_field(), [[1.0], [0.5]], dt=0.1, steps=5)
+        with pytest.raises(ValueError, match="point has shape"):
+            integrate_rk4(decay_field(), [[1.0]], dt=0.1, steps=5)
         with pytest.raises(ValueError, match="point has shape"):
             integrate_rk4(decay_field(), [1.0, 2.0], dt=0.1, steps=5)
 
@@ -265,46 +267,6 @@ class TestLyapunov:
             inc <= 10.0 * traj.dt ** 2 * (1.0 + np.max(np.abs(vals))))
         with pytest.raises(ValueError):
             lyapunov_check(vals[1:], traj)
-
-
-class TestOrthogonality:
-    def test_pure_gradient(self):
-        field = VectorField(dim=2, func=lambda x: -x)
-        assert abs(orthogonality_residual(field, half_square,
-                                          [0.7, -0.2])) < 1e-8
-
-    def test_rotated_residual_orthogonal(self):
-        R = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-        def func(x):
-            return -x + R @ x  # v = R grad V is orthogonal to grad V
-
-        field = VectorField(dim=2, func=func)
-        assert abs(orthogonality_residual(field, half_square,
-                                          [0.4, 0.9])) < 1e-8
-
-    def test_violation_witness(self):
-        zero = VectorField(dim=2, func=lambda x: np.zeros(2))
-        x = np.array([1.0, 1.0])
-        val = orthogonality_residual(zero, half_square, x)
-        assert val == pytest.approx(np.dot(x, x), rel=1e-6)
-
-    def test_one_call_of_V(self):
-        calls = []
-
-        def V(X):
-            calls.append(X.shape)
-            return half_square(X)
-
-        orthogonality_residual(decay_field(), V, [0.3])
-        assert calls == [(2, 1)]
-
-    @pytest.mark.parametrize("x", [np.ones((2, 2)), np.ones((1, 2)),
-                                   np.ones(3)])
-    def test_one_point_only(self, x):
-        field = VectorField(dim=2, func=lambda p: -p, vectorized=True)
-        with pytest.raises(ValueError, match="point has shape"):
-            orthogonality_residual(field, half_square, x)
 
 
 class TestEulerMaruyama:

@@ -47,7 +47,8 @@ def test_eval_dimension_mismatch():
 
 def test_eval_nonfinite_flagged():
     f = VectorField(dim=1, func=lambda x: np.array([1.0 / x[0]]))
-    with pytest.raises(FieldEvalError):
+    with pytest.raises(FieldEvalError), \
+            pytest.warns(RuntimeWarning, match="divide by zero"):
         eval_field(f, [0.0])
 
 
