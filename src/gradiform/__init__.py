@@ -14,8 +14,7 @@ from .gradientize import (BarrierViolation, ConstantSolveReport,
                           ConstantVerdict, GeneralSolveReport, MatrixFamily,
                           check_necessary_constant, consistency_check,
                           general_residual, solve_consistency_constant,
-                          solve_general, solve_symmetrizer, transform_field,
-                          transform_field_general)
+                          solve_general, solve_symmetrizer, transform_field)
 from .dynamics import (DensityGrid, LyapunovReport, Trajectory,
                        euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, stationary_density,

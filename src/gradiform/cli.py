@@ -75,9 +75,10 @@ def load_config(path=None, overrides=()):
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not JSON or not UTF-8; RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -90,6 +91,8 @@ def load_config(path=None, overrides=()):
             val = json.loads(raw)
         except json.JSONDecodeError:
             val = raw
+        except RecursionError as exc:
+            raise ConfigError(f"--set {key}: {exc}")
         for part in reversed(key.split(".")):
             val = {part: val}
         _merge(cfg, val)
@@ -471,6 +474,9 @@ def _write_report(report, out_path):
     fd, tmp = tempfile.mkstemp(dir=out_path.parent,
                                prefix=out_path.name + ".")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
@@ -535,7 +541,8 @@ def main(argv=None) -> int:
     except (FieldEvalError, np.linalg.LinAlgError, ValueError,
             MemoryError) as exc:
         # numpy refuses an allocation past the machine's memory at once
-        print(f"numerical abort: {exc}", file=sys.stderr)
+        print(f"numerical abort: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 3
     return 0
 

@@ -11,8 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import VectorField, _apply, _matvec, eval_field, jacobian
-from .homotopy import QuadratureRule, antiexact_part
+from .fields import (VectorField, _apply, _check_finite, _matvec,
+                     eval_field, jacobian)
+from .homotopy import QuadratureRule, _antiexact_integral, _points, _ray
 from .integrability import DEFAULT_TOL, _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
@@ -282,8 +283,7 @@ class MatrixFamily:
     """Matrix function D(y) with polynomial entries up to total degree d.
 
     Parameters theta are ordered entry-major: for each (i, j) the
-    monomial coefficients in the order of self.monomials.  ``value`` and
-    ``grad`` take one point y (dim,) or stacked points (..., dim).
+    monomial coefficients in the order of self.monomials.
     """
 
     dim: int
@@ -335,13 +335,6 @@ class MatrixFamily:
         mono, dmono = tables
         return (np.matmul(c, mono[..., None, :, None])[..., 0],
                 np.einsum("ijk,...kq->...ijq", c, dmono))
-
-    def value(self, y, theta) -> np.ndarray:
-        return self._evaluate(theta, self._tables(y))[0]
-
-    def grad(self, y, theta) -> np.ndarray:
-        """dD[..., i, j, q] = d D_{ij} / d y_q."""
-        return self._evaluate(theta, self._tables(y))[1]
 
 
 @dataclass(frozen=True)
@@ -479,9 +472,9 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
 
     final_rms = rms(r)
     converged = final_rms < TARGET_RMS
-    tfield = transform_field_general(field, family, theta)
     try:
-        consistency = consistency_check(tfield, samples[:8], quad)
+        consistency = consistency_check(field, family, theta, samples[:8],
+                                        quad)
     except (BarrierViolation, RuntimeError):
         consistency = np.inf
     return GeneralSolveReport(theta_final=theta, residual_norm=final_rms,
@@ -489,59 +482,43 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
                               iterations=iterations, converged=converged)
 
 
-def transform_field_general(field: VectorField, family: MatrixFamily,
-                            theta) -> VectorField:
-    """Transformed field f(x) = D(y) g(y) with y solving x = D(y) y, and
-    its Jacobian B M^-1 (B = df/dy, M = dx/dy) at that y.
-
-    A vectorized field: Newton iteration from y = x inverts all points in
-    lockstep, each stopping at its own tolerance.  theta is copied.
-    """
-    n, theta = field.dim, np.array(theta, dtype=float)
-
-    def invert(X):
-        Y = X.copy()
-        todo = np.arange(len(X))
-        for _ in range(50):
-            D, dD = family._evaluate(theta, family._tables(Y[todo]))
-            res = np.matmul(D, Y[todo, :, None])[:, :, 0] - X[todo]
-            done = np.max(np.abs(res), axis=1) \
-                < 1e-13 * (1.0 + np.max(np.abs(X[todo]), axis=1))
-            todo, D, dD, res = todo[~done], D[~done], dD[~done], res[~done]
-            if not todo.size:
-                return Y
-            M = D + np.einsum("sijq,sj->siq", dD, Y[todo])
-            try:
-                Y[todo] -= np.linalg.solve(M, res[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                raise BarrierViolation("singular dx/dy while inverting")
-        raise RuntimeError("coordinate inversion did not converge at "
-                           f"{X[todo[0]]}")
-
-    def func(x):
-        Y = invert(np.reshape(x, (-1, n)))
-        f = np.matmul(family.value(Y, theta),
-                      eval_field(field, Y)[:, :, None])[:, :, 0]
-        return f.reshape(np.shape(x))
-
-    def jac(x):
-        Y = invert(np.reshape(x, (-1, n)))
-        D, dD = family._evaluate(theta, family._tables(Y))
-        B, M = _chain_rule(D, dD, Y, eval_field(field, Y), jacobian(field, Y))
+def _invert(family: MatrixFamily, theta, X: np.ndarray) -> np.ndarray:
+    """The y solving x = D(y) y at each row x of X: Newton iteration from
+    y = x on all rows in lockstep, each stopping at its own tolerance."""
+    Y = X.copy()
+    todo = np.arange(len(X))
+    for _ in range(50):
+        D, dD = family._evaluate(theta, family._tables(Y[todo]))
+        res = np.matmul(D, Y[todo, :, None])[:, :, 0] - X[todo]
+        done = np.max(np.abs(res), axis=1) \
+            < 1e-13 * (1.0 + np.max(np.abs(X[todo]), axis=1))
+        todo, D, dD, res = todo[~done], D[~done], dD[~done], res[~done]
+        if not todo.size:
+            return Y
+        M = D + np.einsum("sijq,sj->siq", dD, Y[todo])
         try:
-            A = B @ np.linalg.inv(M)
+            Y[todo] -= np.linalg.solve(M, res[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            raise BarrierViolation("singular dx/dy at an inverted point")
-        return A.reshape(np.shape(x) + (n,))
+            raise BarrierViolation("singular dx/dy while inverting")
+    raise RuntimeError("coordinate inversion did not converge at "
+                       f"{X[todo[0]]}")
 
-    return VectorField(dim=n, func=func, jac=jac, vectorized=True)
 
-
-def consistency_check(tfield: VectorField, samples,
-                      quad: QuadratureRule | None = None) -> float:
-    """Max deviation of the gradient of the ray potential of the
-    transformed field from the field itself.  By the homotopy formula
-    F = d(kF) + k(dF) that deviation is the antiexact part k(dF), which
-    takes the field's Jacobian along the rays and no derivative of the
-    potential."""
-    return float(np.max(np.abs(antiexact_part(tfield, samples, quad))))
+def consistency_check(field: VectorField, family: MatrixFamily, theta,
+                      samples, quad: QuadratureRule | None = None) -> float:
+    """Max deviation of the gradient of the ray potential of f(x) =
+    D(y) g(y), x = D(y) y, from f.  By the homotopy formula F = d(kF) +
+    k(dF) that is the antiexact part k(dF), which takes f's Jacobian
+    B M^-1 (B = df/dy, M = dx/dy) at each ray point's inverse y."""
+    X, _, rule = _points(field, samples, quad)
+    ray = _ray(X, rule)
+    Y = _invert(family, theta, ray)
+    D, dD = family._evaluate(theta, family._tables(Y))
+    B, M = _chain_rule(D, dD, Y, eval_field(field, Y), jacobian(field, Y))
+    try:
+        A = B @ np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise BarrierViolation("singular dx/dy at an inverted point")
+    _check_finite(ray, A, "Jacobian entry")
+    Js = A.reshape((len(rule.nodes),) + X.shape + X.shape[1:])
+    return float(np.max(np.abs(_antiexact_integral(X, rule, Js))))

@@ -139,7 +139,7 @@ def double_well():
 
     def jac(x):
         x0 = x.T[0]
-        return np.array([[1.0 - 3.0 * x0 ** 2]]).T
+        return np.array([[1.0 - 3.0 * (x0 * x0)]]).T
 
     def V(x):
         x0 = np.asarray(x, dtype=float).T[0]

@@ -3,6 +3,7 @@ import enum
 import json
 import os
 import re
+import stat
 import tempfile
 import warnings
 
@@ -16,7 +17,7 @@ from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _mapped_rk4,
                            _to_json, _write_report, load_config, main)
 from gradiform.dynamics import BURN_IN_FRACTION, integrate_rk4
 from gradiform.gradientize import (MatrixFamily, consistency_check,
-                                   transform_field, transform_field_general)
+                                   transform_field)
 from gradiform.homotopy import QuadratureRule
 from gradiform.sampling import sample_ball
 from gradiform.zoo import (REGISTRY, SystemSpec, build_system, jj_circuit,
@@ -211,7 +212,10 @@ class TestExitCodes:
         "samples=3", "system=3", "system.params=3",
         'system.params.sigma="a"',
         "tolerances.consistency=1e-6", "tolerances.closedness=1e-6",
-        "tolerances.solver=1e-6"])
+        "tolerances.solver=1e-6",
+        # JSON nested past the recursion limit
+        pytest.param("samples.count=" + "[" * 5000,
+                     id="samples.count=[*5000")])
     def test_bad_value_two(self, override, capsys):
         assert main(["classify", "--set", override]) == 2
         assert "config error" in capsys.readouterr().err
@@ -223,6 +227,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "'q_-1_0'" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_config_file_two(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["classify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}:")
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_int_accepted_for_float(self):
@@ -238,6 +252,15 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical abort:")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_memory_error_without_text_names_its_type(self, capsys):
+        # leggauss first builds the list [0] * order: 800 GB, which the
+        # allocator refuses at once (the kernel's default overcommit
+        # heuristic denies a request beyond RAM and swap), raising a
+        # MemoryError with no text
+        code = main(["classify", "--set", "quadrature_order=100000000000"])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical abort: MemoryError\n"
 
     def test_default_graham_gives_a_report(self, tmp_path):
         # an unset grid is the system's own: Lorenz's [-30, 50] per axis
@@ -425,14 +448,13 @@ class TestReports:
         field = build_system(SystemSpec(name="lorenz", params={}, dim=0))
         family = MatrixFamily(dim=3,
                               degree=DEFAULT_CONFIG["solver"]["family_degree"])
-        tfield = transform_field_general(
-            field, family, np.array(general[16]["theta_final"]))
+        theta = np.array(general[16]["theta_final"])
         samples = sample_ball(3, 8, DEFAULT_CONFIG["samples"]["radius"],
                               DEFAULT_CONFIG["samples"]["seed"])
         for order, rep in general.items():
             quad = QuadratureRule.gauss_legendre(order)
             assert rep["consistency_residual"] == consistency_check(
-                tfield, samples, quad)
+                field, family, theta, samples, quad)
         assert general[16]["consistency_residual"] != \
             general[64]["consistency_residual"]
 
@@ -662,6 +684,25 @@ _REPORTS = st.recursive(_REPORT_LEAVES, lambda kids: st.one_of(
 @given(obj=_REPORTS)
 def test_writer_matches_reference_property(obj):
     assert _to_json(obj) == reference_text(obj)
+
+
+def test_report_mode_follows_the_umask(tmp_path):
+    # the report is written through a 0600 temporary file; it ends with
+    # the mode a plain open() gives, as the trajectory CSVs do
+    old = os.umask(0o022)
+    try:
+        assert main(["simulate", "--set", "simulation.steps=5",
+                     "--set", "simulation.ensemble=1",
+                     "--traj-dir", str(tmp_path / "trajs"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        os.umask(old)
+
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    assert mode(tmp_path / "report.json") \
+        == mode(tmp_path / "trajs" / "trajectory_000.csv") == 0o644
 
 
 def test_write_report_one_sorted_line(tmp_path, capsys):

@@ -2,17 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradiform import (BarrierViolation, ConstantVerdict, MatrixFamily,
-                       QuadratureRule, VectorField,
+                       QuadratureRule, VectorField, antiexact_part,
                        check_necessary_constant, consistency_check,
                        eval_field, general_residual, jacobian, potential,
                        sample_ball, solve_consistency_constant, solve_general,
-                       solve_symmetrizer, transform_field,
-                       transform_field_general)
+                       solve_symmetrizer, transform_field)
 from gradiform.fields import _central_difference, fd_step
 from gradiform import gradientize
 from gradiform.gradientize import (_constant_solve_report,
@@ -496,6 +495,18 @@ def residual_reference(field, family, theta, samples):
     return np.array(out)
 
 
+def family_at(family, y, theta):
+    """D and dD/dy (dD[..., i, j, q] = d D_ij / d y_q) at one point y
+    (dim,) or at stacked points (..., dim)."""
+    return family._evaluate(theta, family._tables(y))
+
+
+def constant_family(D):
+    """The degree-0 family and the theta that give the constant D."""
+    D = np.asarray(D, dtype=float)
+    return MatrixFamily(dim=len(D), degree=0), D.ravel()
+
+
 def perturbed_identity(family, seed, scale=0.05):
     rng = np.random.default_rng(seed)
     return family.identity_params() \
@@ -523,14 +534,14 @@ class TestMatrixFamily:
         rng = np.random.default_rng(10 * dim + degree)
         Y = rng.standard_normal((7, dim))
         theta = rng.standard_normal(family.n_params)
-        D, dD = family.value(Y, theta), family.grad(Y, theta)
+        D, dD = family_at(family, Y, theta)
         assert D.shape == (7, dim, dim) and dD.shape == (7, dim, dim, dim)
         for m, y in enumerate(Y):
             ref_D, ref_dD = family_reference(family, y, theta)
             assert np.array_equal(D[m], ref_D)
-            assert np.array_equal(D[m], family.value(y, theta))
+            assert np.array_equal(D[m], family_at(family, y, theta)[0])
             assert np.array_equal(dD[m], ref_dD)
-            assert np.array_equal(dD[m], family.grad(y, theta))
+            assert np.array_equal(dD[m], family_at(family, y, theta)[1])
 
     def test_grad_matches_central_differences(self):
         family = MatrixFamily(dim=3, degree=2)
@@ -542,9 +553,9 @@ class TestMatrixFamily:
                 e = np.zeros(3)
                 e[q] = h
                 # exact for quadratics up to rounding
-                fd = (family.value(y + e, theta)
-                      - family.value(y - e, theta)) / (2 * h)
-                assert np.allclose(family.grad(y, theta)[:, :, q], fd,
+                fd = (family_at(family, y + e, theta)[0]
+                      - family_at(family, y - e, theta)[0]) / (2 * h)
+                assert np.allclose(family_at(family, y, theta)[1][:, :, q], fd,
                                    rtol=0, atol=1e-9)
 
 
@@ -669,9 +680,9 @@ class TestSolveGeneral:
         family = MatrixFamily(dim=3, degree=1)
         samples = sample_ball(3, 12, 1.0, seed=21)
         rep = solve_general(field, family, samples, max_iter=3)
-        tfield = transform_field_general(field, family, rep.theta_final)
         assert rep.consistency_residual == consistency_check(
-            tfield, samples[:8], QuadratureRule.gauss_legendre(64))
+            field, family, rep.theta_final, samples[:8],
+            QuadratureRule.gauss_legendre(64))
         assert np.isfinite(rep.consistency_residual)
 
     @pytest.mark.parametrize("field", [ou()[0], double_well()[0],
@@ -703,7 +714,59 @@ class TestSolveGeneral:
         assert rep.residual_norm == float(np.sqrt(np.mean(r * r)))
 
 
+def transform_field_general(field, family, theta):
+    """The reference for consistency_check: the transformed field
+    f(x) = D(y) g(y), y solving x = D(y) y, with its Jacobian B M^-1
+    (B = df/dy, M = dx/dy) at that y, as gradiform once exported it.
+
+    A vectorized field: Newton iteration from y = x inverts all points in
+    lockstep, each stopping at its own tolerance.  theta is copied.
+    """
+    n, theta = field.dim, np.array(theta, dtype=float)
+
+    def invert(X):
+        Y = X.copy()
+        todo = np.arange(len(X))
+        for _ in range(50):
+            D, dD = family_at(family, Y[todo], theta)
+            res = np.matmul(D, Y[todo, :, None])[:, :, 0] - X[todo]
+            done = np.max(np.abs(res), axis=1) \
+                < 1e-13 * (1.0 + np.max(np.abs(X[todo]), axis=1))
+            todo, D, dD, res = todo[~done], D[~done], dD[~done], res[~done]
+            if not todo.size:
+                return Y
+            M = D + np.einsum("sijq,sj->siq", dD, Y[todo])
+            try:
+                Y[todo] -= np.linalg.solve(M, res[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                raise BarrierViolation("singular dx/dy while inverting")
+        raise RuntimeError("coordinate inversion did not converge at "
+                           f"{X[todo[0]]}")
+
+    def func(x):
+        Y = invert(np.reshape(x, (-1, n)))
+        f = np.matmul(family_at(family, Y, theta)[0],
+                      eval_field(field, Y)[:, :, None])[:, :, 0]
+        return f.reshape(np.shape(x))
+
+    def jac(x):
+        Y = invert(np.reshape(x, (-1, n)))
+        D, dD = family_at(family, Y, theta)
+        B, M = gradientize._chain_rule(D, dD, Y, eval_field(field, Y),
+                                       jacobian(field, Y))
+        try:
+            A = B @ np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise BarrierViolation("singular dx/dy at an inverted point")
+        return A.reshape(np.shape(x) + (n,))
+
+    return VectorField(dim=n, func=func, jac=jac, vectorized=True)
+
+
 class TestTransformFieldGeneral:
+    """The reference field itself: its inverse and its Jacobian."""
+
+
     def test_inverse_and_stacked_rows(self):
         field = lorenz()
         family = MatrixFamily(dim=3, degree=1)
@@ -738,6 +801,34 @@ class TestTransformFieldGeneral:
             <= 1e-8 * (1.0 + np.max(np.abs(J)))
 
 
+def _value_or_error(check):
+    try:
+        return check()
+    except (BarrierViolation, RuntimeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=st.sampled_from([lorenz, jj_circuit]), degree=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.0, 0.05),
+       order=st.sampled_from([16, 64]))
+# the inversion of this one does not converge: RuntimeError from both
+@example(make=lorenz, degree=2, seed=9, scale=0.05, order=16)
+def test_consistency_check_equals_reference_field(make, degree, seed, scale,
+                                                  order):
+    # the antiexact part of the reference field at the same points, bit
+    # for bit, or the same exception from both
+    field, family = make(), MatrixFamily(dim=3, degree=degree)
+    theta = perturbed_identity(family, seed, scale=scale)
+    X = sample_ball(3, 8, 1.5, seed=seed)
+    quad = QuadratureRule.gauss_legendre(order)
+    new = _value_or_error(
+        lambda: consistency_check(field, family, theta, X, quad))
+    ref = _value_or_error(lambda: float(np.max(np.abs(antiexact_part(
+        transform_field_general(field, family, theta), X, quad)))))
+    assert new == ref
+
+
 def consistency_check_fd(tfield, samples, quad=None):
     """The former consistency_check: central differences of the ray
     potential, 2n potentials per sample, against the field."""
@@ -756,35 +847,41 @@ class TestConsistencyAndPotential:
         # the homotopy formula makes the two equal; the central difference
         # of V errs by about h^2 times its third derivative (h = cbrt(eps)),
         # 5e-11 relative or less on these cases; the bound is 1e-8 relative
+        # rotation and diag123 take the constant-D path, against fields
+        # built without it
         name, _, spec = case.partition("-")
         if name == "rotation":
-            tfield = rotation()
+            field = tfield = rotation()
+            family, theta = constant_family(np.eye(2))
         elif spec == "diag123":
-            tfield = transform_field(lorenz(), np.diag([1.0, 2.0, 3.0]))
+            field, D = lorenz(), np.diag([1.0, 2.0, 3.0])
+            family, theta = constant_family(D)
+            tfield = transform_field(field, D)
         else:
+            field = lorenz() if name == "lorenz" else jj_circuit()
             family = MatrixFamily(dim=3, degree=int(spec))
-            make = lorenz if name == "lorenz" else jj_circuit
-            tfield = transform_field_general(
-                make(), family, perturbed_identity(family, 1, scale=0.02))
+            theta = perturbed_identity(family, 1, scale=0.02)
+            tfield = transform_field_general(field, family, theta)
         samples = sample_ball(tfield.dim, 8, 1.0, seed=3)
-        new = consistency_check(tfield, samples, quad)
+        new = consistency_check(field, family, theta, samples, quad)
         ref = consistency_check_fd(tfield, samples, quad)
         assert abs(new - ref) <= 1e-8 * ref
 
     def test_closed_transformed_field(self):
         field = quadratic([[2.0, 1.0], [1.0, 3.0]])
+        family = MatrixFamily(dim=2, degree=1)
         samples = sample_ball(2, 6, 1.0, seed=10)
-        assert consistency_check(field, samples, RULE) < 1e-6
+        assert consistency_check(field, family, family.identity_params(),
+                                 samples, RULE) < 1e-6
 
     def test_rotation_violation_reported(self):
-        val = consistency_check(rotation(), sample_ball(2, 6, 1.0, seed=11),
-                                RULE)
+        val = consistency_check(rotation(), *constant_family(np.eye(2)),
+                                sample_ball(2, 6, 1.0, seed=11), RULE)
         assert val > 0.1  # order-one violation, reported not raised
 
     def test_lorenz_after_constant_transform_nonzero(self):
-        D = np.diag([1.0, 2.0, 3.0])
-        t = transform_field(lorenz(), D)
-        val = consistency_check(t, sample_ball(3, 4, 1.0, seed=12), RULE)
+        val = consistency_check(lorenz(), *constant_family(
+            np.diag([1.0, 2.0, 3.0])), sample_ball(3, 4, 1.0, seed=12), RULE)
         assert val > 1e-2
 
     def test_potential_quadratic(self):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (QuadratureRule, VectorField, antiexact_part,
-                       circle_loop, consistency_check, decompose, eval_field,
-                       jacobian, loop_integral, potential, sample_ball,
-                       transform_field)
+from gradiform import (MatrixFamily, QuadratureRule, VectorField,
+                       antiexact_part, circle_loop, consistency_check,
+                       decompose, eval_field, jacobian, loop_integral,
+                       potential, sample_ball, transform_field)
 from gradiform.cli import DEFAULT_CONFIG
 from gradiform.homotopy import DEFAULT_ORDER
 from gradiform.zoo import (jj_circuit, jj_circuit_linear, lorenz, quadratic,
@@ -93,8 +93,10 @@ class TestPotential:
                     == getattr(ref, name).tobytes()
             assert loop_integral(field, loop) \
                 == loop_integral(field, loop, rule)
-            assert consistency_check(field, X) \
-                == consistency_check(field, X, rule)
+            family = MatrixFamily(dim=3, degree=1)
+            theta = family.identity_params()
+            assert consistency_check(field, family, theta, X) \
+                == consistency_check(field, family, theta, X, rule)
 
 
 class TestExactAntiexact:
