@@ -343,15 +343,23 @@ def cmd_gradientize(cfg):
 
 def _mapped_rk4(field, D, x0, dt, steps):
     """RK4 of f(x) = D g(D^-1 x) from x0 as D times RK4 of g from D^-1 x0,
-    equal up to rounding since RK4 commutes with x = D y.  State 0 is x0;
-    the states end before the first one that D maps to a non-finite."""
-    base = integrate_rk4(field, _matvec(np.linalg.inv(D), x0), dt, steps)
+    equal up to rounding since RK4 commutes with x = D y; one start (dim,)
+    or rows (count, dim), as for integrate_rk4.  Every row's states are
+    mapped in one product.  State 0 is x0; a row's states end before the
+    first one that D maps to a non-finite."""
+    bases = integrate_rk4(field, _matvec(np.linalg.inv(D), x0), dt, steps)
+    lone = isinstance(bases, Trajectory)
+    bases = [bases] if lone else bases
     with np.errstate(over="ignore", invalid="ignore"):
-        X = _matvec(D, base.states)
-    X[0] = x0
-    n = int(np.isfinite(X).all(axis=1).cumprod().sum())
-    return Trajectory(states=X[:n], dt=dt,
-                      completed=base.completed and n == len(X))
+        X = _matvec(D, np.concatenate([b.states for b in bases]))
+    ends = np.cumsum([len(b.states) for b in bases])[:-1]
+    trajs = []
+    for base, start, x in zip(bases, np.atleast_2d(x0), np.split(X, ends)):
+        x[0] = start
+        n = int(np.isfinite(x).all(axis=1).cumprod().sum())
+        trajs.append(Trajectory(states=x[:n], dt=dt,
+                                completed=base.completed and n == len(x)))
+    return trajs[0] if lone else trajs
 
 
 def cmd_simulate(cfg, traj_dir=None):
@@ -398,9 +406,12 @@ def cmd_simulate(cfg, traj_dir=None):
     if traj_dir is not None:
         traj_dir = Path(traj_dir)
         traj_dir.mkdir(parents=True, exist_ok=True)
+    # every start in one lockstep; a lone start steps as one point (dim,),
+    # on Python floats, which costs less than a 1-row batch
+    lone = len(x0s) == 1
+    trajs = run(x0s[0] if lone else x0s, sim["dt"], sim["steps"])
     rows = []
-    for idx, x0 in enumerate(x0s):
-        traj = run(x0, sim["dt"], sim["steps"])
+    for idx, (x0, traj) in enumerate(zip(x0s, [trajs] if lone else trajs)):
         rows.append({"x0": x0, **lyapunov_row(traj)})
         if traj_dir is not None:
             write_trajectory_csv(traj, traj_dir / f"trajectory_{idx:03d}.csv")

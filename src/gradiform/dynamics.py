@@ -2,6 +2,7 @@
 ensembles, and the small-noise stationary-distribution potential."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,26 +49,44 @@ class LyapunovReport:
     monotone: bool
 
 
-def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
-    """Classical fourth-order Runge-Kutta for xdot = g(x)."""
-    # the start is checked once here and every stage keeps its shape, so
-    # each stage checks only the shape of the field's value
+def integrate_rk4(field: VectorField, x0, dt: float, steps: int):
+    """Classical fourth-order Runge-Kutta for xdot = g(x): the Trajectory
+    from one start x0 (dim,), or from each row of x0 (count, dim) a list
+    of them, start m's at index m, all stepped in one lockstep."""
+    # the starts are checked once here and every stage keeps their shape,
+    # so each stage checks only the shape of the field's value
     x0 = _as_points(field, x0)
-    if x0.ndim != 1:
-        raise ValueError(f"point has shape {x0.shape}; one start only")
     _check_steps(dt, steps)
     g, shape = field.func, (field.dim,)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def stage(p):
-        return _apply(field, g, np.array(p), shape, "field").tolist()
+    def f(p):
+        return _apply(field, g, p, shape, "field")
 
-    # the stage arithmetic runs on Python floats, whose + and * round as
+    if x0.ndim == 2:
+        def step(x, out):  # the stage order of the float step below
+            k1 = f(x)
+            k2 = f(x + half * k1)
+            k3 = f(x + half * k2)
+            s = k1 + (k2 + k2)
+            s += k3 + k3
+            s += f(x + dt * k3)
+            s *= sixth
+            return np.add(x, s, out=out)
+
+        return _lockstep(_state_buffer(x0, steps), dt, step)
+
+    def stage(p):
+        return f(np.array(p)).tolist()
+
+    # one point (dim,), not a 1-row batch: the field computes on scalars,
+    # faster and with the rounding of a single-point evaluation.  The
+    # stage arithmetic runs on Python floats, whose + and * round as
     # float64 arrays do, at a fraction of a ufunc call's cost on (dim,);
     # k + k is 2.0 * k bit for bit
     def step(x, out):
         xs = x.tolist()
-        k1 = _apply(field, g, x, shape, "field").tolist()
+        k1 = f(x).tolist()
         k2 = stage([a + half * b for a, b in zip(xs, k1)])
         k3 = stage([a + half * b for a, b in zip(xs, k2)])
         k4 = stage([a + dt * b for a, b in zip(xs, k3)])
@@ -75,8 +94,6 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int) -> Trajectory:
                     for a, b, c, d, e in zip(xs, k1, k2, k3, k4)]
         return out
 
-    # one point (dim,), not a 1-row batch: the field computes on scalars,
-    # faster and with the rounding of a single-point evaluation
     return _lockstep(_state_buffer(x0, steps), dt, step)[0]
 
 
@@ -342,11 +359,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     The bytes are those of ``csv.writer``'s default dialect on the
     shortest round-trip repr of each value: no field needs quoting, and
-    every line ends in CRLF.
+    every line ends in CRLF.  An existing file is written over and then
+    cut to length, never truncated to zero, which ext4, XFS and btrfs
+    answer by flushing it to disk on close; as with open(path, "w"), it
+    keeps its inode and mode, and the write is not atomic.
     """
     dim = traj.states.shape[1]
     rows = np.column_stack((traj.times, traj.states)).tolist()
     lines = [",".join(["t"] + [f"x_{i + 1}" for i in range(dim)])]
     lines += [",".join(map(repr, row)) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    data = ("\r\n".join(lines) + "\r\n").encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()

@@ -122,6 +122,17 @@ def rotation() -> VectorField:
     return quadratic(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
+def _as_batch(v):
+    """V(x) = v(coordinates (M,)) for stacked points (M, 1); one point (1,)
+    gives the float of its batch row, as a power rounds differently on a
+    numpy scalar than on an array."""
+    def V(x):
+        x = np.asarray(x, dtype=float)
+        vals = v(x.reshape(-1, 1).T[0])
+        return vals if x.ndim == 2 else vals[0]
+    return V
+
+
 def double_well():
     """1-d field g = -dV/dx for V = x^4/4 - x^2/2; returns (field, V).
 
@@ -141,11 +152,8 @@ def double_well():
         x0 = x.T[0]
         return np.array([[1.0 - 3.0 * (x0 * x0)]]).T
 
-    def V(x):
-        x0 = np.asarray(x, dtype=float).T[0]
-        return 0.25 * x0 ** 4 - 0.5 * x0 ** 2
-
-    return VectorField(dim=1, func=func, jac=jac, vectorized=True), V
+    return (VectorField(dim=1, func=func, jac=jac, vectorized=True),
+            _as_batch(lambda x0: 0.25 * x0 ** 4 - 0.5 * x0 ** 2))
 
 
 def ou(theta: float = 1.0):
@@ -159,10 +167,7 @@ def ou(theta: float = 1.0):
                         jac=lambda x: np.full(x.shape + (1,), -theta),
                         vectorized=True)
 
-    def V(x):
-        return 0.5 * theta * np.asarray(x, dtype=float).T[0] ** 2
-
-    return field, V
+    return field, _as_batch(lambda x0: 0.5 * theta * x0 ** 2)
 
 
 def _build_quadratic(params):

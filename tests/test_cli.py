@@ -565,6 +565,47 @@ class TestReports:
             assert lines[0] == "t,x_1,x_2,x_3"
             assert len(lines) == 52
 
+    @pytest.mark.parametrize("source", ["homotopy", "gradientize"])
+    def test_simulate_traj_dir_rewritten_shorter(self, tmp_path, source):
+        # a second export with fewer steps into the same directory leaves
+        # the bytes of an export into an empty one, with no stale tail
+        def export(traj_dir, steps):
+            code = main(["simulate", "--set", f"potential_source={source}",
+                         "--set", f"simulation.steps={steps}",
+                         "--set", "simulation.ensemble=3",
+                         "--traj-dir", str(traj_dir),
+                         "--out", str(tmp_path / "rep.json")])
+            assert code == 0
+            return {f.name: f.read_bytes()
+                    for f in sorted(traj_dir.glob("trajectory_*.csv"))}
+
+        first = export(tmp_path / "d", 120)
+        again = export(tmp_path / "d", 40)
+        fresh = export(tmp_path / "fresh", 40)
+        assert len(first) == len(again) == 3 and again == fresh
+        for data in again.values():
+            assert data.count(b"\r\n") == 42 and data.endswith(b"\r\n")
+
+    @pytest.mark.parametrize("source", ["homotopy", "gradientize"])
+    def test_simulate_lone_start_steps_as_one_point(self, tmp_path,
+                                                    monkeypatch, source):
+        # an ensemble of one steps its start as a point (dim,), on Python
+        # floats; more starts go in one lockstep of rows (count, dim)
+        shapes = []
+
+        def spy(field, x0, dt, steps):
+            shapes.append(np.shape(x0))
+            return integrate_rk4(field, x0, dt, steps)
+
+        monkeypatch.setattr("gradiform.cli.integrate_rk4", spy)
+        for ensemble in (1, 3):
+            code, rep = run_cli(tmp_path, "simulate",
+                                "--set", f"potential_source={source}",
+                                "--set", "simulation.steps=30",
+                                "--set", f"simulation.ensemble={ensemble}")
+            assert code == 0 and rep["result"]["n_trajectories"] == ensemble
+        assert shapes == [(3,), (3, 3)]
+
     def test_simulate_exact_gradient_residual_is_rounding(self, tmp_path):
         # double_well is -V' exactly, and its candidate's gradient is the
         # exact part d(kG), so f + grad V is rounding, not a difference
@@ -893,6 +934,38 @@ def test_mapped_rk4_equals_composed_field(name, E, x0, dt, steps):
     err = np.abs(got.states - ref.states).max(axis=1)
     assert (err <= 1e-10 * (1 + np.abs(ref.states).max(axis=1))).all()
     assert got.states[0].tobytes() == x0.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_BASE_FIELDS)),
+       E=hnp.arrays(float, (3, 3), elements=st.floats(-0.3, 0.3)),
+       x0s=st.integers(2, 9).flatmap(lambda m: hnp.arrays(
+           float, (m, 3), elements=st.floats(-3, 3))),
+       dt=st.floats(1e-3, 2e-2), steps=st.integers(1, 250))
+def test_mapped_rk4_rows_equal_lone_starts(name, E, x0s, dt, steps):
+    field, D = _BASE_FIELDS[name], np.eye(3) + E
+    trajs = _mapped_rk4(field, D, x0s, dt, steps)
+    assert len(trajs) == len(x0s)
+    for x0, traj in zip(x0s, trajs):
+        lone = _mapped_rk4(field, D, x0, dt, steps)
+        assert traj.states.tobytes() == lone.states.tobytes()
+        assert traj.completed == lone.completed and traj.dt == dt
+
+
+def test_mapped_rk4_rows_cut_apart():
+    # each row ends before its own first state that D maps past the
+    # largest float: y_1 = y_1(0) e^t, and D scales it by 1e308
+    D = np.diag([1e308, 1.0])
+    x0s = np.array([[1e308, 0.0], [0.0, 1.0], [1e307, 0.0]])
+    trajs = _mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0s,
+                        0.1, 40)
+    assert [len(t.states) for t in trajs] == [6, 41, 29]
+    assert [t.completed for t in trajs] == [False, True, False]
+    for x0, traj in zip(x0s, trajs):
+        lone = _mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0,
+                           0.1, 40)
+        assert traj.states.tobytes() == lone.states.tobytes()
+        assert traj.states[0].tobytes() == x0.tobytes()
 
 
 def test_mapped_rk4_cut_before_the_first_overflowing_state():

@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -14,7 +16,8 @@ from gradiform.dynamics import DensityGrid, Trajectory, _trajectory_rng
 from gradiform.fields import (FieldEvalError, FieldShapeError, _apply,
                               eval_field)
 from gradiform.gradientize import transform_field
-from gradiform.zoo import double_well, lorenz, ou, quadratic, rotation
+from gradiform.zoo import (REGISTRY, SystemSpec, build_system, double_well,
+                           lorenz, ou, quadratic, rotation)
 
 
 def decay_field():
@@ -48,13 +51,16 @@ class TestRK4:
                  .states[-1][0] - exact)
         assert 12.0 < e1 / e2 < 20.0
 
-    def test_one_start_only(self):
-        with pytest.raises(ValueError, match="point has shape"):
-            integrate_rk4(decay_field(), [[1.0], [0.5]], dt=0.1, steps=5)
-        with pytest.raises(ValueError, match="point has shape"):
-            integrate_rk4(decay_field(), [[1.0]], dt=0.1, steps=5)
-        with pytest.raises(ValueError, match="point has shape"):
-            integrate_rk4(decay_field(), [1.0, 2.0], dt=0.1, steps=5)
+    def test_start_shapes(self):
+        # one start (dim,) gives a Trajectory, rows (count, dim) a list
+        assert isinstance(integrate_rk4(decay_field(), [1.0], 0.1, 5),
+                          Trajectory)
+        for x0s in ([[1.0], [0.5]], [[1.0]]):
+            trajs = integrate_rk4(decay_field(), x0s, dt=0.1, steps=5)
+            assert [len(t.states) for t in trajs] == [6] * len(x0s)
+        for bad in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0]]]):
+            with pytest.raises(ValueError, match="point has shape"):
+                integrate_rk4(decay_field(), bad, dt=0.1, steps=5)
 
     def test_blowup_flagged(self):
         hot = VectorField(dim=1, func=lambda x: np.array([x[0] ** 2]))
@@ -225,6 +231,66 @@ def test_rk4_equals_per_stage_reference(name, x0, dt, steps):
     assert np.array_equal(traj.states, ref.states)
     assert np.array_equal(traj.times, ref.times)
     assert traj.completed == ref.completed
+
+
+RK4_BATCH_FIELDS = {**{name: build_system(SystemSpec(name, {}, 0))
+                       for name in REGISTRY}, **RK4_FIELDS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(RK4_BATCH_FIELDS)), data=st.data(),
+       count=st.integers(2, 9), dt=st.floats(1e-3, 0.2),
+       steps=st.integers(1, 200))
+def test_rk4_rows_equal_lone_starts(name, data, count, dt, steps):
+    # every row of one lockstep has the bits of its lone start, and ends
+    # where its lone run ends; starts up to 1e200 overflow at once
+    field = RK4_BATCH_FIELDS[name]
+    coords = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e200, 1e200))
+    x0s = np.array(data.draw(st.lists(
+        st.lists(coords, min_size=field.dim, max_size=field.dim),
+        min_size=count, max_size=count)))
+    with np.errstate(all="ignore"):
+        trajs = integrate_rk4(field, x0s, dt, steps)
+        lone = [integrate_rk4(field, x0, dt, steps) for x0 in x0s]
+    assert len(trajs) == count
+    for got, want in zip(trajs, lone):
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.completed == want.completed
+        assert got.dt == dt
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_rk4_rows_ending_mid_block_equal_lone_starts(vectorized):
+    # xdot = x grows by e^0.1 a step, and a step's stage sum, about 6 x,
+    # overflows once x passes 3e307: the row from 1e306 ends at state 35,
+    # inside the first block of 64 steps, and the row from 1e300 at state
+    # 173, inside the third; the others run to the end
+    field = VectorField(dim=1, func=lambda x: 1.0 * x, vectorized=vectorized)
+    x0s = np.array([[0.5], [1e306], [-2.0], [1e300], [0.0]])
+    trajs = integrate_rk4(field, x0s, 0.1, 250)
+    assert [len(t.states) for t in trajs] == [251, 35, 251, 173, 251]
+    assert [t.completed for t in trajs] == [True, False, True, False, True]
+    for x0, traj in zip(x0s, trajs):
+        lone = integrate_rk4(field, x0, 0.1, 250)
+        assert traj.states.tobytes() == lone.states.tobytes()
+        assert traj.completed == lone.completed
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_rk4_field_error_ends_every_row(vectorized):
+    # a FieldEvalError ends every row still running, as in
+    # euler_maruyama_ensembles: the row from 90 reaches 100 at step 10,
+    # and the row from 0, which runs on alone, ends with it
+    def stop_at_100(x):
+        if (np.asarray(x) >= 100.0).any():
+            raise FieldEvalError("stop")
+        return np.ones_like(x)
+
+    field = VectorField(dim=1, vectorized=vectorized, func=stop_at_100)
+    trajs = integrate_rk4(field, [[0.0], [90.0]], 1.0, 191)
+    assert [len(t.states) for t in trajs] == [10, 10]
+    assert not any(t.completed for t in trajs)
+    assert len(integrate_rk4(field, [0.0], 1.0, 191).states) == 100
 
 
 def half_square(X):
@@ -550,6 +616,44 @@ def test_trajectory_csv_matches_csv_writer(make, tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     assert path.read_bytes() == csv_writer_bytes(traj, tmp_path / "ref.csv")
+
+
+def test_trajectory_csv_overwritten_in_place(tmp_path):
+    # a shorter trajectory over a longer one leaves no stale tail, and the
+    # file keeps its inode and its mode, as open(path, "w") kept them
+    long = integrate_rk4(lorenz(), [0.3, -0.2, 0.1], dt=1e-3, steps=200)
+    short = integrate_rk4(decay_field(), [1.0], dt=0.1, steps=3)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(long, path)
+    os.chmod(path, 0o600)
+    inode = path.stat().st_ino
+    write_trajectory_csv(short, path)
+    assert path.read_bytes() == csv_writer_bytes(short, tmp_path / "ref.csv")
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    write_trajectory_csv(long, path)
+    assert path.read_bytes() == csv_writer_bytes(long, tmp_path / "ref.csv")
+
+
+def test_trajectory_csv_paths_as_open_takes_them(tmp_path):
+    short = integrate_rk4(decay_field(), [1.0], dt=0.1, steps=3)
+    want = csv_writer_bytes(short, tmp_path / "ref.csv")
+    # a symlink is followed: its target is written, the link stays
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    write_trajectory_csv(integrate_rk4(decay_field(), [1.0], 0.1, 30),
+                         target)
+    link.symlink_to(target)
+    write_trajectory_csv(short, link)
+    assert link.is_symlink() and target.read_bytes() == want
+    # a new file gets 0o666 under the umask
+    umask = os.umask(0o027)
+    try:
+        write_trajectory_csv(short, tmp_path / "new.csv")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+    with pytest.raises(OSError):
+        write_trajectory_csv(short, tmp_path)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
