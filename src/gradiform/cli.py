@@ -344,21 +344,18 @@ def cmd_gradientize(cfg):
 def _mapped_rk4(field, D, x0, dt, steps):
     """RK4 of f(x) = D g(D^-1 x) from x0 as D times RK4 of g from D^-1 x0,
     equal up to rounding since RK4 commutes with x = D y; one start (dim,)
-    or rows (count, dim), as for integrate_rk4.  Every row's states are
-    mapped in one product.  State 0 is x0; a row's states end before the
-    first one that D maps to a non-finite."""
+    or rows (count, dim), as for integrate_rk4, each mapped alone.  State
+    0 is x0; a row ends before the first state D maps to a non-finite."""
     bases = integrate_rk4(field, _matvec(np.linalg.inv(D), x0), dt, steps)
     lone = isinstance(bases, Trajectory)
-    bases = [bases] if lone else bases
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = _matvec(D, np.concatenate([b.states for b in bases]))
-    ends = np.cumsum([len(b.states) for b in bases])[:-1]
     trajs = []
-    for base, start, x in zip(bases, np.atleast_2d(x0), np.split(X, ends)):
-        x[0] = start
-        n = int(np.isfinite(x).all(axis=1).cumprod().sum())
-        trajs.append(Trajectory(states=x[:n], dt=dt,
-                                completed=base.completed and n == len(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for base, start in zip([bases] if lone else bases, np.atleast_2d(x0)):
+            x = _matvec(D, base.states)
+            x[0] = start
+            n = int(np.isfinite(x).all(axis=1).cumprod().sum())
+            trajs.append(Trajectory(states=x[:n], dt=dt,
+                                    completed=base.completed and n == len(x)))
     return trajs[0] if lone else trajs
 
 
@@ -382,20 +379,21 @@ def cmd_simulate(cfg, traj_dir=None):
         return -potential(flow, X, quad)
 
     def lyapunov_row(traj):
-        # the candidate's ray integral can overflow on states that stay
-        # finite; such a trajectory counts as unfinished, with no figures
+        # the candidate's ray integral or its increments can overflow on
+        # finite states; such a trajectory counts as unfinished, no figures
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 V = candidate(traj.states)
                 x = traj.states[-1]  # grad V = -d(kG), the exact part
                 grad = -decompose(flow, x, quad).exact_part
                 ortho = float((eval_field(flow, x) + grad) @ grad)
+                rep_l = lyapunov_check(V, traj)
         except FieldEvalError:
             V, ortho = np.nan, np.nan
-        if not (np.isfinite(V).all() and np.isfinite(ortho)):
+        if not (np.isfinite(V).all() and np.isfinite(ortho)
+                and np.isfinite(rep_l.max_increase)):
             return {"completed": False, "max_increase": None,
                     "monotone": False, "orthogonality_residual_at_end": None}
-        rep_l = lyapunov_check(V, traj)
         return {"completed": traj.completed,
                 "max_increase": rep_l.max_increase,
                 "monotone": rep_l.monotone and traj.completed,
@@ -529,11 +527,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
+    # a float fault that no step expects is a numerical abort (exit 3)
     try:
-        if args.command == "simulate":
-            payload = cmd_simulate(cfg, traj_dir=args.traj_dir)
-        else:
-            payload = COMMANDS[args.command](cfg)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "simulate":
+                payload = cmd_simulate(cfg, traj_dir=args.traj_dir)
+            else:
+                payload = COMMANDS[args.command](cfg)
         report = {
             "schema": SCHEMA,
             "tool_version": __version__,
@@ -550,7 +550,7 @@ def main(argv=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (FieldEvalError, np.linalg.LinAlgError, ValueError,
-            MemoryError) as exc:
+            FloatingPointError, MemoryError) as exc:
         # numpy refuses an allocation past the machine's memory at once
         print(f"numerical abort: {str(exc) or type(exc).__name__}",
               file=sys.stderr)

@@ -112,7 +112,7 @@ def lyapunov_check(V, traj: Trajectory) -> LyapunovReport:
         return LyapunovReport(max_increase=0.0, monotone=True)
     max_inc = float(np.max(np.diff(vals)))
     scale = 1.0 + float(np.max(np.abs(vals)))
-    allowance = LYAPUNOV_TOL_SCALE * traj.dt ** 2 * scale
+    allowance = LYAPUNOV_TOL_SCALE * (traj.dt * traj.dt) * scale
     return LyapunovReport(max_increase=max_inc, monotone=max_inc <= allowance)
 
 
@@ -153,9 +153,7 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
         raise ValueError("eps must be nonnegative and finite")
     _check_steps(dt, steps)
     states = _state_buffer(np.repeat(x0s, len(eps), axis=0), steps)
-    noisy = bool((eps > 0).any())
-    if noisy:
-        _kick_table(eps, dt, len(x0s), master_seed, states)
+    _kick_table(eps, dt, len(x0s), master_seed, states)
     g, shape, vectorized = field.func, (field.dim,), field.vectorized
     h = np.array(dt)  # a 0-d array, converted once
 
@@ -167,8 +165,6 @@ def euler_maruyama_ensembles(field: VectorField, eps_list, x0s, dt: float,
                                       f"expected {x.shape}")
         else:
             v = _apply(field, g, x, shape, "field")
-        if not noisy:
-            return np.add(x, h * v, out=out)
         v = h * v
         v += x
         out += v  # kick + (x + dt g(x)), (x + dt g(x)) + kick bit for bit
@@ -186,15 +182,16 @@ def _kick_table(eps: np.ndarray, dt: float, count: int, master_seed: int,
     buffer of _state_buffer, so states[1:] is one coordinate-major
     (steps, dim, count, len(eps)) array, the multiply's out.  Rows at
     eps = 0 hold -0.0, and x + (-0.0) is x bit for bit, so those rows
-    stay exact forward Euler.  Besides the states, only the draw is held
-    while the kicks are written."""
+    stay exact forward Euler.  With every level at 0 nothing is drawn;
+    else only the draw is held besides the states."""
     steps, dim = len(states) - 1, states.shape[-1]
-    noise = np.empty((count, steps, dim))
-    for m in range(count):
-        _trajectory_rng(master_seed, m).standard_normal(out=noise[m])
     kicks = states[1:].swapaxes(1, 2).reshape(steps, dim, count, len(eps))
-    np.multiply(noise.transpose(1, 2, 0)[..., None], np.sqrt(2.0 * eps * dt),
-                out=kicks)
+    if (eps > 0).any():
+        noise = np.empty((count, steps, dim))
+        for m in range(count):
+            _trajectory_rng(master_seed, m).standard_normal(out=noise[m])
+        np.multiply(noise.transpose(1, 2, 0)[..., None],
+                    np.sqrt(2.0 * eps * dt), out=kicks)
     kicks[..., eps == 0] = -0.0
 
 

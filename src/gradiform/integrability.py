@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import VectorField, eval_field, jacobian
+from .fields import VectorField, _check_finite, eval_field, jacobian
 from .homotopy import QuadratureRule, _rule
 
 DEFAULT_TOL = 1e-8  # the one threshold of "symmetric up to rounding"
@@ -116,13 +116,15 @@ def classify(field: VectorField, samples, loops=(),
     at every sample (N,) or (M, N), else FrobeniusIntegrable (local) when
     the wedge obstruction is at most DEFAULT_TOL there, else
     NonIntegrable.  The obstruction is |g . curl g| for N = 3, and 0 for
-    N < 3."""
+    N < 3.  A non-finite asymmetry or obstruction is a FieldEvalError."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("at least one sample point is required")
     J = jacobian(field, samples)
-    asym = float(np.max(_relative_asymmetry(J)))
-    defect = float(np.max(_wedge_defect(eval_field(field, samples), J)))
+    asym = _relative_asymmetry(J)
+    defect = _wedge_defect(eval_field(field, samples), J)
+    _check_finite(samples, np.stack([asym, defect], -1), "asymmetry/defect")
+    asym, defect = float(np.max(asym)), float(np.max(defect))
     if asym <= DEFAULT_TOL:
         verdict = Verdict.CLOSED
     elif defect <= DEFAULT_TOL:

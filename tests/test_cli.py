@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gradiform import cli
 from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _mapped_rk4,
                            _to_json, _write_report, load_config, main)
 from gradiform.dynamics import BURN_IN_FRACTION, integrate_rk4
@@ -237,6 +238,37 @@ class TestExitCodes:
         assert main(["classify", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read config {path}:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_set_without_equals_two(self, capsys):
+        assert main(["classify", "--set", "samples.count"]) == 2
+        assert capsys.readouterr().err == ("config error: --set needs "
+                                           "key=value, got 'samples.count'\n")
+
+    @pytest.mark.parametrize("root", [[1, 2], 3, "x", None])
+    def test_config_root_not_an_object_two(self, root, tmp_path, capsys):
+        path = write_config(tmp_path, root)
+        assert main(["classify", "--config", path]) == 2
+        assert capsys.readouterr().err == \
+            "config error: config root must be a JSON object\n"
+
+    @pytest.mark.parametrize("command, sets", [
+        ("decompose", ["samples.radius=1e120", "samples.count=4"]),
+        ("classify", ["samples.radius=1e120", "samples.count=4"]),
+        ("gradientize", ["solver.run_general=true", "samples.radius=1e100",
+                         "solver.max_iter=5"]),
+        ("decompose", ["samples.radius=1e160"])],
+        ids=["decompose", "classify", "general", "decompose-1e160"])
+    def test_float_fault_three(self, command, sets, tmp_path, capsys):
+        # an overflow no step expects aborts the command: no numpy
+        # warning, no report with a silent null, no verdict from a NaN
+        argv = [command] + [a for s in sets for a in ("--set", s)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert (code, rep) == (3, None)
+        assert err.startswith("numerical abort: overflow encountered in ")
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_int_accepted_for_float(self):
@@ -516,6 +548,40 @@ class TestReports:
                if row["max_increase"] is not None and not row["completed"]]
         assert cut and all(row["monotone"] is False for row in cut)
         assert rep["result"]["n_monotone"] == sum(r["monotone"] for r in rows)
+
+    def test_simulate_overflowing_increments_are_unfinished(
+            self, tmp_path, capsys, monkeypatch):
+        # V alternates between 1e308 and -1e308: every value is finite,
+        # and every rise of V overflows to inf
+        def alternating(field, X, quad):
+            return np.where(np.arange(len(X)) % 2 == 0, 1e308, -1e308)
+
+        monkeypatch.setattr(cli, "potential", alternating)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(tmp_path, "simulate",
+                                "--set", "simulation.steps=5",
+                                "--set", "simulation.ensemble=2")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert rep["result"]["trajectories"] == [
+            {"x0": row["x0"], "completed": False, "max_increase": None,
+             "monotone": False, "orthogonality_residual_at_end": None}
+            for row in rep["result"]["trajectories"]]
+        assert rep["result"]["n_monotone"] == 0
+
+    def test_simulate_allowance_past_the_float_range(self, tmp_path):
+        # the starts sit on Lorenz's fixed point 0; dt^2 = 1e400 is past
+        # the float range, so the allowance is inf, not an OverflowError
+        code, rep = run_cli(tmp_path, "simulate",
+                            "--set", "simulation.dt=1e200",
+                            "--set", "simulation.x0_radius=0",
+                            "--set", "simulation.steps=3",
+                            "--set", "simulation.ensemble=2")
+        assert code == 0
+        assert [(row["completed"], row["monotone"], row["max_increase"])
+                for row in rep["result"]["trajectories"]] \
+            == [(True, True, 0.0)] * 2
 
     def test_simulate_traj_csv_export(self, tmp_path):
         traj_dir = tmp_path / "trajs"

@@ -12,7 +12,8 @@ from gradiform import (VectorField, euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, stationary_density,
                        write_trajectory_csv)
 from gradiform import dynamics
-from gradiform.dynamics import DensityGrid, Trajectory, _trajectory_rng
+from gradiform.dynamics import (DensityGrid, LyapunovReport, Trajectory,
+                               _trajectory_rng)
 from gradiform.fields import (FieldEvalError, FieldShapeError, _apply,
                               eval_field)
 from gradiform.gradientize import transform_field
@@ -334,6 +335,17 @@ class TestLyapunov:
         with pytest.raises(ValueError):
             lyapunov_check(vals[1:], traj)
 
+    def test_one_state_has_no_increase(self):
+        traj = Trajectory(states=np.ones((1, 2)), dt=0.1, completed=False)
+        assert lyapunov_check([5.0], traj) == LyapunovReport(
+            max_increase=0.0, monotone=True)
+
+    def test_allowance_past_the_float_range_is_inf(self):
+        # dt^2 overflows: the allowance is inf, not an OverflowError
+        traj = Trajectory(states=np.zeros((3, 1)), dt=1e200)
+        assert lyapunov_check([0.0, 1.0, 1e300], traj) == LyapunovReport(
+            max_increase=1e300, monotone=True)
+
 
 class TestEulerMaruyama:
     def test_eps_zero_is_forward_euler(self):
@@ -456,6 +468,21 @@ class TestDensityAndGraham:
         assert (dens.total, dens.n_clipped) == (801 + 316, 0)
         assert np.array_equal(dens.counts, stationary_density(
             ens, bins=5, ranges=ranges, burn_in=200).counts)
+
+    def test_nothing_after_burn_in_rejected(self):
+        [ens] = euler_maruyama_ensembles(decay_field(), [0.1],
+                                         [[1.0], [2.0]], 0.1, 5)
+        for trajs, burn_in in ((ens, 6), ([], None), ([], 0)):
+            with pytest.raises(ValueError, match="no post-burn-in samples"):
+                stationary_density(trajs, bins=5, ranges=[(-3.0, 3.0)],
+                                   burn_in=burn_in)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
+    def test_graham_rejects_nonpositive_eps(self, eps):
+        grid = DensityGrid(edges=[np.linspace(0, 1, 6)],
+                           counts=np.full(5, 20))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            graham_estimate(grid, eps)
 
     def test_graham_uniform_density_constant(self):
         grid = DensityGrid(edges=[np.linspace(0, 1, 6)],
@@ -1029,6 +1056,42 @@ def test_zero_eps_level_stays_forward_euler():
         assert traj.states.tobytes() == np.array(euler).tobytes()
     assert np.signbit(exact[1].states).all()
     assert not np.array_equal(noisy[0].states, exact[0].states)
+
+
+def growth(vectorized):
+    """xdot = x, under which forward Euler keeps a start at -0.0 at -0.0
+    and a kick of +0.0 would turn it into +0.0."""
+    return (VectorField(dim=1, func=lambda x: x, vectorized=vectorized),
+            np.array([[1.0], [-2.0]]), None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: band(True), lambda: band(False), lambda: growth(True),
+    lambda: growth(False), unstable_quadratic, unstable_lorenz],
+    ids=["True", "False", "growth-True", "growth-False", "quadratic3",
+         "lorenz"])
+def test_all_levels_at_zero_match_reference(make, monkeypatch):
+    # with no level above 0 nothing is drawn: every kick is -0.0, and
+    # each step is forward Euler bit for bit, rows ending where the
+    # reference's do
+    def never(master_seed, index):
+        pytest.fail("a noiseless run drew noise")
+
+    monkeypatch.setattr(dynamics, "_trajectory_rng", never)
+    field, x0s, _ = make()
+    x0s = np.vstack([x0s, -0.0 * x0s[:1]])  # a start at -0.0 too
+    stacked = euler_maruyama_ensembles(field, [0.0, 0.0, 0.0], x0s, 0.05,
+                                       200, master_seed=7)
+    assert len(stacked) == 3
+    for ens in stacked:
+        assert len(ens) == len(x0s)
+        for x0, traj in zip(x0s, ens):
+            states, completed = reference_em(field, 0.0, x0, 0.05, 200,
+                                             None)
+            assert traj.states.tobytes() == states.tobytes()  # also -0.0
+            assert traj.completed == completed
+    if make is unstable_quadratic:
+        assert [len(t.states) for t in stacked[0]] == [201, 103, 136, 169, 201]
 
 
 def test_negative_eps_level_rejected():

@@ -45,6 +45,12 @@ def test_eval_dimension_mismatch():
         eval_field(identity_field(2), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_field_needs_a_dimension(dim):
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        VectorField(dim=dim, func=lambda x: x)
+
+
 def test_eval_nonfinite_flagged():
     f = VectorField(dim=1, func=lambda x: np.array([1.0 / x[0]]))
     with pytest.raises(FieldEvalError), \

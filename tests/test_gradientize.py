@@ -422,6 +422,11 @@ class TestTransformField:
         with pytest.raises(np.linalg.LinAlgError):
             transform_field(lorenz(), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("D", [np.eye(2), np.eye(3)[:2], np.ones(3)])
+    def test_wrong_shape_rejected(self, D):
+        with pytest.raises(ValueError, match="match the field dimension"):
+            transform_field(lorenz(), D)
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
@@ -542,6 +547,12 @@ class TestMatrixFamily:
             assert np.array_equal(D[m], family_at(family, y, theta)[0])
             assert np.array_equal(dD[m], ref_dD)
             assert np.array_equal(dD[m], family_at(family, y, theta)[1])
+
+    @pytest.mark.parametrize("size", [0, 35, 37])
+    def test_wrong_sized_theta_rejected(self, size):
+        family = MatrixFamily(dim=3, degree=1)  # 9 entries x 4 monomials
+        with pytest.raises(ValueError, match=r"must have shape \(36,\)"):
+            family_at(family, np.zeros(3), np.zeros(size))
 
     def test_grad_matches_central_differences(self):
         family = MatrixFamily(dim=3, degree=2)
@@ -699,6 +710,11 @@ class TestSolveGeneral:
             == (True, 0, 0.0)
         assert np.array_equal(rep.theta_final, family.identity_params())
 
+    @pytest.mark.parametrize("samples", [[], np.empty((0, 2))])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be nonempty"):
+            solve_general(rotation(), MatrixFamily(dim=2, degree=1), samples)
+
     def test_damping_overflow_stops_cleanly(self):
         # the damping of this fit overflows to inf before max_iter; the
         # loop ends there, at the last accepted theta, without a warning
@@ -713,6 +729,92 @@ class TestSolveGeneral:
         r = general_residual(field, family, rep.theta_final, samples)
         assert rep.residual_norm == float(np.sqrt(np.mean(r * r)))
 
+
+# two points of the plane, for the fits whose every exit is pinned below
+EXIT_SAMPLES = np.array([[1.0, 0.5], [-0.3, 0.8]])
+
+
+class TestSolveGeneralExits:
+    def test_zero_gradient_stops_at_the_start(self):
+        # the rotation's Jacobian K is normal (K K^T = K^T K), so every
+        # first-order change of a constant D leaves |D K D^-1 - (.)^T|
+        # unchanged: the gradient is 0 at the identity
+        family = MatrixFamily(dim=2, degree=0)
+        rep = solve_general(rotation(), family, EXIT_SAMPLES, max_iter=3)
+        assert (rep.iterations, rep.converged) == (1, False)
+        assert np.array_equal(rep.theta_final, family.identity_params())
+        assert rep.residual_norm == 2.0
+        assert rep.consistency_residual == 1.0  # |g| = |x|, at (1, 0.5)
+
+    def test_barrier_refuses_a_step(self, monkeypatch):
+        # for g = Q x, Q = [[0, b], [c, 0]], with b + c = 1 and
+        # b - c = 2 + DAMPING0, the first damped step takes D_11 from 1
+        # to 0 up to rounding: the barrier refuses it, once
+        refused = []
+        make = gradientize._residual_sweep
+
+        def counted(*args):
+            sweep = make(*args)
+
+            def run(theta):
+                try:
+                    return sweep(theta)
+                except BarrierViolation:
+                    refused.append(theta)
+                    raise
+            return run
+
+        monkeypatch.setattr(gradientize, "_residual_sweep", counted)
+        b, c = 3.001 / 2, -1.001 / 2
+        family = MatrixFamily(dim=2, degree=0)
+        rep = solve_general(quadratic([[0.0, b], [c, 0.0]]), family,
+                            EXIT_SAMPLES, max_iter=3)
+        assert len(refused) == 1 and abs(refused[0][0]) < 1e-12
+        assert (rep.iterations, rep.converged) == (3, False)
+        assert np.array_equal(rep.theta_final, family.identity_params())
+        assert rep.residual_norm == pytest.approx(2.001, rel=1e-12)
+        assert rep.consistency_residual == pytest.approx(1.0005, rel=1e-12)
+
+    def test_tiny_step_stops_the_fit(self):
+        # Q is 1e8 times a diagonal plus an antisymmetric 5e-15: the
+        # first step, of norm about 7e-15, is accepted and ends the fit,
+        # with the rms above TARGET_RMS
+        Q = 1e8 * np.array([[-1.0, 5e-15], [-5e-15, -2.0]])
+        family = MatrixFamily(dim=2, degree=0)
+        rep = solve_general(quadratic(Q), family, EXIT_SAMPLES, max_iter=20)
+        assert (rep.iterations, rep.converged) == (1, False)
+        step = rep.theta_final - family.identity_params()
+        assert 0 < np.linalg.norm(step) < 1e-14
+        assert rep.residual_norm == pytest.approx(4.9975e-10, rel=1e-4)
+        assert rep.consistency_residual == pytest.approx(2.49875e-10,
+                                                         rel=1e-4)
+
+    @pytest.mark.parametrize("x2, message", [
+        (1.0, "singular dx/dy while inverting"),
+        (4e-14, "singular dx/dy at an inverted point")],
+        ids=["newton", "after_newton"])
+    def test_inversion_failure_is_an_infinite_residual(self, x2, message):
+        # D(y) = diag(1, 1 - y_1) is regular at the sample (4, x2), where
+        # D_22 = -3, and exactly singular on its ray at t = 1/4, where
+        # y_1 = 1.  At x2 = 1 Newton's first matrix there is singular; at
+        # x2 = 4e-14 the start already solves x = D(y) y within the
+        # tolerance, and dx/dy at it is singular
+        theta = MatrixFamily(dim=2, degree=1).identity_params()
+        theta[10] = -1.0  # the y_1 coefficient of D_22
+
+        class Start(MatrixFamily):
+            def identity_params(self):
+                return theta.copy()
+
+        quarter = QuadratureRule(nodes=[0.25], weights=[1.0])
+        sample = np.array([[4.0, x2]])
+        with pytest.raises(BarrierViolation, match=message):
+            consistency_check(rotation(), Start(dim=2, degree=1), theta,
+                              sample, quarter)
+        rep = solve_general(rotation(), Start(dim=2, degree=1), sample,
+                            max_iter=0, quad=quarter)
+        assert (rep.iterations, rep.consistency_residual) == (0, np.inf)
+        assert np.array_equal(rep.theta_final, theta)
 
 def transform_field_general(field, family, theta):
     """The reference for consistency_check: the transformed field

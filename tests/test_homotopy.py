@@ -39,6 +39,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([-0.1]), weights=np.array([1.0]))
 
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.0], "weights must be positive"),
+        ([1.0, -0.5], "weights must be positive"),
+        ([1.0], "equal length"), ([[0.5, 0.5]], "equal length")])
+    def test_rejects_bad_weights(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            QuadratureRule(nodes=[0.25, 0.75], weights=weights)
+
     @pytest.mark.parametrize("n", [1, 8, 64, 256])
     def test_shared_rule_is_leggauss_and_read_only(self, n):
         rule = QuadratureRule.gauss_legendre(n)

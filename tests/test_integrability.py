@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gradiform import (QuadratureRule, Verdict, VectorField, circle_loop,
-                       classify, eval_field, jacobian, loop_integral,
-                       sample_ball)
+from gradiform import (FieldEvalError, QuadratureRule, Verdict, VectorField,
+                       circle_loop, classify, eval_field, jacobian,
+                       loop_integral, sample_ball)
 from gradiform.integrability import Loop
 from gradiform.zoo import jj_circuit, lorenz, quadratic, rotation
 
@@ -83,6 +83,14 @@ class TestClosedness:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             classify(lorenz(), np.empty((0, 3)))
+
+    def test_overflowing_defect_is_a_field_error(self):
+        # at |x| = 1e120 Lorenz's g x J overflows: the wedge obstruction
+        # is non-finite, and no verdict comes from comparing it
+        X = 1e120 * np.array([[0.6, -0.5, 0.6], [0.1, 0.2, 0.3]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FieldEvalError, match="asymmetry/defect"):
+                classify(lorenz(), X)
 
 
 class TestFrobeniusDefect:

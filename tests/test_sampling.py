@@ -80,6 +80,12 @@ def test_sample_ball_inside_radius():
         assert np.all(np.linalg.norm(x, axis=1) <= 1.5)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_ball_needs_a_point(count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        sample_ball(2, count)
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(gradiform.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -197,6 +197,12 @@ class TestRegistry:
                                         params={"q_0_0": 1.0, key: 1.0},
                                         dim=2))
 
+    def test_quadratic_needs_an_entry(self):
+        # build_system merges the default q_0_0, so only the builder
+        # itself sees no entry
+        with pytest.raises(ValueError, match="at least one q_i_j"):
+            REGISTRY["quadratic"]["build"]({})
+
     def test_analytic_potential_lookup(self):
         V = analytic_potential(SystemSpec(name="ou", params={"theta": 2.0},
                                           dim=1))
