@@ -76,17 +76,22 @@ def integrate_rk4(field: VectorField, x0, dt: float, steps: int):
 
         return _lockstep(_state_buffer(x0, steps), dt, step)
 
+    point = field.point or (lambda p: f(np.array(p)).tolist())
+
     def stage(p):
-        return f(np.array(p)).tolist()
+        k = point(p)
+        if len(k) != len(p):
+            raise FieldShapeError(f"field returned shape {(len(k),)}, "
+                                  f"expected {shape}")
+        return k
 
     # one point (dim,), not a 1-row batch: the field computes on scalars,
-    # faster and with the rounding of a single-point evaluation.  The
+    # on its point kernel with no numpy call, rounding as one point.  The
     # stage arithmetic runs on Python floats, whose + and * round as
-    # float64 arrays do, at a fraction of a ufunc call's cost on (dim,);
-    # k + k is 2.0 * k bit for bit
+    # float64 arrays do at far less cost on (dim,); k + k is 2.0 * k exactly
     def step(x, out):
         xs = x.tolist()
-        k1 = f(x).tolist()
+        k1 = stage(xs)
         k2 = stage([a + half * b for a, b in zip(xs, k1)])
         k3 = stage([a + half * b for a, b in zip(xs, k2)])
         k4 = stage([a + dt * b for a, b in zip(xs, k3)])

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +34,17 @@ class VectorField:
     by row, while a single point (dim,) still gives (dim,) and
     (dim, dim).  ``eval_field`` and ``jacobian`` then evaluate a whole
     batch in one call; other fields are called point by point.
+
+    ``point``, when present, is ``func`` at one point on Python floats: a
+    list of dim floats in, dim values out, with ``func``'s bits.  A lone
+    start of ``integrate_rk4`` steps on it, with no numpy call per stage.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     vectorized: bool = False
+    point: Optional[Callable[[list], Sequence[float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:

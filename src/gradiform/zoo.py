@@ -2,15 +2,15 @@
 test fields, all with analytic Jacobians.
 
 Every field here is vectorized: it takes a single point or stacked
-points (see ``VectorField``).  ``lorenz`` and ``jj_circuit`` unpack
-components with ``_unpack``: a single point computes on Python floats,
-which round as numpy's float64 scalars do at a fraction of their cost,
-and stacked points compute the same expressions on columns.
-``double_well`` computes one point on its Python float and stacked
-points as ``x - x * x * x`` on the whole (M, 1) array, with no column
-taken out and stacked again; both round alike, so one point equals its
+points (see ``VectorField``).  ``lorenz``, ``jj_circuit`` and
+``double_well`` write their arithmetic once, as the ``point`` kernel on
+Python floats, which round as numpy's float64 scalars do at a fraction
+of their cost.  ``func`` runs it on one point's floats and on the
+columns of stacked points (``_unpack``), but for ``double_well``'s
+``x - x * x * x`` on the whole (M, 1) array; so one point equals its
 batch row bit for bit.  The linear fields multiply through
-``fields._matvec``.
+``fields._matvec``, whose summation order a kernel would have to repeat
+term by term, and have none.
 """
 from __future__ import annotations
 
@@ -41,10 +41,12 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0,
     if sigma <= 0 or rho <= 0 or beta <= 0:
         raise ValueError("lorenz parameters must be positive")
 
+    def point(p):
+        x, y, z = p
+        return [sigma * (y - x), rho * x - y - x * z, -beta * z + x * y]
+
     def func(p):
-        x, y, z = _unpack(p)
-        return np.array([sigma * (y - x), rho * x - y - x * z,
-                         -beta * z + x * y]).T
+        return np.array(point(_unpack(p))).T
 
     def jac(p):
         x, y, z = _unpack(p)
@@ -58,7 +60,8 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0,
         J[..., 2, 2] = -beta
         return J
 
-    return VectorField(dim=3, func=func, jac=jac, vectorized=True)
+    return VectorField(dim=3, func=func, jac=jac, vectorized=True,
+                       point=point)
 
 
 def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -69,11 +72,13 @@ def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
     if beta_c <= 0 or beta_L <= 0:
         raise ValueError("beta_c and beta_L must be positive")
 
+    def point(p):
+        y, delta, zeta = p
+        return [y, (-r * y + i - np.sin(delta) - zeta) / beta_c,
+                (-zeta + y) / beta_L]
+
     def func(p):
-        y, delta, zeta = _unpack(p)
-        return np.array([y,
-                         (-r * y + i - np.sin(delta) - zeta) / beta_c,
-                         (-zeta + y) / beta_L]).T
+        return np.array(point(_unpack(p))).T
 
     const = np.array([[1.0, 0.0, 0.0],
                       [-r / beta_c, 0.0, -1.0 / beta_c],
@@ -85,7 +90,8 @@ def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
         J[..., 1, 1] = -np.cos(_unpack(p)[1]) / beta_c
         return J
 
-    return VectorField(dim=3, func=func, jac=jac, vectorized=True)
+    return VectorField(dim=3, func=func, jac=jac, vectorized=True,
+                       point=point)
 
 
 def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -142,17 +148,19 @@ def double_well():
     # x * x * x, not x ** 3, which numpy computes slowly on arrays of
     # negative bases; products round alike on an array and on a Python
     # float (whose * gives inf without raising): one point is a batch row
+    def point(p):
+        x0, = p
+        return [x0 - x0 * x0 * x0]
+
     def func(x):
-        if x.ndim == 2:
-            return x - x * x * x
-        x0 = x.item()
-        return np.array([x0 - x0 * x0 * x0])
+        return x - x * x * x if x.ndim == 2 else np.array(point(x.tolist()))
 
     def jac(x):
         x0 = x.T[0]
         return np.array([[1.0 - 3.0 * (x0 * x0)]]).T
 
-    return (VectorField(dim=1, func=func, jac=jac, vectorized=True),
+    return (VectorField(dim=1, func=func, jac=jac, vectorized=True,
+                        point=point),
             _as_batch(lambda x0: 0.25 * x0 ** 4 - 0.5 * x0 ** 2))
 
 

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import os
 import stat
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradiform import (VectorField, euler_maruyama_ensembles, graham_estimate,
@@ -18,7 +19,7 @@ from gradiform.fields import (FieldEvalError, FieldShapeError, _apply,
                               eval_field)
 from gradiform.gradientize import transform_field
 from gradiform.zoo import (REGISTRY, SystemSpec, build_system, double_well,
-                           lorenz, ou, quadratic, rotation)
+                           jj_circuit, lorenz, ou, quadratic, rotation)
 
 
 def decay_field():
@@ -104,10 +105,15 @@ def test_integrators_stop_only_on_field_errors(integrate):
     lambda f: integrate_rk4(transform_field(f, [[2.0]]), [2.0], dt=0.1,
                             steps=20),
     lambda f: euler_maruyama_ensembles(transform_field(f, [[2.0]]), [0.0],
-                                       [[2.0], [1.8]], dt=0.1, steps=20)],
+                                       [[2.0], [1.8]], dt=0.1, steps=20),
+    # a lone start steps on the point kernel, here func's values as floats
+    lambda f: integrate_rk4(dataclasses.replace(
+        f, point=lambda p: f.func(np.array(p)).tolist()), [1.0], dt=0.1,
+        steps=20)],
     # "euler_maruyama": one start at one level
     ids=["rk4", "euler_maruyama", "euler_maruyama_ensembles",
-         "rk4_transformed", "euler_maruyama_ensembles_transformed"])
+         "rk4_transformed", "euler_maruyama_ensembles_transformed",
+         "rk4_point"])
 def test_value_shape_checked_on_every_call(integrate):
     # decays from 1.0 with values of shape (1,) while x > 0.5 and (2,)
     # after, so a check of the first call alone would miss it
@@ -204,6 +210,7 @@ def reference_rk4(field, x0, dt, steps):
 RK4_FIELDS = {
     "lorenz": lorenz(),
     "double_well": double_well()[0],
+    "jj_circuit": jj_circuit(),
     # fixed upper-triangular D, so no symmetrizer solve runs
     "gradientized_lorenz": transform_field(
         lorenz(), np.array([[1.5, 0.3, -0.2], [0.0, 0.8, 0.4],
@@ -231,6 +238,26 @@ def test_rk4_equals_per_stage_reference(name, x0, dt, steps):
         ref = reference_rk4(field, x0, dt, steps)
     assert np.array_equal(traj.states, ref.states)
     assert np.array_equal(traj.times, ref.times)
+    assert traj.completed == ref.completed
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["double_well", "jj_circuit", "lorenz"]),
+       x0=st.lists(st.one_of(st.floats(-5.0, 5.0), st.floats(-1e200, 1e200)),
+                   min_size=3, max_size=3),
+       dt=st.floats(1e-3, 0.2), steps=st.integers(1, 200))
+@example(name="double_well", x0=[1e120, 0.0, 0.0], dt=0.05, steps=50)
+@example(name="double_well", x0=[5.0, 0.0, 0.0], dt=0.2, steps=200)
+@example(name="lorenz", x0=[1e200, -1e200, 1e200], dt=0.2, steps=200)
+def test_rk4_kernel_equals_func_stages(name, x0, dt, steps):
+    # a lone start steps on the field's point kernel: every state, and
+    # the cut of an overflowing start, as with the stages of func
+    field = RK4_FIELDS[name]
+    x0 = x0[:field.dim]
+    assert field.point is not None
+    traj = integrate_rk4(field, x0, dt, steps)
+    ref = integrate_rk4(dataclasses.replace(field, point=None), x0, dt, steps)
+    assert traj.states.tobytes() == ref.states.tobytes()
     assert traj.completed == ref.completed
 
 

@@ -159,6 +159,39 @@ def test_one_point_equals_numpy_scalar_reference(data, which):
         assert g.tobytes() == w.tobytes()
 
 
+KERNEL_FIELDS = {
+    "lorenz": lambda data: lorenz(),
+    "lorenz_drawn": lambda data: lorenz(
+        *data.draw(st.tuples(positive, positive, positive))),
+    "jj_circuit": lambda data: jj_circuit(),
+    "double_well": lambda data: double_well()[0],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(KERNEL_FIELDS)))
+def test_point_kernel_has_the_bits_of_func(data, name):
+    # a lone RK4 start steps on the kernel, every other caller on func:
+    # both give the same bits, overflows to inf and NaN included
+    field = KERNEL_FIELDS[name](data)
+    coords = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e200, 1e200),
+                       st.sampled_from([0.0, -0.0]))
+    x = np.array(data.draw(st.lists(coords, min_size=field.dim,
+                                    max_size=field.dim)))
+    got = np.array(field.point(x.tolist()))
+    want = field.func(x)
+    assert got.shape == want.shape and got.dtype == want.dtype == float
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_fields():
+    # the linear fields multiply through _matvec and have no kernel: a
+    # lone start steps on their func
+    have = {name for name in REGISTRY
+            if build_system(SystemSpec(name, {}, 0)).point is not None}
+    assert have == {"lorenz", "jj_circuit", "double_well"}
+
+
 class TestRegistry:
     def test_all_entries_build_with_defaults(self):
         for name, entry in REGISTRY.items():
