@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Estimate the stationary potential of the noisy double well from
 ensemble histograms and compare it with x^4/4 - x^2/2 at several noise
-strengths.
+strengths.  The reference is the ray potential -k(G), which equals
+V - V(0) for a closed form such as this one.
 
 Example:
     python3 scripts/graham_double_well.py --eps 0.05 0.1 0.2 --steps 200000
@@ -10,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from gradiform import (euler_maruyama_ensembles, graham_estimate,
+from gradiform import (euler_maruyama_ensembles, graham_estimate, potential,
                        stationary_density)
 from gradiform.zoo import double_well
 
@@ -27,7 +28,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    field, V = double_well()
+    field = double_well()
     # start half the walkers in each well so low-noise runs still see both
     x0s = np.array([[(-1.0) ** k] for k in range(args.ensemble)])
 
@@ -39,7 +40,7 @@ def main():
         est = graham_estimate(dens, eps)
         centers = dens.centers(0)
         finite = np.isfinite(est)
-        ref = V(centers[:, None])
+        ref = -potential(field, centers[:, None])
         ref -= ref[finite].min()
         sup = np.max(np.abs(est[finite] - ref[finite]))
         print(f"eps={eps:g}: {dens.total} post-burn-in samples, "

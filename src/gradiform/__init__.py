@@ -20,5 +20,5 @@ from .dynamics import (DensityGrid, LyapunovReport, Trajectory,
                        integrate_rk4, lyapunov_check, stationary_density,
                        write_trajectory_csv)
 from .sampling import sample_ball
-from .zoo import SystemSpec, analytic_potential, build_system
+from .zoo import SystemSpec, build_system
 from . import zoo

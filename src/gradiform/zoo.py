@@ -11,6 +11,10 @@ columns of stacked points (``_unpack``), but for ``double_well``'s
 batch row bit for bit.  The linear fields multiply through
 ``fields._matvec``, whose summation order a kernel would have to repeat
 term by term, and have none.
+
+No field carries a hand-typed potential: ``graham`` reports
+``sup_error_vs_analytic`` for every field that is closed at the occupied
+cells, with the ray potential ``-potential(field, cells)`` as reference.
 """
 from __future__ import annotations
 
@@ -128,22 +132,8 @@ def rotation() -> VectorField:
     return quadratic(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
-def _as_batch(v):
-    """V(x) = v(coordinates (M,)) for stacked points (M, 1); one point (1,)
-    gives the float of its batch row, as a power rounds differently on a
-    numpy scalar than on an array."""
-    def V(x):
-        x = np.asarray(x, dtype=float)
-        vals = v(x.reshape(-1, 1).T[0])
-        return vals if x.ndim == 2 else vals[0]
-    return V
-
-
-def double_well():
-    """1-d field g = -dV/dx for V = x^4/4 - x^2/2; returns (field, V).
-
-    V maps one point (1,) to a float and stacked points (M, 1) to (M,).
-    """
+def double_well() -> VectorField:
+    """1-d field g = -dV/dx for V = x^4/4 - x^2/2."""
 
     # x * x * x, not x ** 3, which numpy computes slowly on arrays of
     # negative bases; products round alike on an array and on a Python
@@ -159,23 +149,18 @@ def double_well():
         x0 = x.T[0]
         return np.array([[1.0 - 3.0 * (x0 * x0)]]).T
 
-    return (VectorField(dim=1, func=func, jac=jac, vectorized=True,
-                        point=point),
-            _as_batch(lambda x0: 0.25 * x0 ** 4 - 0.5 * x0 ** 2))
+    return VectorField(dim=1, func=func, jac=jac, vectorized=True,
+                       point=point)
 
 
-def ou(theta: float = 1.0):
-    """1-d linear relaxation g = -theta x; returns (field, V) with
-    V = theta x^2 / 2 (the drift is already the descent flow), V taking
-    points as in ``double_well``."""
+def ou(theta: float = 1.0) -> VectorField:
+    """1-d linear relaxation g = -theta x = -dV/dx for V = theta x^2 / 2
+    (the drift is already the descent flow)."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-
-    field = VectorField(dim=1, func=lambda x: -theta * x,
-                        jac=lambda x: np.full(x.shape + (1,), -theta),
-                        vectorized=True)
-
-    return field, _as_batch(lambda x0: 0.5 * theta * x0 ** 2)
+    return VectorField(dim=1, func=lambda x: -theta * x,
+                       jac=lambda x: np.full(x.shape + (1,), -theta),
+                       vectorized=True)
 
 
 def _build_quadratic(params):
@@ -196,55 +181,49 @@ def _build_quadratic(params):
     return quadratic(Q)
 
 
-# name -> (builder taking a params dict, default params, analytic potential
-# builder or None, dim, graham's default range per axis); the CLI reads it
+# name -> (builder taking a params dict, default params, dim, graham's
+# default range per axis); the CLI reads it.  graham's reference potential
+# is the ray potential of every field closed at the occupied cells
 REGISTRY = {
     "lorenz": {
         "build": lambda p: lorenz(**p),
         "defaults": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-        "potential": None,
         "dim": 3,
         "grid_range": [-30.0, 50.0],
     },
     "jj_circuit": {
         "build": lambda p: jj_circuit(**p),
         "defaults": {"i": 0.0, "r": 1.0, "beta_c": 1.0, "beta_L": 1.0},
-        "potential": None,
         "dim": 3,
         "grid_range": [-2.0, 2.0],
     },
     "jj_circuit_linear": {
         "build": lambda p: jj_circuit_linear(**p),
         "defaults": {"i": 0.0, "r": 1.0, "beta_c": 1.0, "beta_L": 1.0},
-        "potential": None,
         "dim": 3,
         "grid_range": [-2.0, 2.0],
     },
     "quadratic": {
         "build": _build_quadratic,
         "defaults": {"q_0_0": -1.0},
-        "potential": None,
         "dim": None,
         "grid_range": [-2.0, 2.0],
     },
     "rotation": {
         "build": lambda p: rotation(),
         "defaults": {},
-        "potential": None,
         "dim": 2,
         "grid_range": [-2.0, 2.0],
     },
     "double_well": {
-        "build": lambda p: double_well()[0],
+        "build": lambda p: double_well(),
         "defaults": {},
-        "potential": lambda p: double_well()[1],
         "dim": 1,
         "grid_range": [-2.0, 2.0],
     },
     "ou": {
-        "build": lambda p: ou(**p)[0],
+        "build": lambda p: ou(**p),
         "defaults": {"theta": 1.0},
-        "potential": lambda p: ou(**p)[1],
         "dim": 1,
         "grid_range": [-2.0, 2.0],
     },
@@ -267,11 +246,3 @@ def build_system(spec: SystemSpec) -> VectorField:
                          f"system {spec.name!r}")
     params = {**entry["defaults"], **spec.params}
     return entry["build"](params)
-
-
-def analytic_potential(spec: SystemSpec):
-    """Known closed-form potential for a system, or None."""
-    entry = REGISTRY.get(spec.name)
-    if entry is None or entry["potential"] is None:
-        return None
-    return entry["potential"]({**entry["defaults"], **spec.params})

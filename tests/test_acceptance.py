@@ -197,7 +197,7 @@ def test_criterion_09_jj_circuit(capsys):
 
 
 def test_criterion_10_graham_ou(capsys):
-    field, V = ou(theta=1.0)
+    field = ou(theta=1.0)
     eps = 0.05
     t0 = time.perf_counter()
     x0s = np.zeros((10, 1))

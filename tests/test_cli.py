@@ -16,7 +16,9 @@ from hypothesis.extra import numpy as hnp
 from gradiform import cli
 from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _mapped_rk4,
                            _to_json, _write_report, load_config, main)
-from gradiform.dynamics import BURN_IN_FRACTION, integrate_rk4
+from gradiform.dynamics import (BURN_IN_FRACTION, euler_maruyama_ensembles,
+                                graham_estimate, integrate_rk4,
+                                stationary_density)
 from gradiform.gradientize import (MatrixFamily, consistency_check,
                                    transform_field)
 from gradiform.homotopy import QuadratureRule
@@ -257,8 +259,13 @@ class TestExitCodes:
         ("classify", ["samples.radius=1e120", "samples.count=4"]),
         ("gradientize", ["solver.run_general=true", "samples.radius=1e100",
                          "solver.max_iter=5"]),
-        ("decompose", ["samples.radius=1e160"])],
-        ids=["decompose", "classify", "general", "decompose-1e160"])
+        ("decompose", ["samples.radius=1e160"]),
+        # cells near 1e198: the closed field's ray potential overflows
+        ("graham", ["system.name=quadratic", "system.params.q_0_0=-1",
+                    "system.params.q_1_1=-1", "simulation.steps=200",
+                    "simulation.grid_range=[-1e200, 1e200]"])],
+        ids=["decompose", "classify", "general", "decompose-1e160",
+             "graham-reference"])
     def test_float_fault_three(self, command, sets, tmp_path, capsys):
         # an overflow no step expects aborts the command: no numpy
         # warning, no report with a silent null, no verdict from a NaN
@@ -381,6 +388,9 @@ class TestReports:
                   for s in rep["result"]["systems"]}
         assert ranges["lorenz"] == [-30.0, 50.0]
         assert ranges["ou"] == [-2.0, 2.0]
+        # no system carries a potential: graham's is the ray potential
+        assert all(set(s) == {"name", "defaults", "dim", "grid_range"}
+                   for s in rep["result"]["systems"])
 
     def test_classify_lorenz(self, tmp_path):
         code, rep = run_cli(tmp_path, "classify",
@@ -853,6 +863,74 @@ def test_every_command_writes_canonical_json(tmp_path, argv):
     assert main([argv[0], *sets, "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def _graham(tmp_path, *sets):
+    argv = [arg for item in sets for arg in ("--set", item)]
+    code, rep = run_cli(tmp_path, "graham", *argv)
+    assert code == 0
+    return rep["result"]["estimates"]
+
+
+class TestGrahamReference:
+    @pytest.mark.parametrize("sets, V", [
+        (_QUADRATIC_3D + ["system.params.q_1_0=0.5"],
+         # Q symmetric: V = -x^T Q x / 2
+         lambda X: 0.5 * (X[:, 0] ** 2 + X[:, 1] ** 2 + X[:, 2] ** 2)
+         - 0.5 * X[:, 0] * X[:, 1]),
+        (["system.name=ou", "system.params.theta=1.5",
+          "simulation.steps=2000"], lambda X: 0.75 * X[:, 0] ** 2),
+        (["system.name=double_well", "simulation.steps=2000"],
+         lambda X: 0.25 * X[:, 0] ** 4 - 0.5 * X[:, 0] ** 2)],
+        ids=["quadratic-symmetric-3d", "ou", "double_well"])
+    def test_closed_field_has_the_closed_form_reference(self, sets, V,
+                                                        tmp_path):
+        # a closed form's ray potential is V - V(0), graham's reference at
+        # the occupied cells, both min-shifted there
+        for b in _graham(tmp_path, *sets):
+            est = np.array(b["estimate"], dtype=float)  # null -> NaN
+            occupied = np.isfinite(est)
+            centers = np.meshgrid(*[0.5 * (np.array(e[:-1]) + e[1:])
+                                    for e in b["grid_edges"]], indexing="ij")
+            ref = V(np.stack(centers, axis=-1)[occupied])
+            want = np.max(np.abs(est[occupied] - (ref - ref.min())))
+            assert np.isfinite(b["sup_error_vs_analytic"])
+            assert b["sup_error_vs_analytic"] == pytest.approx(want,
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("sets", [
+        _QUADRATIC_3D, ["simulation.steps=200"],
+        ["system.name=rotation", "simulation.steps=200"]],
+        ids=["quadratic-nonsymmetric", "lorenz", "rotation"])
+    def test_field_not_closed_has_no_reference(self, sets, tmp_path):
+        for b in _graham(tmp_path, *sets):
+            assert b["occupied_cells"] > 0
+            assert "sup_error_vs_analytic" not in b
+
+    def test_default_graham_is_the_library_pipeline(self, tmp_path):
+        # the default (Lorenz, not closed) report is the bytes of the
+        # library's own EM, binning and estimate, timings aside
+        out = tmp_path / "report.json"
+        assert main(["graham", "--out", str(out)]) == 0
+        text = out.read_text()
+        rep = json.loads(text)
+        cfg, sim = load_config(), DEFAULT_CONFIG["simulation"]
+        x0s = sample_ball(3, sim["ensemble"], sim["x0_radius"],
+                          sim["master_seed"])
+        [ens] = euler_maruyama_ensembles(lorenz(), sim["eps"], x0s, sim["dt"],
+                                         sim["steps"], sim["master_seed"])
+        density = stationary_density(
+            ens, bins=sim["grid_bins"], ranges=[(-30.0, 50.0)] * 3,
+            burn_in=int(sim["burn_in_fraction"] * (sim["steps"] + 1)))
+        block = {"eps": sim["eps"][0], "total_samples": density.total,
+                 "n_clipped": density.n_clipped,
+                 "occupied_cells": int(np.sum(density.counts > 0)),
+                 "estimate": graham_estimate(density, sim["eps"][0]),
+                 "grid_edges": density.edges}
+        want = {"schema": SCHEMA, "tool_version": rep["tool_version"],
+                "command": "graham", "config": cfg,
+                "result": {"estimates": [block]}, "timings": rep["timings"]}
+        assert text == _to_json(want) + "\n"
 
 
 def _strip_timings(report):

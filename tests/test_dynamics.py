@@ -209,7 +209,7 @@ def reference_rk4(field, x0, dt, steps):
 
 RK4_FIELDS = {
     "lorenz": lorenz(),
-    "double_well": double_well()[0],
+    "double_well": double_well(),
     "jj_circuit": jj_circuit(),
     # fixed upper-triangular D, so no symmetrizer solve runs
     "gradientized_lorenz": transform_field(
@@ -327,6 +327,12 @@ def half_square(X):
     return 0.5 * np.sum(X * X, axis=-1)
 
 
+def double_well_V(states):
+    """V = x^4/4 - x^2/2 of each state (M, 1), the closed form."""
+    x = states[:, 0]
+    return 0.25 * x ** 4 - 0.5 * x ** 2
+
+
 class TestLyapunov:
     def test_gradient_flow_monotone(self):
         # xdot = -grad V for V = |x|^2/2
@@ -336,10 +342,10 @@ class TestLyapunov:
         assert rep.monotone
 
     def test_double_well_descent(self):
-        field, V = double_well()
+        field = double_well()
         traj = integrate_rk4(field, [0.1], dt=0.01, steps=2000)
         # field is -dV/dx, so V decreases into the well at x=1
-        rep = lyapunov_check(np.array([V(x) for x in traj.states]), traj)
+        rep = lyapunov_check(double_well_V(traj.states), traj)
         assert rep.monotone
         assert traj.states[-1][0] == pytest.approx(1.0, abs=1e-3)
 
@@ -350,9 +356,9 @@ class TestLyapunov:
         assert abs(rep.max_increase) < 1e-10
 
     def test_values_in_place_of_V(self):
-        field, V = double_well()
+        field = double_well()
         traj = integrate_rk4(field, [0.1], dt=0.01, steps=200)
-        vals = np.array([V(x) for x in traj.states])
+        vals = double_well_V(traj.states)
         rep = lyapunov_check(vals, traj)
         # reference: the largest step of V between consecutive states
         inc = max(b - a for a, b in zip(vals[:-1], vals[1:]))
@@ -449,7 +455,7 @@ def test_em_eps_zero_property(seed, steps):
 
 class TestDensityAndGraham:
     def test_ou_histogram_mode_at_zero(self):
-        field, _ = ou()
+        field = ou()
         [ens] = euler_maruyama_ensembles(field, [0.05], np.zeros((4, 1)),
                                          1e-3, 50_000, master_seed=3)
         dens = stationary_density(ens, bins=21, ranges=[(-1.5, 1.5)])
@@ -464,7 +470,7 @@ class TestDensityAndGraham:
         assert np.sum(dens.counts > 0) == 1
 
     def test_double_well_symmetry(self):
-        field, _ = double_well()
+        field = double_well()
         x0s = np.array([[-1.0], [1.0], [-1.0], [1.0]])
         [ens] = euler_maruyama_ensembles(field, [0.1], x0s, 1e-3, 50_000,
                                          master_seed=11)
@@ -549,7 +555,7 @@ class TestDensityAndGraham:
         assert graham_estimate(grid, eps).tobytes() == dense.tobytes()
 
     def test_graham_double_well_minima(self):
-        field, _ = double_well()
+        field = double_well()
         x0s = np.array([[-1.0], [1.0], [-0.5], [0.5]])
         [ens] = euler_maruyama_ensembles(field, [0.1], x0s, 1e-3, 100_000,
                                          master_seed=17)
@@ -728,7 +734,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
        steps=st.integers(1, 300), eps=st.sampled_from([0.0, 0.05, 0.5]))
 def test_lockstep_ensemble_equals_lone_trajectories(name, seed, count, steps,
                                                     eps):
-    field = ou()[0] if name == "ou" else double_well()[0]
+    field = ou() if name == "ou" else double_well()
     x0s = np.linspace(-1.5, 1.5, count)[:, None]
     [ens] = euler_maruyama_ensembles(field, [eps], x0s, 1e-2, steps,
                                      master_seed=seed)
@@ -819,7 +825,7 @@ def cubic_pair(x):  # one point only: a field without vectorized=True
 # not symmetric, so a coordinate swapped with a row shows; quadratic and
 # lorenz return stacked values as transposed (Fortran-order) views
 Q3 = np.array([[-1.2, 0.4, 0.1], [-0.3, -0.9, 0.5], [0.2, -0.6, -1.1]])
-EM_FIELDS = {"double_well": lambda: double_well()[0],
+EM_FIELDS = {"double_well": double_well,
              "cubic_pair": lambda: VectorField(dim=2, func=cubic_pair),
              "quadratic3": lambda: quadratic(Q3), "lorenz": lorenz}
 

@@ -696,7 +696,7 @@ class TestSolveGeneral:
             QuadratureRule.gauss_legendre(64))
         assert np.isfinite(rep.consistency_residual)
 
-    @pytest.mark.parametrize("field", [ou()[0], double_well()[0],
+    @pytest.mark.parametrize("field", [ou(), double_well(),
                                        quadratic([[-1.0]])],
                              ids=["ou", "double_well", "quadratic"])
     def test_one_dimensional_field_is_closed_at_the_start(self, field):

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiform import (SystemSpec, VectorField, analytic_potential,
-                       build_system, eval_field, jacobian, sample_ball)
+from gradiform import (SystemSpec, VectorField, build_system, eval_field,
+                       jacobian, sample_ball)
 from gradiform.zoo import (REGISTRY, double_well, jj_circuit,
                            jj_circuit_linear, lorenz, ou,
                            quadratic, rotation)
+
+
+def assert_descends(field, V, h=1e-5):
+    """g = -dV/dx on [-2, 2], by central differences of the closed form V."""
+    x = np.linspace(-2.0, 2.0, 9)
+    dV = (V(x + h) - V(x - h)) / (2 * h)
+    assert np.allclose(eval_field(field, x[:, None])[:, 0], -dV,
+                       rtol=1e-8, atol=1e-8)
 
 
 class TestConstructors:
@@ -65,17 +73,16 @@ class TestConstructors:
         assert np.allclose(g, [0.0, 1.0])
 
     def test_double_well_descent_direction(self):
-        field, V = double_well()
+        field = double_well()
         # g = -dV/dx, so the fixed points sit at the potential extrema
         for x0 in (-1.0, 0.0, 1.0):
             assert eval_field(field, [x0])[0] == pytest.approx(0.0)
-        assert V([1.0]) == pytest.approx(-0.25)
-        assert V([0.0]) == 0.0
+        assert_descends(field, lambda x: 0.25 * x ** 4 - 0.5 * x ** 2)
 
     def test_ou_potential(self):
-        field, V = ou(theta=2.0)
+        field = ou(theta=2.0)
         assert eval_field(field, [0.5])[0] == pytest.approx(-1.0)
-        assert V([3.0]) == pytest.approx(9.0)
+        assert_descends(field, lambda x: x ** 2)  # theta x^2 / 2
         with pytest.raises(ValueError):
             ou(theta=0.0)
 
@@ -89,8 +96,8 @@ class TestAnalyticJacobians:
                                                         beta_L=1.4), 3),
         ("quadratic", lambda: quadratic([[1.0, 2.0], [3.0, 4.0]]), 2),
         ("rotation", rotation, 2),
-        ("double_well", lambda: double_well()[0], 1),
-        ("ou", lambda: ou(1.5)[0], 1),
+        ("double_well", lambda: double_well(), 1),
+        ("ou", lambda: ou(1.5), 1),
     ])
     def test_matches_central_difference(self, name, builder, dim):
         field = builder()
@@ -164,7 +171,7 @@ KERNEL_FIELDS = {
     "lorenz_drawn": lambda data: lorenz(
         *data.draw(st.tuples(positive, positive, positive))),
     "jj_circuit": lambda data: jj_circuit(),
-    "double_well": lambda data: double_well()[0],
+    "double_well": lambda data: double_well(),
 }
 
 
@@ -235,31 +242,3 @@ class TestRegistry:
         # itself sees no entry
         with pytest.raises(ValueError, match="at least one q_i_j"):
             REGISTRY["quadratic"]["build"]({})
-
-    def test_analytic_potential_lookup(self):
-        V = analytic_potential(SystemSpec(name="ou", params={"theta": 2.0},
-                                          dim=1))
-        assert V([1.0]) == pytest.approx(1.0)
-        assert analytic_potential(SystemSpec(name="lorenz", params={},
-                                             dim=3)) is None
-        Vdw = analytic_potential(SystemSpec(name="double_well", params={},
-                                            dim=1))
-        assert Vdw([1.0]) == pytest.approx(-0.25)
-        # one point gives a float, stacked points (M, 1) give (M,)
-        X = np.array([[1.0], [0.0], [-2.0]])
-        for pot, want in ((V, [1.0, 0.0, 4.0]), (Vdw, [-0.25, 0.0, 2.0])):
-            assert np.ndim(pot([1.0])) == 0
-            assert pot(X).shape == (3,)
-            assert np.allclose(pot(X), want, rtol=1e-15, atol=0.0)
-        # one point is computed as a batch row, since a power rounds
-        # differently on a numpy scalar than on an array; at these two
-        # points the scalar powers were 1 ulp off
-        pins = ((Vdw, 1.8303289988700584, 1.1307474895396956),
-                (analytic_potential(SystemSpec("ou", {}, 1)),
-                 -1.3275170599102342, 0.8811507721763561))
-        for pot, x, want in pins:
-            assert pot([x]) == pot([[x]])[0] == want
-        x = np.random.default_rng(3).uniform(-3.0, 3.0, 2000)
-        for pot in (V, Vdw):
-            single = np.array([pot([c]) for c in x])
-            assert single.tobytes() == pot(x[:, None]).tobytes()
