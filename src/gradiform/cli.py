@@ -4,10 +4,12 @@ deterministic JSON reports."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import enum
 import functools
+import inspect
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from .homotopy import DEFAULT_ORDER, QuadratureRule, decompose, potential
 from .integrability import (DEFAULT_TOL, _relative_asymmetry, circle_loop,
                              classify)
 from .sampling import sample_ball
-from .zoo import REGISTRY, SystemSpec, build_system
+from .zoo import QUADRATIC_DEFAULTS, REGISTRY, SystemSpec, build_system
 
 SCHEMA = "gradiform/1"
 
@@ -449,19 +451,30 @@ def cmd_graham(cfg):
         }
         cells = np.stack([density.centers(axis)[i] for axis, i in enumerate(
             np.unravel_index(flat, density.counts.shape))], axis=1)
-        # a closed form is exact: -k(G) = V - V(0) for its potential V
-        if np.max(_relative_asymmetry(jacobian(field, cells))) <= DEFAULT_TOL:
-            ref = -potential(field, cells, quad)
-            block["sup_error_vs_analytic"] = float(
-                np.max(np.abs(estimate.flat[flat] - (ref - np.min(ref)))))
+        # a closed form is exact: -k(G) = V - V(0) for its potential V; a
+        # diagnostic, null where the Jacobian or the reference is not finite
+        asym = sup = np.nan
+        with contextlib.suppress(FieldEvalError), np.errstate(
+                over="ignore", invalid="ignore"):
+            asym = np.max(_relative_asymmetry(jacobian(field, cells)))
+            if asym <= DEFAULT_TOL:
+                ref = -potential(field, cells, quad)
+                ref -= np.min(ref)
+                sup = np.max(np.abs(estimate.flat[flat] - ref))
+        if not asym > DEFAULT_TOL:
+            block["sup_error_vs_analytic"] = float(sup)
         blocks.append(block)
     return {"estimates": blocks}
 
 
 def cmd_zoo_list(cfg):
+    # quadratic takes any q_i_j entries, so its dimension is theirs
     return {"systems": [
-        {"name": name, "defaults": entry["defaults"],
-         "dim": entry["dim"], "grid_range": entry["grid_range"]}
+        {"name": name, "grid_range": entry["grid_range"],
+         "defaults": QUADRATIC_DEFAULTS if name == "quadratic" else {
+             p.name: p.default
+             for p in inspect.signature(entry["build"]).parameters.values()},
+         "dim": None if name == "quadratic" else entry["build"]().dim}
         for name, entry in sorted(REGISTRY.items())]}
 
 
@@ -490,6 +503,8 @@ def _write_report(report, out_path):
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # ext4 flushes a file renamed over another; none is renamed over
+        out_path.unlink(missing_ok=True)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

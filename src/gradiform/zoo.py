@@ -12,12 +12,13 @@ batch row bit for bit.  The linear fields multiply through
 ``fields._matvec``, whose summation order a kernel would have to repeat
 term by term, and have none.
 
-No field carries a hand-typed potential: ``graham`` reports
-``sup_error_vs_analytic`` for every field that is closed at the occupied
-cells, with the ray potential ``-potential(field, cells)`` as reference.
+Each system is stated once: its defaults in its builder's signature,
+``jj_circuit_linear`` as ``jj_circuit``'s linearization at the origin,
+and no potential (``graham`` takes a closed field's ray potential).
 """
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass
 
@@ -100,14 +101,10 @@ def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
 
 def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
                       beta_L: float = 1.0) -> VectorField:
-    """Small-angle circuit: sin(delta) replaced by delta; constant Jacobian."""
-    if beta_c <= 0 or beta_L <= 0:
-        raise ValueError("beta_c and beta_L must be positive")
-    J = np.array([[1.0, 0.0, 0.0],
-                  [-r / beta_c, -1.0 / beta_c, -1.0 / beta_c],
-                  [1.0 / beta_L, 0.0, -1.0 / beta_L]])
-    b = np.array([0.0, i / beta_c, 0.0])
-
+    """jj_circuit linearized at the origin (sin(delta) -> delta)."""
+    g = jj_circuit(i=i, r=r, beta_c=beta_c, beta_L=beta_L)
+    with np.errstate(all="ignore"):  # an overflow gives inf, as floats do
+        J, b = g.jac(np.zeros(3)), g.func(np.zeros(3))
     return VectorField(dim=3, func=lambda p: _matvec(J, p) + b,
                        jac=_constant_jacobian(J), vectorized=True)
 
@@ -163,17 +160,19 @@ def ou(theta: float = 1.0) -> VectorField:
                        vectorized=True)
 
 
-def _build_quadratic(params):
+# quadratic's entries when none is given; zoo-list reports them
+QUADRATIC_DEFAULTS = {"q_0_0": -1.0}
+
+
+def _build_quadratic(**params):
     idx = {}
-    for key, val in params.items():
+    for key, val in (params or QUADRATIC_DEFAULTS).items():
         # one spelling per entry: no sign, space or leading zero
         m = re.fullmatch(r"q_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)", key)
         if m is None:
             raise ValueError(f"unknown parameter {key!r} for quadratic "
                              "(expected q_<row>_<col>, indices 0, 1, 2, ...)")
         idx[(int(m[1]), int(m[2]))] = float(val)
-    if not idx:
-        raise ValueError("quadratic requires at least one q_i_j parameter")
     n = 1 + max(max(i, j) for i, j in idx)
     Q = np.zeros((n, n))
     for (i, j), v in idx.items():
@@ -181,68 +180,31 @@ def _build_quadratic(params):
     return quadratic(Q)
 
 
-# name -> (builder taking a params dict, default params, dim, graham's
-# default range per axis); the CLI reads it.  graham's reference potential
-# is the ray potential of every field closed at the occupied cells
+# name -> the builder, whose keyword defaults are the system's, and
+# graham's default range per axis; the CLI reads it
 REGISTRY = {
-    "lorenz": {
-        "build": lambda p: lorenz(**p),
-        "defaults": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-        "dim": 3,
-        "grid_range": [-30.0, 50.0],
-    },
-    "jj_circuit": {
-        "build": lambda p: jj_circuit(**p),
-        "defaults": {"i": 0.0, "r": 1.0, "beta_c": 1.0, "beta_L": 1.0},
-        "dim": 3,
-        "grid_range": [-2.0, 2.0],
-    },
-    "jj_circuit_linear": {
-        "build": lambda p: jj_circuit_linear(**p),
-        "defaults": {"i": 0.0, "r": 1.0, "beta_c": 1.0, "beta_L": 1.0},
-        "dim": 3,
-        "grid_range": [-2.0, 2.0],
-    },
-    "quadratic": {
-        "build": _build_quadratic,
-        "defaults": {"q_0_0": -1.0},
-        "dim": None,
-        "grid_range": [-2.0, 2.0],
-    },
-    "rotation": {
-        "build": lambda p: rotation(),
-        "defaults": {},
-        "dim": 2,
-        "grid_range": [-2.0, 2.0],
-    },
-    "double_well": {
-        "build": lambda p: double_well(),
-        "defaults": {},
-        "dim": 1,
-        "grid_range": [-2.0, 2.0],
-    },
-    "ou": {
-        "build": lambda p: ou(**p),
-        "defaults": {"theta": 1.0},
-        "dim": 1,
-        "grid_range": [-2.0, 2.0],
-    },
+    "lorenz": {"build": lorenz, "grid_range": [-30.0, 50.0]},
+    "jj_circuit": {"build": jj_circuit, "grid_range": [-2.0, 2.0]},
+    "jj_circuit_linear": {"build": jj_circuit_linear,
+                          "grid_range": [-2.0, 2.0]},
+    "quadratic": {"build": _build_quadratic, "grid_range": [-2.0, 2.0]},
+    "rotation": {"build": rotation, "grid_range": [-2.0, 2.0]},
+    "double_well": {"build": double_well, "grid_range": [-2.0, 2.0]},
+    "ou": {"build": ou, "grid_range": [-2.0, 2.0]},
 }
 
 
 def build_system(spec: SystemSpec) -> VectorField:
-    """Resolve a named system with defaults; unknown names or parameter
-    keys are rejected."""
+    """Build a named system from its parameters, the builder's defaults
+    filling in the rest; unknown names or parameter keys are rejected."""
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown system {spec.name!r}; "
                          f"known: {sorted(REGISTRY)}")
-    entry = REGISTRY[spec.name]
-    if spec.name == "quadratic":
-        params = dict(spec.params) if spec.params else dict(entry["defaults"])
-        return entry["build"](params)
-    unknown = set(spec.params) - set(entry["defaults"])
-    if unknown:
-        raise ValueError(f"unknown parameters {sorted(unknown)} for "
-                         f"system {spec.name!r}")
-    params = {**entry["defaults"], **spec.params}
-    return entry["build"](params)
+    build = REGISTRY[spec.name]["build"]
+    # quadratic checks its own keys; a signature costs more than a build
+    if spec.params and spec.name != "quadratic":
+        unknown = set(spec.params) - set(inspect.signature(build).parameters)
+        if unknown:
+            raise ValueError(f"unknown parameters {sorted(unknown)} for "
+                             f"system {spec.name!r}")
+    return build(**spec.params)

@@ -259,13 +259,8 @@ class TestExitCodes:
         ("classify", ["samples.radius=1e120", "samples.count=4"]),
         ("gradientize", ["solver.run_general=true", "samples.radius=1e100",
                          "solver.max_iter=5"]),
-        ("decompose", ["samples.radius=1e160"]),
-        # cells near 1e198: the closed field's ray potential overflows
-        ("graham", ["system.name=quadratic", "system.params.q_0_0=-1",
-                    "system.params.q_1_1=-1", "simulation.steps=200",
-                    "simulation.grid_range=[-1e200, 1e200]"])],
-        ids=["decompose", "classify", "general", "decompose-1e160",
-             "graham-reference"])
+        ("decompose", ["samples.radius=1e160"])],
+        ids=["decompose", "classify", "general", "decompose-1e160"])
     def test_float_fault_three(self, command, sets, tmp_path, capsys):
         # an overflow no step expects aborts the command: no numpy
         # warning, no report with a silent null, no verdict from a NaN
@@ -380,17 +375,31 @@ class TestReports:
         assert "config" in rep and "result" in rep and "timings" in rep
 
     def test_zoo_list_contents(self, tmp_path):
+        # sorted by name; defaults from the builders' signatures
+        # (quadratic's one constant), dims from the built default fields,
+        # and no potential: graham's is the ray potential.  The text
+        # pins 1.0 against 1
         _, rep = run_cli(tmp_path, "zoo-list")
-        names = [s["name"] for s in rep["result"]["systems"]]
-        assert "lorenz" in names and "double_well" in names
-        assert names == sorted(names)
-        ranges = {s["name"]: s["grid_range"]
-                  for s in rep["result"]["systems"]}
-        assert ranges["lorenz"] == [-30.0, 50.0]
-        assert ranges["ou"] == [-2.0, 2.0]
-        # no system carries a potential: graham's is the ray potential
-        assert all(set(s) == {"name", "defaults", "dim", "grid_range"}
-                   for s in rep["result"]["systems"])
+        jj = {"beta_L": 1.0, "beta_c": 1.0, "i": 0.0, "r": 1.0}
+        two = [-2.0, 2.0]
+        want = {"systems": [
+            {"defaults": {}, "dim": 1, "grid_range": two,
+             "name": "double_well"},
+            {"defaults": jj, "dim": 3, "grid_range": two,
+             "name": "jj_circuit"},
+            {"defaults": jj, "dim": 3, "grid_range": two,
+             "name": "jj_circuit_linear"},
+            {"defaults": {"beta": 2.6666666666666665, "rho": 28.0,
+                          "sigma": 10.0},
+             "dim": 3, "grid_range": [-30.0, 50.0], "name": "lorenz"},
+            {"defaults": {"theta": 1.0}, "dim": 1, "grid_range": two,
+             "name": "ou"},
+            {"defaults": {"q_0_0": -1.0}, "dim": None, "grid_range": two,
+             "name": "quadratic"},
+            {"defaults": {}, "dim": 2, "grid_range": two,
+             "name": "rotation"}]}
+        assert json.dumps(rep["result"], sort_keys=True) \
+            == json.dumps(want, sort_keys=True)
 
     def test_classify_lorenz(self, tmp_path):
         code, rep = run_cli(tmp_path, "classify",
@@ -822,6 +831,22 @@ def test_report_mode_follows_the_umask(tmp_path):
         == mode(tmp_path / "trajs" / "trajectory_000.csv") == 0o644
 
 
+def test_report_over_an_existing_file(tmp_path):
+    # the old file is unlinked before the rename: the new bytes, the mode
+    # open() gives under the umask, and no temporary file left behind
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+    out.chmod(0o600)
+    old = os.umask(0o027)
+    try:
+        _write_report({"a": 1.5}, out)
+    finally:
+        os.umask(old)
+    assert out.read_text() == '{"a": 1.5}\n'
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_write_report_one_sorted_line(tmp_path, capsys):
     report = {"zeta": {"b": np.array([1.5, np.nan]), "a": -np.inf},
               "alpha": [np.float64(0.1), np.int64(3), np.bool_(False)],
@@ -906,6 +931,24 @@ class TestGrahamReference:
         for b in _graham(tmp_path, *sets):
             assert b["occupied_cells"] > 0
             assert "sup_error_vs_analytic" not in b
+
+    @pytest.mark.parametrize("sets", [
+        ["system.name=quadratic", "system.params.q_0_0=-1",
+         "system.params.q_1_1=-1"],
+        ["system.name=ou"], ["system.name=double_well"]],
+        ids=["quadratic", "ou", "double_well"])
+    def test_reference_out_of_float_range_is_null(self, sets, tmp_path):
+        # cells near 1e198: the closed field's ray potential, or
+        # double_well's Jacobian, overflows; the reference is a
+        # diagnostic, so the report keeps its histogram and reads null
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = _graham(tmp_path, *sets, "simulation.steps=200",
+                             "simulation.grid_range=[-1e200, 1e200]")
+        for b in blocks:
+            assert b["total_samples"] > 0 and b["occupied_cells"] > 0
+            assert "sup_error_vs_analytic" in b
+            assert b["sup_error_vs_analytic"] is None
 
     def test_default_graham_is_the_library_pipeline(self, tmp_path):
         # the default (Lorenz, not closed) report is the bytes of the

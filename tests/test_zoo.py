@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradiform import (SystemSpec, VectorField, build_system, eval_field,
                        jacobian, sample_ball)
+from gradiform.fields import _matvec
 from gradiform.zoo import (REGISTRY, double_well, jj_circuit,
                            jj_circuit_linear, lorenz, ou,
                            quadratic, rotation)
@@ -166,6 +167,58 @@ def test_one_point_equals_numpy_scalar_reference(data, which):
         assert g.tobytes() == w.tobytes()
 
 
+def jj_circuit_linear_ref(i, r, beta_c, beta_L):
+    """The small-angle circuit's matrix and offset, typed out by hand."""
+    J = np.array([[1.0, 0.0, 0.0],
+                  [-r / beta_c, -1.0 / beta_c, -1.0 / beta_c],
+                  [1.0 / beta_L, 0.0, -1.0 / beta_L]])
+    return J, np.array([0.0, i / beta_c, 0.0])
+
+
+signed = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.tuples(signed, signed, positive, positive),
+       X=st.lists(st.lists(signed, min_size=3, max_size=3), min_size=1,
+                  max_size=4))
+@example(params=(-0.0, 1.0, 1.0, 1.0), X=[[1.0, 2.0, 3.0]])
+@example(params=(-0.0, -0.0, 1.0, 1.0), X=[[1.0, 2.0, 3.0]])
+def test_jj_circuit_linear_is_the_hand_typed_formula(params, X):
+    # the small-angle circuit is jj_circuit's linearization: its matrix
+    # and offset are the circuit's Jacobian and value at the origin
+    i, r = params[:2]
+    field = jj_circuit_linear(*params)
+    J, b = jj_circuit_linear_ref(*params)
+    b0 = jj_circuit(*params).func(np.zeros(3))
+    X = np.vstack([X, np.zeros(3), -np.zeros(3)])  # the signed origins
+    want = [_matvec(J, X) + b, _matvec(J, X[0]) + b]
+    got = [field.func(X), field.func(X[0])]
+    if i == 0.0 and np.signbit(i) and np.signbit(r):
+        # the one exception: for i = -0.0 and a negative or -0.0 r, the
+        # circuit's -r * 0.0 + i is +0.0 where i / beta_c is -0.0; that
+        # can show only in a value that is exactly zero
+        assert np.array_equal(b0, b) and not np.signbit(b0[1])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    else:
+        assert b0.tobytes() == b.tobytes()
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert field.jac(X[0]).tobytes() == J.tobytes()
+    assert all(Jx.tobytes() == J.tobytes() for Jx in field.jac(X))
+
+
+def test_jj_circuit_linear_overflow_is_silent():
+    # a parameter that overflows the matrix or offset gives inf with no
+    # warning, as the formula's division of Python floats does; a report
+    # then names the non-finite entry where it evaluates it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = jj_circuit_linear(i=1.0, beta_c=1e-310)
+    J, _ = jj_circuit_linear_ref(1.0, 1.0, 1e-310, 1.0)
+    assert np.isinf(J).any()
+    assert field.jac(np.zeros(3)).tobytes() == J.tobytes()
+
+
 KERNEL_FIELDS = {
     "lorenz": lambda data: lorenz(),
     "lorenz_drawn": lambda data: lorenz(
@@ -237,8 +290,19 @@ class TestRegistry:
                                         params={"q_0_0": 1.0, key: 1.0},
                                         dim=2))
 
-    def test_quadratic_needs_an_entry(self):
-        # build_system merges the default q_0_0, so only the builder
-        # itself sees no entry
-        with pytest.raises(ValueError, match="at least one q_i_j"):
-            REGISTRY["quadratic"]["build"]({})
+    def test_quadratic_default_entry(self):
+        # with no entry given, the builder uses its one default, q_0_0
+        field = build_system(SystemSpec(name="quadratic", params={}, dim=0))
+        assert field.dim == 1
+        assert eval_field(field, [2.0])[0] == -2.0
+
+    def test_entries_are_the_builders(self):
+        # one definition per system: the registry holds the builder
+        # itself, whose keyword defaults are the system's
+        assert REGISTRY["lorenz"]["build"] is lorenz
+        assert all(set(entry) == {"build", "grid_range"}
+                   for entry in REGISTRY.values())
+        field = build_system(SystemSpec(name="lorenz",
+                                        params={"rho": 14.0}, dim=0))
+        assert eval_field(field, [1.0, 1.0, 1.0]).tolist() \
+            == eval_field(lorenz(rho=14.0), [1.0, 1.0, 1.0]).tolist()
