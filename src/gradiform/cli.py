@@ -9,7 +9,6 @@ import copy
 import dataclasses
 import enum
 import functools
-import inspect
 import json
 import math
 import os
@@ -33,7 +32,7 @@ from .homotopy import DEFAULT_ORDER, QuadratureRule, decompose, potential
 from .integrability import (DEFAULT_TOL, _relative_asymmetry, circle_loop,
                              classify)
 from .sampling import sample_ball
-from .zoo import QUADRATIC_DEFAULTS, REGISTRY, SystemSpec, build_system
+from .zoo import REGISTRY, SystemSpec, build_system, describe_system
 
 SCHEMA = "gradiform/1"
 
@@ -468,14 +467,8 @@ def cmd_graham(cfg):
 
 
 def cmd_zoo_list(cfg):
-    # quadratic takes any q_i_j entries, so its dimension is theirs
-    return {"systems": [
-        {"name": name, "grid_range": entry["grid_range"],
-         "defaults": QUADRATIC_DEFAULTS if name == "quadratic" else {
-             p.name: p.default
-             for p in inspect.signature(entry["build"]).parameters.values()},
-         "dim": None if name == "quadratic" else entry["build"]().dim}
-        for name, entry in sorted(REGISTRY.items())]}
+    return {"systems": [{"name": name, **describe_system(name)}
+                        for name in sorted(REGISTRY)]}
 
 
 COMMANDS = {
@@ -503,8 +496,6 @@ def _write_report(report, out_path):
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        # ext4 flushes a file renamed over another; none is renamed over
-        out_path.unlink(missing_ok=True)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

@@ -160,13 +160,13 @@ def ou(theta: float = 1.0) -> VectorField:
                        vectorized=True)
 
 
-# quadratic's entries when none is given; zoo-list reports them
-QUADRATIC_DEFAULTS = {"q_0_0": -1.0}
+# quadratic's entries when none is given
+_QUADRATIC_DEFAULTS = {"q_0_0": -1.0}
 
 
 def _build_quadratic(**params):
     idx = {}
-    for key, val in (params or QUADRATIC_DEFAULTS).items():
+    for key, val in (params or _QUADRATIC_DEFAULTS).items():
         # one spelling per entry: no sign, space or leading zero
         m = re.fullmatch(r"q_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)", key)
         if m is None:
@@ -180,8 +180,7 @@ def _build_quadratic(**params):
     return quadratic(Q)
 
 
-# name -> the builder, whose keyword defaults are the system's, and
-# graham's default range per axis; the CLI reads it
+# name -> its builder (whose keyword defaults are the system's) and grid
 REGISTRY = {
     "lorenz": {"build": lorenz, "grid_range": [-30.0, 50.0]},
     "jj_circuit": {"build": jj_circuit, "grid_range": [-2.0, 2.0]},
@@ -208,3 +207,13 @@ def build_system(spec: SystemSpec) -> VectorField:
             raise ValueError(f"unknown parameters {sorted(unknown)} for "
                              f"system {spec.name!r}")
     return build(**spec.params)
+
+
+def describe_system(name: str) -> dict:
+    """Defaults, the dim they build (quadratic's: None) and grid range."""
+    build, quad = REGISTRY[name]["build"], name == "quadratic"
+    return {"defaults": dict(_QUADRATIC_DEFAULTS) if quad else {
+                k: p.default
+                for k, p in inspect.signature(build).parameters.items()},
+            "dim": None if quad else build().dim,
+            "grid_range": REGISTRY[name]["grid_range"]}

@@ -832,8 +832,8 @@ def test_report_mode_follows_the_umask(tmp_path):
 
 
 def test_report_over_an_existing_file(tmp_path):
-    # the old file is unlinked before the rename: the new bytes, the mode
-    # open() gives under the umask, and no temporary file left behind
+    # the new report is renamed over the old one: the new bytes, the
+    # mode open() gives under the umask, and no temporary file left behind
     out = tmp_path / "report.json"
     out.write_text("old report\n")
     out.chmod(0o600)

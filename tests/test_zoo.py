@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from gradiform import (SystemSpec, VectorField, build_system, eval_field,
                        jacobian, sample_ball)
 from gradiform.fields import _matvec
-from gradiform.zoo import (REGISTRY, double_well, jj_circuit,
-                           jj_circuit_linear, lorenz, ou,
+from gradiform.zoo import (REGISTRY, describe_system, double_well,
+                           jj_circuit, jj_circuit_linear, lorenz, ou,
                            quadratic, rotation)
 
 
@@ -306,3 +306,19 @@ class TestRegistry:
                                         params={"rho": 14.0}, dim=0))
         assert eval_field(field, [1.0, 1.0, 1.0]).tolist() \
             == eval_field(lorenz(rho=14.0), [1.0, 1.0, 1.0]).tolist()
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_description_builds_the_default_system(self, name):
+        # describe_system's defaults build the default system, whose dim
+        # it gives (quadratic's is its entries': None); a copy each call
+        info = describe_system(name)
+        assert info["grid_range"] == REGISTRY[name]["grid_range"]
+        field = build_system(SystemSpec(name=name, params=info["defaults"],
+                                        dim=0))
+        default = build_system(SystemSpec(name=name, params={}, dim=0))
+        assert info["dim"] == (None if name == "quadratic" else field.dim)
+        x = np.linspace(0.5, 1.5, field.dim)
+        assert eval_field(field, x).tobytes() \
+            == eval_field(default, x).tobytes()
+        info["defaults"]["extra"] = 1.0
+        assert "extra" not in describe_system(name)["defaults"]
