@@ -30,7 +30,7 @@ from .gradientize import (MatrixFamily, solve_consistency_constant,
                           solve_general, solve_symmetrizer, transform_field)
 from .homotopy import DEFAULT_ORDER, QuadratureRule, decompose, potential
 from .integrability import (DEFAULT_TOL, _relative_asymmetry, circle_loop,
-                             classify)
+                             classify, loop_integral)
 from .sampling import sample_ball
 from .zoo import REGISTRY, SystemSpec, build_system, describe_system
 
@@ -273,19 +273,17 @@ def _emit_floats(a, blocks, out):
 
 def cmd_classify(cfg):
     field = _system(cfg)
-    samples = _samples(cfg, field.dim)
-    loops = []
-    if field.dim >= 2:
-        loops.append(circle_loop(radius=min(1.0, cfg["samples"]["radius"]),
-                                 dim=field.dim))
+    report = classify(field, _samples(cfg, field.dim))
+    loops = [circle_loop(radius=min(1.0, cfg["samples"]["radius"]),
+                         dim=field.dim)] if field.dim >= 2 else []
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
-    report = classify(field, samples, loops=loops, quad=quad)
     return {
         "verdict": report.verdict.value,
         "max_asymmetry": report.max_asymmetry,
         "frobenius_defect_max": report.frobenius_defect_max,
-        "loop_integrals": [{"loop": name, "value": val}
-                           for name, val in report.loop_integrals],
+        "loop_integrals": [{"loop": loop.label,
+                            "value": loop_integral(field, loop, quad)}
+                           for loop in loops],
     }
 
 

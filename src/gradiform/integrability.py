@@ -1,10 +1,11 @@
-"""Classification of a field as closed, Frobenius-integrable, or neither."""
+"""Classification of a field as closed, Frobenius-integrable, or neither,
+and the circulation around a circle: the Stokes witness that a one-form
+is not closed."""
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -26,41 +27,45 @@ class ClosednessReport:
     max_asymmetry: float
     frobenius_defect_max: float
     verdict: Verdict
-    loop_integrals: list
 
 
 @dataclass(frozen=True)
 class Loop:
-    """Closed C^1 curve s in [0, 1] -> R^N and its derivative.
+    """The circle center + radius (cos 2 pi s e_i + sin 2 pi s e_j), s in
+    [0, 1], in the plane of axes (i, j).  Holds a read-only copy of center
+    (N,); N < 2, or axes not two distinct indices in [0, N), is a
+    ValueError."""
 
-    gamma and dgamma map parameters s (K,) to points (K, N), one row per
-    parameter.
-    """
+    radius: float
+    center: np.ndarray
+    axes: tuple
 
-    gamma: Callable[[np.ndarray], np.ndarray]
-    dgamma: Callable[[np.ndarray], np.ndarray]
-    label: str = "loop"
+    def __post_init__(self):
+        c, axes = np.array(self.center, dtype=float), tuple(self.axes)
+        n = len(c) if c.ndim == 1 else 0
+        if n < 2 or len(axes) != 2 or axes[0] == axes[1] or not all(
+                isinstance(a, (int, np.integer)) and 0 <= a < n
+                for a in axes):
+            raise ValueError(f"a circle needs a center (N,), N >= 2, and "
+                             f"two distinct axes in [0, N); got center "
+                             f"shape {c.shape} and axes {self.axes!r}")
+        c.flags.writeable = False
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "axes", axes)
+
+    @property
+    def label(self) -> str:
+        return f"circle(r={self.radius})"
 
 
 def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
                 axes=(0, 1)) -> Loop:
-    """Unit-speed-parameterized circle in the (axes[0], axes[1]) plane."""
-    c = np.zeros(dim) if center is None else np.array(center, float)
-    i, j = axes
-
-    def gamma(s):
-        p = np.tile(c, (len(s), 1))
-        p[:, i] += radius * np.cos(2 * np.pi * s)
-        p[:, j] += radius * np.sin(2 * np.pi * s)
-        return p
-
-    def dgamma(s):
-        v = np.zeros((len(s), dim))
-        v[:, i] = -2 * np.pi * radius * np.sin(2 * np.pi * s)
-        v[:, j] = 2 * np.pi * radius * np.cos(2 * np.pi * s)
-        return v
-
-    return Loop(gamma=gamma, dgamma=dgamma, label=f"circle(r={radius})")
+    """The circle about center (the origin for None) in the axes' plane
+    of R^dim; a center not of shape (dim,) is a ValueError."""
+    c = np.zeros(dim) if center is None else np.asarray(center, float)
+    if c.shape != (dim,):
+        raise ValueError(f"center has shape {c.shape}, expected ({dim},)")
+    return Loop(radius=radius, center=c, axes=axes)
 
 
 def _relative_asymmetry(J: np.ndarray):
@@ -81,37 +86,28 @@ def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.max(np.abs(term), axis=-1, initial=0.0)  # 0 when N < 3
 
 
-def _loop_values(fn, s: np.ndarray, n: int) -> np.ndarray:
-    """fn(s) as points (K, n), K = len(s); any other shape is a
-    ValueError."""
-    P = np.asarray(fn(s), dtype=float)
-    if P.shape != (len(s), n):
-        raise ValueError(f"loop gave shape {P.shape} for {len(s)} "
-                         f"parameters, expected {(len(s), n)}")
-    return P
-
-
 def loop_integral(field: VectorField, loop: Loop,
                   quad: QuadratureRule | None = None) -> float:
-    """Circulation of the field's one-form along a closed parameterized
-    curve, by the rule (DEFAULT_ORDER nodes for None) on each of PANELS
-    equal panels of [0, 1]."""
-    n = field.dim
-    start, end = _loop_values(loop.gamma, np.array([0.0, 1.0]), n)
-    if np.max(np.abs(start - end)) > 1e-9 * (1.0 + np.max(np.abs(start))):
-        raise ValueError("loop is not closed: gamma(0) != gamma(1)")
+    """Circulation of the field's one-form around the circle, by the rule
+    (DEFAULT_ORDER nodes for None) on each of PANELS equal panels of
+    [0, 1], with one field evaluation for all nodes.  A circle of another
+    dimension than the field is a ValueError."""
     rule = _rule(quad)
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
-    points = _loop_values(loop.gamma, s, n)
-    velocity = _loop_values(loop.dgamma, s, n)
+    (i, j), radius, angle = loop.axes, loop.radius, 2 * np.pi * s
+    points = np.tile(loop.center, (len(s), 1))
+    points[:, i] += radius * np.cos(angle)
+    points[:, j] += radius * np.sin(angle)
+    velocity = np.zeros_like(points)
+    velocity[:, i] = -2 * np.pi * radius * np.sin(angle)
+    velocity[:, j] = 2 * np.pi * radius * np.cos(angle)
     terms = (np.tile(rule.weights, PANELS) * width
              * (eval_field(field, points) * velocity).sum(axis=1))
     return float(np.cumsum(terms)[-1])  # in node order, one after another
 
 
-def classify(field: VectorField, samples, loops=(),
-             quad: QuadratureRule | None = None) -> ClosednessReport:
+def classify(field: VectorField, samples) -> ClosednessReport:
     """Closed when the relative Jacobian asymmetry is at most DEFAULT_TOL
     at every sample (N,) or (M, N), else FrobeniusIntegrable (local) when
     the wedge obstruction is at most DEFAULT_TOL there, else
@@ -131,7 +127,5 @@ def classify(field: VectorField, samples, loops=(),
         verdict = Verdict.FROBENIUS_INTEGRABLE
     else:
         verdict = Verdict.NON_INTEGRABLE
-    loop_vals = [(loop.label, loop_integral(field, loop, quad))
-                 for loop in loops]
     return ClosednessReport(max_asymmetry=asym, frobenius_defect_max=defect,
-                            verdict=verdict, loop_integrals=loop_vals)
+                            verdict=verdict)

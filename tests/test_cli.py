@@ -410,6 +410,19 @@ class TestReports:
         assert res["frobenius_defect_max"] > 1.0
         assert len(res["loop_integrals"]) == 1
 
+    def test_classify_loop_entries(self, tmp_path):
+        # one circle of radius min(1, samples.radius) for N >= 2, none
+        # for N = 1
+        code, rep = run_cli(tmp_path, "classify",
+                            "--set", "system.name=rotation")
+        assert code == 0
+        (entry,) = rep["result"]["loop_integrals"]
+        assert entry["loop"] == "circle(r=1.0)"
+        assert abs(entry["value"] - 2 * np.pi) <= 1e-12
+        code, rep = run_cli(tmp_path, "classify", "--set", "system.name=ou")
+        assert code == 0
+        assert rep["result"]["loop_integrals"] == []
+
     def test_classify_closed_quadratic(self, tmp_path):
         cfg = {"system": {"name": "quadratic",
                           "params": {"q_0_0": -2.0, "q_0_1": 1.0,

@@ -314,7 +314,8 @@ def _quadratic_matrix():
 
 def _circle_center():
     c = np.array([0.5, 0.0, 0.0])
-    return lorenz(), None, (circle_loop(1.0, c, dim=3),), [c]
+    loop = circle_loop(1.0, c, dim=3)
+    return lorenz(), None, (loop,), [c, loop.center]
 
 
 @pytest.mark.parametrize("build", [_jacobian_at_one_point, _rule_arrays,

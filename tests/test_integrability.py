@@ -2,11 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradiform import (FieldEvalError, QuadratureRule, Verdict, VectorField,
                        circle_loop, classify, eval_field, jacobian,
                        loop_integral, sample_ball)
-from gradiform.integrability import Loop
+from gradiform.integrability import PANELS, Loop
 from gradiform.zoo import jj_circuit, lorenz, quadratic, rotation
 
 SAMPLES3 = sample_ball(3, 32, 1.5, seed=11)
@@ -47,19 +49,52 @@ def frobenius_reference(f, J):
     return worst
 
 
+def circle_curve(loop):
+    """The loop's circle as a curve gamma(s) and its derivative dgamma(s),
+    parameters (K,) to points (K, N): the reference for the nodes that
+    loop_integral builds in place."""
+    c, radius, (i, j) = loop.center, loop.radius, loop.axes
+
+    def gamma(s):
+        p = np.tile(c, (len(s), 1))
+        p[:, i] += radius * np.cos(2 * np.pi * s)
+        p[:, j] += radius * np.sin(2 * np.pi * s)
+        return p
+
+    def dgamma(s):
+        v = np.zeros((len(s), len(c)))
+        v[:, i] = -2 * np.pi * radius * np.sin(2 * np.pi * s)
+        v[:, j] = 2 * np.pi * radius * np.cos(2 * np.pi * s)
+        return v
+
+    return gamma, dgamma
+
+
 def loop_integral_reference(field, loop, rule, panels=8):
     """Circulation summed node by node, one field evaluation each, and
     the sum of the terms' magnitudes |w| |g_j v_j|."""
+    gamma, dgamma = circle_curve(loop)
     total, magnitude = 0.0, 0.0
     width = 1.0 / panels
     for p in range(panels):
         for t, w in zip(rule.nodes, rule.weights):
             s = np.array([(p + t) * width])
-            g = eval_field(field, loop.gamma(s)[0])
-            v = loop.dgamma(s)[0]
+            g = eval_field(field, gamma(s)[0])
+            v = dgamma(s)[0]
             total += w * width * float(np.dot(g, v))
             magnitude += w * width * float(np.sum(np.abs(g * v)))
     return total, magnitude
+
+
+def curve_node_sum(field, loop, rule):
+    """The circulation as a batched node sum over the curve closures:
+    all nodes in one evaluation, the terms added in node order."""
+    gamma, dgamma = circle_curve(loop)
+    width = 1.0 / PANELS
+    s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
+    terms = (np.tile(rule.weights, PANELS) * width
+             * (eval_field(field, gamma(s)) * dgamma(s)).sum(axis=1))
+    return float(np.cumsum(terms)[-1])
 
 
 class TestClosedness:
@@ -169,42 +204,69 @@ class TestLoopIntegral:
         assert abs(loop_integral(field, loop, rule) - ref) \
             <= bound * magnitude
 
-    def test_open_curve_rejected(self):
-        bad = Loop(gamma=lambda s: np.stack([s, 0.0 * s], axis=1),
-                   dgamma=lambda s: np.stack([1.0 + 0.0 * s, 0.0 * s],
-                                             axis=1))
-        with pytest.raises(ValueError, match="not closed"):
-            loop_integral(rotation(), bad)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_curve_node_sum(self, data):
+        # the circle built in place is the closures' circle, bit for bit
+        dim = data.draw(st.integers(2, 4), label="dim")
+        field = {2: rotation(), 3: lorenz(), 4: swirl4()}[dim]
+        finite = st.floats(-3.0, 3.0, allow_nan=False)
+        loop = circle_loop(
+            radius=data.draw(st.floats(0.0, 3.0), label="radius"),
+            center=data.draw(st.lists(finite, min_size=dim, max_size=dim),
+                             label="center"),
+            dim=dim,
+            axes=data.draw(st.lists(st.integers(0, dim - 1), min_size=2,
+                                    max_size=2, unique=True), label="axes"))
+        rule = QuadratureRule.gauss_legendre(
+            data.draw(st.integers(1, 79), label="order"))
+        assert loop_integral(field, loop, rule) \
+            == curve_node_sum(field, loop, rule)
 
-    @pytest.mark.parametrize("gamma, dgamma", [
-        # one point, not (K, N)
-        (lambda s: np.array([1.0, 0.0]), circle_loop().dgamma),
-        (lambda s: np.zeros((len(s), 3)), circle_loop().dgamma),  # wrong N
-        (circle_loop().gamma, lambda s: np.zeros((len(s) + 1, 2)))])
-    def test_values_not_k_by_n_rejected(self, gamma, dgamma):
-        with pytest.raises(ValueError, match="expected"):
-            loop_integral(rotation(), Loop(gamma, dgamma))
-
-    def test_one_loop_evaluation(self):
-        # the closedness check, then all nodes at once: gamma twice and
-        # dgamma once, whatever the number of nodes
-        base = circle_loop(radius=0.5, dim=3, axes=(0, 2))
+    def test_one_field_evaluation(self):
+        # every node of the circle in one call, whatever the rule's order
+        lor = lorenz()
         for order in (16, 64):
             calls = []
 
-            def gamma(s):
-                calls.append(("gamma", len(s)))
-                return base.gamma(s)
+            def func(x):
+                calls.append(np.shape(x))
+                return lor.func(x)
 
-            def dgamma(s):
-                calls.append(("dgamma", len(s)))
-                return base.dgamma(s)
-
-            loop_integral(lorenz(), Loop(gamma, dgamma),
+            loop_integral(VectorField(dim=3, func=func, vectorized=True),
+                          circle_loop(radius=0.5, dim=3, axes=(0, 2)),
                           QuadratureRule.gauss_legendre(order))
-            nodes = 8 * order
-            assert calls == [("gamma", 2), ("gamma", nodes),
-                             ("dgamma", nodes)]
+            assert calls == [(8 * order, 3)]
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dim=1), dict(dim=0), dict(axes=(1, 1)), dict(axes=(0, 5)),
+        dict(axes=(-1, 0)), dict(axes=(0,)), dict(axes=(0, 1, 2), dim=3),
+        dict(axes=(0.0, 1)), dict(center=[0.0, 0.0, 0.0]),
+        dict(center=[[0.0, 0.0]]), dict(center=[0.0], dim=1)])
+    def test_bad_circle_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="circle needs|center has"):
+            circle_loop(**kwargs)
+
+    @pytest.mark.parametrize("center", [0.0, [[0.0, 0.0]]])
+    def test_center_not_a_vector_rejected(self, center):
+        with pytest.raises(ValueError, match="circle needs"):
+            Loop(radius=1.0, center=center, axes=(0, 1))
+
+    def test_loop_holds_a_read_only_center(self):
+        c = [0.5, 0.0, 0.0]
+        loop = Loop(radius=1.0, center=c, axes=[2, 0])
+        c[0] = 9.0
+        assert loop.center.tolist() == [0.5, 0.0, 0.0]
+        assert loop.axes == (2, 0)
+        assert loop.label == "circle(r=1.0)"
+        with pytest.raises(ValueError):
+            loop.center[0] = 1.0
+
+    @pytest.mark.parametrize("field, dim", [
+        (lorenz(), 2), (rotation(), 3), (swirl4(), 3)])
+    def test_circle_of_another_dimension_rejected(self, field, dim):
+        with pytest.raises(ValueError, match="dimension"):
+            loop_integral(field, circle_loop(dim=dim))
 
 
 class TestClassify:
@@ -219,11 +281,10 @@ class TestClassify:
                 return lor.func(x)
 
             classify(VectorField(dim=3, func=func, vectorized=True),
-                     sample_ball(3, n_samples, 1.0, seed=4),
-                     loops=[circle_loop(dim=3)])
+                     sample_ball(3, n_samples, 1.0, seed=4))
             counts.append(len(calls))
-        # g, its central-difference Jacobian and the loop: one call each
-        assert counts == [3, 3]
+        # g and its central-difference Jacobian: one call each
+        assert counts == [2, 2]
 
     def test_symmetric_quadratic(self):
         field = quadratic([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5],
@@ -239,9 +300,3 @@ class TestClassify:
     def test_integrating_factor_case(self):
         rep = classify(scaled_gradient_field(), SAMPLES3)
         assert rep.verdict is Verdict.FROBENIUS_INTEGRABLE
-
-    def test_loops_reported(self):
-        rep = classify(rotation(), sample_ball(2, 8, 1.0, seed=2),
-                       loops=[circle_loop()])
-        assert len(rep.loop_integrals) == 1
-        assert rep.loop_integrals[0][1] == pytest.approx(2 * np.pi, abs=1e-6)
