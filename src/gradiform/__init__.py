@@ -8,13 +8,13 @@ from .fields import (FieldEvalError, FieldShapeError, VectorField, eval_field,
                      jacobian)
 from .homotopy import (Decomposition, QuadratureRule, antiexact_part,
                        decompose, potential)
-from .integrability import (ClosednessReport, Loop, Verdict, circle_loop,
-                            classify, loop_integral)
+from .integrability import (ClosednessReport, Verdict, classify,
+                            loop_integral)
 from .gradientize import (BarrierViolation, ConstantSolveReport,
                           ConstantVerdict, GeneralSolveReport, MatrixFamily,
-                          check_necessary_constant, consistency_check,
-                          general_residual, solve_consistency_constant,
-                          solve_general, solve_symmetrizer, transform_field)
+                          consistency_check, general_residual,
+                          solve_consistency_constant, solve_general,
+                          solve_symmetrizer, transform_field)
 from .dynamics import (DensityGrid, LyapunovReport, Trajectory,
                        euler_maruyama_ensembles, graham_estimate,
                        integrate_rk4, lyapunov_check, stationary_density,

@@ -29,8 +29,8 @@ from .fields import FieldEvalError, _matvec, eval_field, jacobian
 from .gradientize import (MatrixFamily, solve_consistency_constant,
                           solve_general, solve_symmetrizer, transform_field)
 from .homotopy import DEFAULT_ORDER, QuadratureRule, decompose, potential
-from .integrability import (DEFAULT_TOL, _relative_asymmetry, circle_loop,
-                             classify, loop_integral)
+from .integrability import (DEFAULT_TOL, _relative_asymmetry, classify,
+                             loop_integral)
 from .sampling import sample_ball
 from .zoo import REGISTRY, SystemSpec, build_system, describe_system
 
@@ -274,16 +274,16 @@ def _emit_floats(a, blocks, out):
 def cmd_classify(cfg):
     field = _system(cfg)
     report = classify(field, _samples(cfg, field.dim))
-    loops = [circle_loop(radius=min(1.0, cfg["samples"]["radius"]),
-                         dim=field.dim)] if field.dim >= 2 else []
+    radius = min(1.0, cfg["samples"]["radius"])
     quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
+    loops = [{"loop": f"circle(r={radius})",
+              "value": loop_integral(field, radius, quad=quad)}
+             ] if field.dim >= 2 else []
     return {
         "verdict": report.verdict.value,
         "max_asymmetry": report.max_asymmetry,
         "frobenius_defect_max": report.frobenius_defect_max,
-        "loop_integrals": [{"loop": loop.label,
-                            "value": loop_integral(field, loop, quad)}
-                           for loop in loops],
+        "loop_integrals": loops,
     }
 
 

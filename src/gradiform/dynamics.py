@@ -344,8 +344,8 @@ def graham_estimate(density: DensityGrid, eps: float) -> np.ndarray:
 
     Empty cells are masked with NaN rather than infinite potential.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     counts = density.counts
     occupied = counts > 0
     if not occupied.any():

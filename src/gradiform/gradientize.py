@@ -54,18 +54,6 @@ class ConstantSolveReport:
     identity_solves_necessary: bool
 
 
-def check_necessary_constant(D: np.ndarray, J: np.ndarray) -> float:
-    """Max-norm of D^T D J - J^T D^T D (necessary closedness condition)."""
-    D = np.asarray(D, dtype=float)
-    J = np.asarray(J, dtype=float)
-    n = D.shape[0]
-    scale = (np.linalg.norm(D, "fro") / np.sqrt(n)) ** n
-    if abs(np.linalg.det(D)) <= DET_FLOOR * max(scale, 1e-300):
-        raise ValueError("D is singular")
-    S = D.T @ D
-    return float(np.max(np.abs(S @ J - J.T @ S)))
-
-
 def _square(J) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
@@ -76,32 +64,28 @@ def _square(J) -> np.ndarray:
 
 def _constant_solve_report(J: np.ndarray, basis: list,
                            D: Optional[np.ndarray]) -> ConstantSolveReport:
-    """Residuals and verdict of a constant solve that chose D, or found
-    no invertible D (None): the Infeasible report."""
-    det_gap = abs(np.linalg.det(J) - 1.0)
-    identity_ok = _relative_asymmetry(J) <= DEFAULT_TOL
-    if D is None:
-        return ConstantSolveReport(
-            nullspace_basis=basis, chosen_D=None,
-            necessary_residual=np.inf, transformed_asymmetry=np.inf,
-            consistency_residual=np.inf, verdict=ConstantVerdict.INFEASIBLE,
-            det_precondition_gap=det_gap,
-            identity_solves_necessary=identity_ok)
-    necessary = check_necessary_constant(D, J)
-    A = D @ J @ np.linalg.inv(D)
-    asym = _relative_asymmetry(A)
-    # for a linear field the exact-part gradient is sym(A) x
-    consistency = 0.5 * float(np.max(np.abs(A - A.T)))
-    if (float(necessary) / (1.0 + float(np.max(np.abs(J)))) <= DEFAULT_TOL
-            and asym <= DEFAULT_TOL):
-        verdict = ConstantVerdict.GRADIENTIZED
-    else:
-        verdict = ConstantVerdict.CONSISTENCY_ONLY
+    """Residuals and verdict of a constant solve that chose an invertible
+    D, or found none (None): the Infeasible report, its residuals inf.
+    The necessary residual is max|S J - J^T S| with S = D^T D."""
+    necessary = asym = consistency = np.inf
+    verdict = ConstantVerdict.INFEASIBLE
+    if D is not None:
+        S = D.T @ D
+        necessary = float(np.max(np.abs(S @ J - J.T @ S)))
+        A = D @ J @ np.linalg.inv(D)
+        asym = _relative_asymmetry(A)
+        # for a linear field the exact-part gradient is sym(A) x
+        consistency = 0.5 * float(np.max(np.abs(A - A.T)))
+        if (necessary / (1.0 + float(np.max(np.abs(J)))) <= DEFAULT_TOL
+                and asym <= DEFAULT_TOL):
+            verdict = ConstantVerdict.GRADIENTIZED
+        else:
+            verdict = ConstantVerdict.CONSISTENCY_ONLY
     return ConstantSolveReport(
         nullspace_basis=basis, chosen_D=D, necessary_residual=necessary,
         transformed_asymmetry=asym, consistency_residual=consistency,
-        verdict=verdict, det_precondition_gap=det_gap,
-        identity_solves_necessary=identity_ok)
+        verdict=verdict, det_precondition_gap=abs(np.linalg.det(J) - 1.0),
+        identity_solves_necessary=_relative_asymmetry(J) <= DEFAULT_TOL)
 
 
 def _null_basis(M: np.ndarray) -> list[np.ndarray]:
@@ -288,6 +272,11 @@ class MatrixFamily:
 
     dim: int
     degree: int = 1
+
+    def __post_init__(self):
+        if self.dim < 1 or self.degree < 0:
+            raise ValueError(f"a family needs dim >= 1 and degree >= 0; "
+                             f"got dim {self.dim}, degree {self.degree}")
 
     @cached_property
     def monomials(self) -> list[tuple[int, ...]]:

@@ -29,45 +29,6 @@ class ClosednessReport:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class Loop:
-    """The circle center + radius (cos 2 pi s e_i + sin 2 pi s e_j), s in
-    [0, 1], in the plane of axes (i, j).  Holds a read-only copy of center
-    (N,); N < 2, or axes not two distinct indices in [0, N), is a
-    ValueError."""
-
-    radius: float
-    center: np.ndarray
-    axes: tuple
-
-    def __post_init__(self):
-        c, axes = np.array(self.center, dtype=float), tuple(self.axes)
-        n = len(c) if c.ndim == 1 else 0
-        if n < 2 or len(axes) != 2 or axes[0] == axes[1] or not all(
-                isinstance(a, (int, np.integer)) and 0 <= a < n
-                for a in axes):
-            raise ValueError(f"a circle needs a center (N,), N >= 2, and "
-                             f"two distinct axes in [0, N); got center "
-                             f"shape {c.shape} and axes {self.axes!r}")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def label(self) -> str:
-        return f"circle(r={self.radius})"
-
-
-def circle_loop(radius: float = 1.0, center=None, dim: int = 2,
-                axes=(0, 1)) -> Loop:
-    """The circle about center (the origin for None) in the axes' plane
-    of R^dim; a center not of shape (dim,) is a ValueError."""
-    c = np.zeros(dim) if center is None else np.asarray(center, float)
-    if c.shape != (dim,):
-        raise ValueError(f"center has shape {c.shape}, expected ({dim},)")
-    return Loop(radius=radius, center=c, axes=axes)
-
-
 def _relative_asymmetry(J: np.ndarray):
     """max|J - J^T| / (1 + max|J|) of each matrix J (..., n, n)."""
     return (np.max(np.abs(J - np.swapaxes(J, -1, -2)), axis=(-2, -1))
@@ -86,17 +47,29 @@ def _wedge_defect(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     return np.max(np.abs(term), axis=-1, initial=0.0)  # 0 when N < 3
 
 
-def loop_integral(field: VectorField, loop: Loop,
-                  quad: QuadratureRule | None = None) -> float:
-    """Circulation of the field's one-form around the circle, by the rule
-    (DEFAULT_ORDER nodes for None) on each of PANELS equal panels of
-    [0, 1], with one field evaluation for all nodes.  A circle of another
-    dimension than the field is a ValueError."""
+def loop_integral(field: VectorField, radius: float = 1.0, center=None,
+                  axes=(0, 1), quad: QuadratureRule | None = None) -> float:
+    """Circulation of the field's one-form around the circle center +
+    radius (cos 2 pi s e_i + sin 2 pi s e_j), s in [0, 1], in the plane
+    of axes (i, j), about the origin for None.  By the rule (DEFAULT_ORDER
+    nodes for None) on each of PANELS equal panels of [0, 1], with one
+    field evaluation for all nodes.  A field of dimension N < 2, axes
+    not two distinct indices in [0, N), or a center not of shape (N,) is
+    a ValueError."""
+    n = field.dim
+    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    # two distinct axes in [0, N) exist only for N >= 2
+    if (c.shape != (n,) or len(axes) != 2 or axes[0] == axes[1]
+            or not all(isinstance(a, (int, np.integer)) and 0 <= a < n
+                       for a in axes)):
+        raise ValueError(f"a circle needs a field of dimension N >= 2, two "
+                         f"distinct axes in [0, N) and a center (N,); got "
+                         f"N = {n}, axes {axes!r} and center shape {c.shape}")
     rule = _rule(quad)
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()
-    (i, j), radius, angle = loop.axes, loop.radius, 2 * np.pi * s
-    points = np.tile(loop.center, (len(s), 1))
+    (i, j), angle = axes, 2 * np.pi * s
+    points = np.tile(c, (len(s), 1))
     points[:, i] += radius * np.cos(angle)
     points[:, j] += radius * np.sin(angle)
     velocity = np.zeros_like(points)

@@ -118,8 +118,11 @@ def sample_ball(dim: int, count: int, radius: float = 1.0,
 
     Deterministic for a fixed (dim, count, radius, seed).
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if dim < 1 or count < 1:
+        raise ValueError(f"dim and count must be at least 1; got dim "
+                         f"{dim}, count {count}")
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0; got {radius}")
     if dim == 1:
         u = _halton(1, count, seed)
         return radius * (2.0 * u - 1.0)

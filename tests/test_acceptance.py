@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gradiform import (ConstantVerdict, QuadratureRule, Verdict,
-                       antiexact_part, circle_loop, classify, decompose,
+                       antiexact_part, classify, decompose,
                        euler_maruyama_ensembles, eval_field, graham_estimate,
                        integrate_rk4, jacobian, loop_integral, potential,
                        sample_ball, solve_consistency_constant,
@@ -114,9 +114,8 @@ def test_criterion_05_closed_round_trip(capsys):
     rep = classify(field, samples)
     grad_err = max(float(np.max(np.abs(decompose(field, x, RULE).exact_part
                                        - Q @ x))) for x in samples)
-    loop3 = circle_loop(radius=1.0, dim=3)
-    circ = abs(loop_integral(field, loop3))
-    rot = loop_integral(rotation(), circle_loop())
+    circ = abs(loop_integral(field, radius=1.0))
+    rot = loop_integral(rotation())
     ok = (rep.verdict is Verdict.CLOSED and grad_err < 1e-8
           and circ < 1e-10 and abs(rot - 2.0 * np.pi) < 1e-6)
     emit(capsys, 5, f"closed round trip (grad err {grad_err:.2e}, loop "

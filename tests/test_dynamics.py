@@ -510,7 +510,7 @@ class TestDensityAndGraham:
                 stationary_density(trajs, bins=5, ranges=[(-3.0, 3.0)],
                                    burn_in=burn_in)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
     def test_graham_rejects_nonpositive_eps(self, eps):
         grid = DensityGrid(edges=[np.linspace(0, 1, 6)],
                            counts=np.full(5, 20))

@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from gradiform import (BarrierViolation, ConstantVerdict, MatrixFamily,
                        QuadratureRule, VectorField, antiexact_part,
-                       check_necessary_constant, consistency_check,
-                       eval_field, general_residual, jacobian, potential,
-                       sample_ball, solve_consistency_constant, solve_general,
+                       consistency_check, eval_field, general_residual,
+                       jacobian, potential, sample_ball,
+                       solve_consistency_constant, solve_general,
                        solve_symmetrizer, transform_field)
 from gradiform.fields import _central_difference, fd_step
 from gradiform import gradientize
@@ -200,22 +200,23 @@ class TestConsistencyConstant:
 
 
 class TestCheckNecessary:
+    """The necessary residual max|S J - J^T S|, S = D^T D, of a report."""
+
     def test_identity_symmetric(self):
         J = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert check_necessary_constant(np.eye(2), J) == 0.0
+        rep = _constant_solve_report(J, [], np.eye(2))
+        assert rep.necessary_residual == 0.0
 
     def test_hand_arithmetic(self):
         D = np.array([[1.0, -1.0], [1.0, 1.0]])
         # D^T D = 2I, so the residual is max|2J - 2J^T| = 4
-        assert check_necessary_constant(D, ROT) == pytest.approx(4.0)
+        rep = _constant_solve_report(ROT, [], D)
+        assert rep.necessary_residual == pytest.approx(4.0)
 
     def test_zero_jacobian(self):
         D = np.array([[3.0, 1.0], [0.0, 2.0]])
-        assert check_necessary_constant(D, np.zeros((2, 2))) == 0.0
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            check_necessary_constant(np.zeros((2, 2)), ROT)
+        rep = _constant_solve_report(np.zeros((2, 2)), [], D)
+        assert rep.necessary_residual == 0.0
 
 
 class TestSymmetrizer:
@@ -547,6 +548,11 @@ class TestMatrixFamily:
             assert np.array_equal(D[m], family_at(family, y, theta)[0])
             assert np.array_equal(dD[m], ref_dD)
             assert np.array_equal(dD[m], family_at(family, y, theta)[1])
+
+    @pytest.mark.parametrize("dim, degree", [(0, 1), (-1, 1), (2, -1)])
+    def test_bad_family_rejected_when_built(self, dim, degree):
+        with pytest.raises(ValueError, match="dim >= 1 and degree >= 0"):
+            MatrixFamily(dim=dim, degree=degree)
 
     @pytest.mark.parametrize("size", [0, 35, 37])
     def test_wrong_sized_theta_rejected(self, size):

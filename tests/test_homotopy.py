@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradiform import (MatrixFamily, QuadratureRule, VectorField,
-                       antiexact_part, circle_loop, consistency_check,
-                       decompose, eval_field, jacobian, loop_integral,
-                       potential, sample_ball, transform_field)
+                       antiexact_part, consistency_check, decompose,
+                       eval_field, jacobian, loop_integral, potential,
+                       sample_ball, transform_field)
 from gradiform.cli import DEFAULT_CONFIG
 from gradiform.homotopy import DEFAULT_ORDER
 from gradiform.zoo import (double_well, jj_circuit, jj_circuit_linear,
@@ -88,7 +88,6 @@ class TestPotential:
         rule = QuadratureRule.gauss_legendre(DEFAULT_ORDER)
         field = lorenz()
         X = sample_ball(3, 5, 1.5, seed=2)
-        loop = circle_loop(0.7, dim=3, axes=(0, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert potential(field, X).tobytes() \
@@ -100,8 +99,8 @@ class TestPotential:
                          "reconstruction_residual"):
                 assert getattr(d, name).tobytes() \
                     == getattr(ref, name).tobytes()
-            assert loop_integral(field, loop) \
-                == loop_integral(field, loop, rule)
+            assert loop_integral(field, 0.7, axes=(0, 2)) \
+                == loop_integral(field, 0.7, axes=(0, 2), quad=rule)
             family = MatrixFamily(dim=3, degree=1)
             theta = family.identity_params()
             assert consistency_check(field, family, theta, X) \

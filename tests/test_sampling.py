@@ -86,6 +86,23 @@ def test_sample_ball_needs_a_point(count):
         sample_ball(2, count)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sample_ball_needs_a_dimension(dim):
+    with pytest.raises(ValueError, match="dim and count must be at least 1"):
+        sample_ball(dim, 5)
+
+
+@pytest.mark.parametrize("radius", [np.nan, -1.0, np.inf])
+def test_sample_ball_needs_a_finite_nonnegative_radius(radius):
+    with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+        sample_ball(2, 5, radius)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sample_ball_of_radius_zero_is_the_center(dim):
+    assert np.array_equal(sample_ball(dim, 4, 0.0), np.zeros((4, dim)))
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(gradiform.__file__).resolve().parents[1])
     env = dict(os.environ)
