@@ -212,7 +212,7 @@ def _emit(obj, out):
         out.append("]")
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            _emit_floats(obj, _finite_blocks(obj), out)
+            _emit_floats(obj, out)
         else:
             _emit(obj.tolist(), out)
     elif isinstance(obj, np.floating):
@@ -231,41 +231,30 @@ def _emit(obj, out):
                         "is not JSON serializable")
 
 
-def _finite_blocks(a):
-    """[m_0, ..., m_{ndim-2}]: m_d[i_0, ..., i_d] says whether the
-    sub-array a[i_0, ..., i_d] holds a finite cell."""
-    blocks = []
-    live = np.isfinite(a)
-    for _ in range(a.ndim - 1):
-        live = live.any(axis=-1)
-        blocks.insert(0, live)
-    return blocks
-
-
 # one text per shape; a process writes reports of few grid shapes
 @functools.lru_cache(maxsize=None)
 def _null_text(shape):
-    """The text of a float array of this shape with no finite cell."""
-    if not shape:
-        return "null"
-    return "[" + ", ".join([_null_text(shape[1:])] * shape[0]) + "]"
+    """The text of a float array of this shape with no finite cell: the
+    writer's own text of np.full(shape, np.nan)."""
+    return _to_json(np.full(shape, np.nan))
 
 
-def _emit_floats(a, blocks, out):
-    """Append the text of the float array a (ndim >= 1), where blocks are
-    its _finite_blocks: a sub-array with no finite cell is its cached
-    null text, so only the rows that hold one are converted."""
-    if not blocks:
+def _emit_floats(a, out):
+    """Append the text of the float array a (ndim >= 1): a row with no
+    finite cell is its shape's cached null text, so only the rows that
+    hold one are converted."""
+    if a.ndim == 1:
         out.append("[" + ", ".join([float.__repr__(v) if math.isfinite(v)
                                     else "null" for v in a.tolist()]) + "]")
         return
     null = _null_text(a.shape[1:])
+    live = np.isfinite(a).any(axis=tuple(range(1, a.ndim)))
     out.append("[")
-    for i, live in enumerate(blocks[0].tolist()):
+    for i, row in enumerate(live.tolist()):
         if i:
             out.append(", ")
-        if live:
-            _emit_floats(a[i], [m[i] for m in blocks[1:]], out)
+        if row:
+            _emit_floats(a[i], out)
         else:
             out.append(null)
     out.append("]")

@@ -248,8 +248,8 @@ def transform_field(field: VectorField, D) -> VectorField:
     """
     D = np.array(D, dtype=float)
     n = field.dim
-    if D.shape != (n, n):
-        raise ValueError("D must match the field dimension")
+    if D.shape != (n, n) or not np.isfinite(D).all():
+        raise ValueError("D must be finite and match the field dimension")
     Dinv = np.linalg.inv(D)  # raises LinAlgError when singular
 
     def func(x):

@@ -54,17 +54,19 @@ def loop_integral(field: VectorField, radius: float = 1.0, center=None,
     of axes (i, j), about the origin for None.  By the rule (DEFAULT_ORDER
     nodes for None) on each of PANELS equal panels of [0, 1], with one
     field evaluation for all nodes.  A field of dimension N < 2, axes
-    not two distinct indices in [0, N), or a center not of shape (N,) is
-    a ValueError."""
+    not two distinct indices in [0, N), a center not a finite (N,)
+    vector, or a radius outside [0, inf) is a ValueError."""
     n = field.dim
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     # two distinct axes in [0, N) exist only for N >= 2
-    if (c.shape != (n,) or len(axes) != 2 or axes[0] == axes[1]
+    if (c.shape != (n,) or not np.isfinite(c).all() or len(axes) != 2
+            or not 0 <= radius < np.inf or axes[0] == axes[1]
             or not all(isinstance(a, (int, np.integer)) and 0 <= a < n
                        for a in axes)):
         raise ValueError(f"a circle needs a field of dimension N >= 2, two "
-                         f"distinct axes in [0, N) and a center (N,); got "
-                         f"N = {n}, axes {axes!r} and center shape {c.shape}")
+                         f"distinct axes in [0, N), a finite center (N,) and "
+                         f"a radius in [0, inf); got N = {n}, axes {axes!r}, "
+                         f"center {c.tolist()!r} and radius {radius!r}")
     rule = _rule(quad)
     width = 1.0 / PANELS
     s = ((np.arange(PANELS)[:, None] + rule.nodes) * width).ravel()

@@ -423,6 +423,13 @@ class TestTransformField:
         with pytest.raises(np.linalg.LinAlgError):
             transform_field(lorenz(), np.zeros((3, 3)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # at build time, not at the first evaluation far from the cause
+        with pytest.raises(ValueError, match="finite"):
+            transform_field(rotation(), [[bad, 0.0], [0.0, 1.0]])
+
     @pytest.mark.parametrize("D", [np.eye(2), np.eye(3)[:2], np.ones(3)])
     def test_wrong_shape_rejected(self, D):
         with pytest.raises(ValueError, match="match the field dimension"):

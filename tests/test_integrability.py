@@ -236,16 +236,20 @@ class TestLoopIntegral:
                           quad=QuadratureRule.gauss_legendre(order))
             assert calls == [(8 * order, 3)]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kwargs", [
         dict(field=ou()), dict(field=ou(), center=[0.0]), dict(axes=(1, 1)),
         dict(axes=(0, 5)), dict(axes=(-1, 0)), dict(axes=(0,)),
         dict(field=lorenz(), axes=(0, 1, 2)), dict(axes=(0.0, 1)),
         dict(center=[0.0, 0.0, 0.0]), dict(center=[[0.0, 0.0]]),
-        dict(field=lorenz(), axes=(2, 3))])
+        dict(field=lorenz(), axes=(2, 3)), dict(radius=np.inf),
+        dict(radius=np.nan), dict(radius=-1.0), dict(center=[np.inf, 0.0])])
     def test_bad_circle_rejected_at_construction(self, kwargs):
         # each call builds its circle from the arguments and checks them
-        # first: N < 2, axes not two distinct indices in [0, N), a center
-        # not (N,)
+        # before any field call: N < 2, axes not two distinct indices in
+        # [0, N), a center not a finite (N,), a radius outside [0, inf).
+        # An inf/nan node would warn in the field's product first, and a
+        # negative radius would return 2 pi silently
         with pytest.raises(ValueError, match="circle needs"):
             loop_integral(**{"field": rotation(), **kwargs})
 
