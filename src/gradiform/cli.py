@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import dataclasses
 import enum
 import functools
@@ -49,6 +48,7 @@ DEFAULT_CONFIG = {
                    "grid_range": None},
     "potential_source": "homotopy",
 }
+_DEFAULT_TEXT = json.dumps(DEFAULT_CONFIG)  # load_config parses a copy
 
 
 class ConfigError(ValueError):
@@ -74,7 +74,7 @@ def _merge(cfg, overrides, path=""):
 def load_config(path=None, overrides=()):
     """Resolve the run config: file, then each --set a.b.c=v (v as JSON,
     else a string) as the object {a: {b: {c: v}}}, all merged by _merge."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = json.loads(_DEFAULT_TEXT)
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -161,12 +161,15 @@ def _validate(cfg):
 
 
 def _system(cfg):
+    """The report's field and its quadrature_order ray rule; a parameter
+    the builder rejects (a TypeError if unknown) is a config error."""
     try:
-        return build_system(SystemSpec(name=cfg["system"]["name"],
-                                       params=dict(cfg["system"]["params"]),
-                                       dim=0))
+        field = build_system(SystemSpec(name=cfg["system"]["name"],
+                                        params=dict(cfg["system"]["params"]),
+                                        dim=0))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
+    return field, QuadratureRule.gauss_legendre(cfg["quadrature_order"])
 
 
 def _samples(cfg, dim):
@@ -261,10 +264,9 @@ def _emit_floats(a, out):
 
 
 def cmd_classify(cfg):
-    field = _system(cfg)
+    field, quad = _system(cfg)
     report = classify(field, _samples(cfg, field.dim))
     radius = min(1.0, cfg["samples"]["radius"])
-    quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     loops = [{"loop": f"circle(r={radius})",
               "value": loop_integral(field, radius, quad=quad)}
              ] if field.dim >= 2 else []
@@ -277,9 +279,8 @@ def cmd_classify(cfg):
 
 
 def cmd_decompose(cfg):
-    field = _system(cfg)
+    field, quad = _system(cfg)
     samples = _samples(cfg, field.dim)
-    quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     d = decompose(field, samples, quad)
     rows = [{"point": x, "potential": v, "exact_part": ex,
              "antiexact_part": ae, "reconstruction_residual": res}
@@ -306,7 +307,7 @@ def _constant_report(rep):
 
 
 def cmd_gradientize(cfg):
-    field = _system(cfg)
+    field, quad = _system(cfg)
     origin = np.zeros(field.dim)
     J0 = jacobian(field, origin)
     samples = sample_ball(field.dim, cfg["solver"]["collocation"],
@@ -323,7 +324,6 @@ def cmd_gradientize(cfg):
     if cfg["solver"]["run_general"]:
         family = MatrixFamily(dim=field.dim,
                               degree=cfg["solver"]["family_degree"])
-        quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
         out["general"] = solve_general(field, family, samples,
                                        cfg["solver"]["max_iter"], quad)
     return out
@@ -348,9 +348,8 @@ def _mapped_rk4(field, D, x0, dt, steps):
 
 
 def cmd_simulate(cfg, traj_dir=None):
-    field = _system(cfg)
+    field, quad = _system(cfg)
     sim = cfg["simulation"]
-    quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     source = cfg["potential_source"]
     if source == "gradientize":
         rep = solve_symmetrizer(jacobian(field, np.zeros(field.dim)))
@@ -410,12 +409,11 @@ def cmd_simulate(cfg, traj_dir=None):
 
 
 def cmd_graham(cfg):
-    field = _system(cfg)
+    field, quad = _system(cfg)
     sim = cfg["simulation"]
     lo, hi = sim["grid_range"] or REGISTRY[cfg["system"]["name"]]["grid_range"]
     ranges = [(lo, hi)] * field.dim
     bins = sim["grid_bins"]
-    quad = QuadratureRule.gauss_legendre(cfg["quadrature_order"])
     x0s = sample_ball(field.dim, sim["ensemble"], sim["x0_radius"],
                       sim["master_seed"])
     ensembles = euler_maruyama_ensembles(field, sim["eps"], x0s, sim["dt"],

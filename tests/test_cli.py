@@ -83,6 +83,16 @@ class TestConfig:
     def test_defaults_load(self):
         assert load_config() == DEFAULT_CONFIG
 
+    def test_loads_share_no_mutable_object(self):
+        # each call parses its own copy: an edit reaches neither the next
+        # call nor DEFAULT_CONFIG
+        first = load_config()
+        first["system"]["params"]["rho"] = 1.0
+        first["simulation"]["eps"].append(0.5)
+        assert load_config() == DEFAULT_CONFIG
+        assert DEFAULT_CONFIG["system"]["params"] == {}
+        assert DEFAULT_CONFIG["simulation"]["eps"] == [0.05]
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
@@ -222,6 +232,13 @@ class TestExitCodes:
     def test_bad_value_two(self, override, capsys):
         assert main(["classify", "--set", override]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_system_param_two(self, capsys):
+        # the builder's TypeError for an unknown keyword is a config error
+        assert main(["classify", "--set", "system.params.gamma=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'gamma'" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_quadratic_noncanonical_index_two(self, capsys):
         # index -1 would wrap round to the last row

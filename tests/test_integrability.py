@@ -296,3 +296,89 @@ class TestClassify:
     def test_integrating_factor_case(self):
         rep = classify(scaled_gradient_field(), SAMPLES3)
         assert rep.verdict is Verdict.FROBENIUS_INTEGRABLE
+
+
+# -- a non-closed form stays non-closed in any coordinates -----------------
+
+PULLBACK_FIELDS = {
+    "lorenz": lorenz(),
+    "jj_circuit": jj_circuit(),
+    "symmetric_q": quadratic([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5],
+                              [0.0, 0.5, 1.0]]),
+    "rotation_decay": quadratic([[-0.1, -1.0, 0.0], [1.0, -0.1, 0.0],
+                                 [0.0, 0.0, -0.5]]),
+}
+# classify's default samples: 64 points of the radius-1.5 ball, seed 12345
+CLASSIFY_SAMPLES = sample_ball(3, 64, 1.5, seed=12345)
+
+
+def near_identity(a):
+    """phi(y) = y + a (y_1^2, y_2^2, y_0^2) and M = dphi/dy, on stacked
+    points; invertible in the radius-1.5 ball for a <= 0.3."""
+    def phi(Y):
+        return Y + a * Y[:, [1, 2, 0]] ** 2
+
+    def dphi(Y):
+        M = np.tile(np.eye(3), (len(Y), 1, 1))
+        M[:, [0, 1, 2], [1, 2, 0]] = 2 * a * Y[:, [1, 2, 0]]
+        return M
+
+    return phi, dphi
+
+
+def scaling(s):
+    """phi(y) = s y and M = s I, on stacked points."""
+    return (lambda Y: s * Y), (lambda Y: np.tile(s * np.eye(3),
+                                                 (len(Y), 1, 1)))
+
+
+def pullback(g, phi, dphi):
+    """h(y) = M(y)^T g(phi(y)): the form G in the coordinates y.  No
+    jac, so its Jacobian is central differences."""
+    def func(Y):
+        Y2 = np.atleast_2d(Y)
+        H = np.einsum("mji,mj->mi", dphi(Y2), eval_field(g, phi(Y2)))
+        return H if Y.ndim == 2 else H[0]
+
+    return VectorField(dim=g.dim, func=func, vectorized=True)
+
+
+def antisymmetric(J):
+    return J - np.swapaxes(J, -1, -2)
+
+
+MAPS = {"a=0.05": near_identity(0.05), "a=0.3": near_identity(0.3),
+        "s=0.5": scaling(0.5), "s=3": scaling(3.0)}
+
+
+class TestPullback:
+    @pytest.mark.parametrize("name", sorted(PULLBACK_FIELDS))
+    @pytest.mark.parametrize("map_name", sorted(MAPS))
+    def test_antisymmetric_part_is_congruent(self, name, map_name):
+        # J_h - J_h^T = M^T (J_g - J_g^T) M, so the antisymmetric part
+        # vanishes in y exactly where it does in x.  The FD Jacobian of h
+        # met this to at most 3.5e-11 (1 + max|J_h|); 1e-9 leaves ~30x
+        g, (phi, dphi) = PULLBACK_FIELDS[name], MAPS[map_name]
+        Y = CLASSIFY_SAMPLES
+        M = dphi(Y)
+        J_h = jacobian(pullback(g, phi, dphi), Y)
+        expected = (np.swapaxes(M, -1, -2)
+                    @ antisymmetric(jacobian(g, phi(Y))) @ M)
+        deviation = np.max(np.abs(antisymmetric(J_h) - expected))
+        assert deviation <= 1e-9 * (1.0 + np.max(np.abs(J_h)))
+        if name != "symmetric_q":  # not closed in x, so not closed in y
+            assert np.max(np.abs(expected)) >= 1e-3 * np.max(np.abs(J_h))
+
+    # the verdict is compared only under the near-identity maps: today's
+    # verdict rule has a scale, so y = x / s or g -> c g may move it
+    @pytest.mark.parametrize("name, verdict", [
+        ("lorenz", Verdict.NON_INTEGRABLE),
+        ("jj_circuit", Verdict.NON_INTEGRABLE),
+        ("symmetric_q", Verdict.CLOSED),
+        ("rotation_decay", Verdict.NON_INTEGRABLE)])
+    @pytest.mark.parametrize("a", [0.05, 0.3])
+    def test_near_identity_keeps_the_verdict(self, name, verdict, a):
+        g = PULLBACK_FIELDS[name]
+        assert classify(g, CLASSIFY_SAMPLES).verdict is verdict
+        h = pullback(g, *near_identity(a))
+        assert classify(h, CLASSIFY_SAMPLES).verdict is verdict

@@ -264,7 +264,8 @@ class TestRegistry:
             build_system(SystemSpec(name="nope", params={}, dim=0))
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameters"):
+        # the builder's own keyword check: Python's TypeError names it
+        with pytest.raises(TypeError, match="'gamma'"):
             build_system(SystemSpec(name="lorenz",
                                     params={"gamma": 1.0}, dim=3))
 
