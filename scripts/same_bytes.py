@@ -9,7 +9,9 @@ output with the report's ``timings`` emptied:
   (the list is read from this checkout's ``bench/``, so it follows the
   benchmark), with every trajectory CSV they export;
 - each subcommand at its default config (``simulate`` exporting its
-  CSVs);
+  CSVs), and the default ``simulate`` with
+  ``potential_source=gradientize``, its 8 starts in one lockstep of the
+  base field, exporting its CSVs;
 - the CI step's canonical-JSON ``graham`` runs: ``double_well``, the 3-D
   ``lorenz`` and ``quadratic`` runs, and the 4-D ``quadratic``;
 - one config error, compared by exit code.
@@ -51,6 +53,7 @@ CI_GRAHAM = {
                                  "simulation.grid_bins=5",
                                  "simulation.steps=200"],
 }
+GRADIENTIZED = ["simulate", "--set", "potential_source=gradientize"]
 CONFIG_ERROR = ["classify", "--set", "system.params.gamma=1"]
 
 
@@ -80,6 +83,9 @@ def cases(traj_dir):
         extra = ["--traj-dir", str(traj_dir)] if command == "simulate" else []
         out.append({"key": f"default/{command}", "argv": [command] + extra,
                     "code": 0, "traj_dir": traj_dir if extra else None})
+    out.append({"key": "default/simulate-gradientize",
+                "argv": GRADIENTIZED + ["--traj-dir", str(traj_dir)],
+                "code": 0, "traj_dir": traj_dir})
     for label, sets in CI_GRAHAM.items():
         out.append({"key": f"ci-graham/{label}",
                     "argv": _sets("graham", sets), "code": 0,

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -93,7 +92,7 @@ def load_config(path=None, overrides=()):
             val = json.loads(raw)
         except json.JSONDecodeError:
             val = raw
-        except RecursionError as exc:
+        except (ValueError, RecursionError) as exc:  # too long, too deep
             raise ConfigError(f"--set {key}: {exc}")
         for part in reversed(key.split(".")):
             val = {part: val}
@@ -301,11 +300,6 @@ def cmd_decompose(cfg):
     }
 
 
-def _constant_report(rep):
-    fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
-    return {**fields, "nullspace_dim": len(rep.nullspace_basis)}
-
-
 def cmd_gradientize(cfg):
     field, quad = _system(cfg)
     origin = np.zeros(field.dim)
@@ -313,13 +307,11 @@ def cmd_gradientize(cfg):
     samples = sample_ball(field.dim, cfg["solver"]["collocation"],
                           cfg["samples"]["radius"], cfg["samples"]["seed"])
     jac_spread = float(np.max(np.abs(jacobian(field, samples) - J0)))
-    consistency_rep = solve_consistency_constant(J0)
-    symmetrizer_rep = solve_symmetrizer(J0)
     out = {
         "jacobian_at_origin": J0,
         "jacobian_is_constant": jac_spread <= 1e-10 * (1 + np.max(np.abs(J0))),
-        "consistency_equation": _constant_report(consistency_rep),
-        "symmetrizer": _constant_report(symmetrizer_rep),
+        "consistency_equation": solve_consistency_constant(J0),
+        "symmetrizer": solve_symmetrizer(J0),
     }
     if cfg["solver"]["run_general"]:
         family = MatrixFamily(dim=field.dim,
@@ -329,22 +321,16 @@ def cmd_gradientize(cfg):
     return out
 
 
-def _mapped_rk4(field, D, x0, dt, steps):
-    """RK4 of f(x) = D g(D^-1 x) from x0 as D times RK4 of g from D^-1 x0,
-    equal up to rounding since RK4 commutes with x = D y; one start (dim,)
-    or rows (count, dim), as for integrate_rk4, each mapped alone.  State
-    0 is x0; a row ends before the first state D maps to a non-finite."""
-    bases = integrate_rk4(field, _matvec(np.linalg.inv(D), x0), dt, steps)
-    lone = isinstance(bases, Trajectory)
-    trajs = []
+def _mapped(D, base, x0):
+    """RK4 of f(x) = D g(D^-1 x) from x0 as D times base, the RK4 of g from
+    D^-1 x0: equal up to rounding, since RK4 commutes with x = D y.  State
+    0 is x0; it ends before the first state D maps to a non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for base, start in zip([bases] if lone else bases, np.atleast_2d(x0)):
-            x = _matvec(D, base.states)
-            x[0] = start
-            n = int(np.isfinite(x).all(axis=1).cumprod().sum())
-            trajs.append(Trajectory(states=x[:n], dt=dt,
-                                    completed=base.completed and n == len(x)))
-    return trajs[0] if lone else trajs
+        x = _matvec(D, base.states)
+    x[0] = x0
+    n = int(np.isfinite(x).all(axis=1).cumprod().sum())
+    return Trajectory(states=x[:n], dt=base.dt,
+                      completed=base.completed and n == len(x))
 
 
 def cmd_simulate(cfg, traj_dir=None):
@@ -357,10 +343,10 @@ def cmd_simulate(cfg, traj_dir=None):
             raise ConfigError(
                 "potential_source=gradientize but no gradientizing matrix "
                 f"was found (verdict {rep.verdict.value})")
-        flow = transform_field(field, rep.chosen_D)
-        run = functools.partial(_mapped_rk4, field, rep.chosen_D)
+        D = rep.chosen_D
+        flow = transform_field(field, D)
     else:
-        flow, run = field, functools.partial(integrate_rk4, field)
+        flow, D = field, None
 
     def candidate(X):  # descends along xdot = g when the form is closed
         return -potential(flow, X, quad)
@@ -391,12 +377,18 @@ def cmd_simulate(cfg, traj_dir=None):
     if traj_dir is not None:
         traj_dir = Path(traj_dir)
         traj_dir.mkdir(parents=True, exist_ok=True)
-    # every start in one lockstep; a lone start steps as one point (dim,),
-    # on Python floats, which costs less than a 1-row batch
+    # every start in one lockstep, a gradientized one stepped in g's
+    # coordinates y = D^-1 x; a lone start steps as one point (dim,), on
+    # Python floats, which costs less than a 1-row batch
+    starts = x0s if D is None else _matvec(np.linalg.inv(D), x0s)
     lone = len(x0s) == 1
-    trajs = run(x0s[0] if lone else x0s, sim["dt"], sim["steps"])
+    trajs = integrate_rk4(field, starts[0] if lone else starts, sim["dt"],
+                          sim["steps"])
+    trajs = [trajs] if lone else trajs
+    if D is not None:
+        trajs = [_mapped(D, base, x0) for base, x0 in zip(trajs, x0s)]
     rows = []
-    for idx, (x0, traj) in enumerate(zip(x0s, [trajs] if lone else trajs)):
+    for idx, (x0, traj) in enumerate(zip(x0s, trajs)):
         rows.append({"x0": x0, **lyapunov_row(traj)})
         if traj_dir is not None:
             write_trajectory_csv(traj, traj_dir / f"trajectory_{idx:03d}.csv")
@@ -473,18 +465,16 @@ def _write_report(report, out_path):
         return
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_path.parent,
-                               prefix=out_path.name + ".")
+    # a new name beside the report, with the mode open() gives: 0666
+    # under the umask, applied by the kernel
+    tmp = out_path.with_name(f"{out_path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -514,14 +504,10 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    try:
-        cfg = load_config(args.config, args.set)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
     # a float fault that no step expects is a numerical abort (exit 3)
     try:
+        cfg = load_config(args.config, args.set)
+        t0 = time.perf_counter()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.command == "simulate":
                 payload = cmd_simulate(cfg, traj_dir=args.traj_dir)

@@ -44,6 +44,7 @@ class ConstantVerdict(enum.Enum):
 @dataclass(frozen=True)
 class ConstantSolveReport:
     nullspace_basis: list
+    nullspace_dim: int  # len(nullspace_basis)
     chosen_D: Optional[np.ndarray]
     necessary_residual: float
     transformed_asymmetry: float
@@ -82,8 +83,9 @@ def _constant_solve_report(J: np.ndarray, basis: list,
         else:
             verdict = ConstantVerdict.CONSISTENCY_ONLY
     return ConstantSolveReport(
-        nullspace_basis=basis, chosen_D=D, necessary_residual=necessary,
-        transformed_asymmetry=asym, consistency_residual=consistency,
+        nullspace_basis=basis, nullspace_dim=len(basis), chosen_D=D,
+        necessary_residual=necessary, transformed_asymmetry=asym,
+        consistency_residual=consistency,
         verdict=verdict, det_precondition_gap=abs(np.linalg.det(J) - 1.0),
         identity_solves_necessary=_relative_asymmetry(J) <= DEFAULT_TOL)
 

@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradiform import cli
-from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _mapped_rk4,
+from gradiform.cli import (ConfigError, DEFAULT_CONFIG, SCHEMA, _mapped,
                            _to_json, _write_report, load_config, main)
 from gradiform.dynamics import (BURN_IN_FRACTION, euler_maruyama_ensembles,
                                 graham_estimate, integrate_rk4,
                                 stationary_density)
+from gradiform.fields import _matvec, jacobian
 from gradiform.gradientize import (MatrixFamily, consistency_check,
-                                   transform_field)
+                                   solve_consistency_constant,
+                                   solve_symmetrizer, transform_field)
 from gradiform.homotopy import QuadratureRule
 from gradiform.sampling import sample_ball
 from gradiform.zoo import (REGISTRY, SystemSpec, build_system, jj_circuit,
@@ -228,7 +230,10 @@ class TestExitCodes:
         "tolerances.solver=1e-6",
         # JSON nested past the recursion limit
         pytest.param("samples.count=" + "[" * 5000,
-                     id="samples.count=[*5000")])
+                     id="samples.count=[*5000"),
+        # an integer past Python's digit limit, a ValueError of json.loads
+        pytest.param("samples.count=" + "1" * 5000,
+                     id="samples.count=1*5000")])
     def test_bad_value_two(self, override, capsys):
         assert main(["classify", "--set", override]) == 2
         assert "config error" in capsys.readouterr().err
@@ -311,6 +316,16 @@ class TestExitCodes:
         # MemoryError with no text
         code = main(["classify", "--set", "quadrature_order=100000000000"])
         assert code == 3
+        assert capsys.readouterr().err == "numerical abort: MemoryError\n"
+
+    def test_memory_error_loading_the_config_three(self, monkeypatch,
+                                                   capsys):
+        # the config loads inside the command's one error mapping
+        def load_config(path, overrides):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_config", load_config)
+        assert main(["zoo-list"]) == 3
         assert capsys.readouterr().err == "numerical abort: MemoryError\n"
 
     def test_default_graham_gives_a_report(self, tmp_path):
@@ -496,6 +511,14 @@ class TestReports:
             "ConsistencyOnlySolution"
         assert res["consistency_equation"]["nullspace_dim"] == 1
         assert res["symmetrizer"]["verdict"] == "Infeasible"
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_constant_solvers_report_nullspace_dim(self, name):
+        # the report's nullspace_dim is the library report's own field
+        field = build_system(SystemSpec(name=name, params={}, dim=0))
+        J0 = jacobian(field, np.zeros(field.dim))
+        for rep in (solve_consistency_constant(J0), solve_symmetrizer(J0)):
+            assert rep.nullspace_dim == len(rep.nullspace_basis)
 
     def test_gradientize_jj_linear_not_gradientized(self, tmp_path):
         code, rep = run_cli(tmp_path, "gradientize",
@@ -877,6 +900,27 @@ def test_report_over_an_existing_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_report_mode_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the kernel applies the umask as the report's temporary file is
+    # created: 0600 under umask 077, new or over an old report, and main
+    # never reads or sets the process umask
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    out = tmp_path / "report.json"
+    old = os.umask(0o077)
+    try:
+        monkeypatch.setattr(os, "umask", umask)
+        for _ in range(2):
+            assert main(["zoo-list", "--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o600
+            assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert json.loads(out.read_text())["command"] == "zoo-list"
+
+
 def test_write_report_one_sorted_line(tmp_path, capsys):
     report = {"zeta": {"b": np.array([1.5, np.nan]), "a": -np.inf},
               "alpha": [np.float64(0.1), np.int64(3), np.bool_(False)],
@@ -1133,6 +1177,15 @@ _BASE_FIELDS = {"lorenz": lorenz(),
                                      [0.0, 0.0, 0.5]])}
 
 
+def mapped_rk4(field, D, x0, dt, steps):
+    """The gradientized simulate's stepping: RK4 of g from D^-1 x0, one
+    start (dim,) or rows (count, dim), each trajectory mapped by D."""
+    bases = integrate_rk4(field, _matvec(np.linalg.inv(D), x0), dt, steps)
+    if x0.ndim == 1:
+        return _mapped(D, bases, x0)
+    return [_mapped(D, base, start) for base, start in zip(bases, x0)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_BASE_FIELDS)),
        E=hnp.arrays(float, (3, 3), elements=st.floats(-0.3, 0.3)),
@@ -1143,7 +1196,7 @@ def test_mapped_rk4_equals_composed_field(name, E, x0, dt, steps):
     # rounding: a few eps times cond(D) per stage, grown by at most
     # e^(0.9 t) on Lorenz over t <= 5; 1e-10 leaves a margin of 1e3
     field, D = _BASE_FIELDS[name], np.eye(3) + E  # diagonally dominant
-    got = _mapped_rk4(field, D, x0, dt, steps)
+    got = mapped_rk4(field, D, x0, dt, steps)
     ref = integrate_rk4(transform_field(field, D), x0, dt, steps)
     assert len(got.states) == len(ref.states) == steps + 1
     assert got.completed and ref.completed
@@ -1161,10 +1214,10 @@ def test_mapped_rk4_equals_composed_field(name, E, x0, dt, steps):
        dt=st.floats(1e-3, 2e-2), steps=st.integers(1, 250))
 def test_mapped_rk4_rows_equal_lone_starts(name, E, x0s, dt, steps):
     field, D = _BASE_FIELDS[name], np.eye(3) + E
-    trajs = _mapped_rk4(field, D, x0s, dt, steps)
+    trajs = mapped_rk4(field, D, x0s, dt, steps)
     assert len(trajs) == len(x0s)
     for x0, traj in zip(x0s, trajs):
-        lone = _mapped_rk4(field, D, x0, dt, steps)
+        lone = mapped_rk4(field, D, x0, dt, steps)
         assert traj.states.tobytes() == lone.states.tobytes()
         assert traj.completed == lone.completed and traj.dt == dt
 
@@ -1174,12 +1227,12 @@ def test_mapped_rk4_rows_cut_apart():
     # largest float: y_1 = y_1(0) e^t, and D scales it by 1e308
     D = np.diag([1e308, 1.0])
     x0s = np.array([[1e308, 0.0], [0.0, 1.0], [1e307, 0.0]])
-    trajs = _mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0s,
+    trajs = mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0s,
                         0.1, 40)
     assert [len(t.states) for t in trajs] == [6, 41, 29]
     assert [t.completed for t in trajs] == [False, True, False]
     for x0, traj in zip(x0s, trajs):
-        lone = _mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0,
+        lone = mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0,
                            0.1, 40)
         assert traj.states.tobytes() == lone.states.tobytes()
         assert traj.states[0].tobytes() == x0.tobytes()
@@ -1190,7 +1243,7 @@ def test_mapped_rk4_cut_before_the_first_overflowing_state():
     # e^t > 1.79: the trajectory ends at its last finite mapped state
     D = np.diag([1e308, 1.0])
     x0 = np.array([1e308, 0.0])
-    traj = _mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0,
+    traj = mapped_rk4(quadratic([[1.0, 0.0], [0.0, -1.0]]), D, x0,
                        0.1, 20)
     assert not traj.completed
     assert np.isfinite(traj.states).all()
