@@ -38,6 +38,10 @@ class VectorField:
     ``point``, when present, is ``func`` at one point on Python floats: a
     list of dim floats in, dim values out, with ``func``'s bits.  A lone
     start of ``integrate_rk4`` steps on it, with no numpy call per stage.
+
+    ``degree``, when present, declares ``func`` a polynomial of that total
+    degree, so every ray integrand is a polynomial of that degree in t and
+    the ray integrals take the Gauss-Legendre rule exact for it.
     """
 
     dim: int
@@ -45,10 +49,14 @@ class VectorField:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     vectorized: bool = False
     point: Optional[Callable[[list], Sequence[float]]] = None
+    degree: Optional[int] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        if self.degree is not None and (
+                type(self.degree) is not int or self.degree < 0):
+            raise ValueError("degree must be None or an integer >= 0")
 
 
 

@@ -11,9 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (VectorField, _apply, _check_finite, _matvec,
-                     eval_field, jacobian)
-from .homotopy import QuadratureRule, _antiexact_integral, _points, _ray
+from .fields import (VectorField, _apply, _as_points, _check_finite,
+                     _matvec, eval_field, jacobian)
+from .homotopy import QuadratureRule, _antiexact_integral, _ray, _rule
 from .integrability import DEFAULT_TOL, _relative_asymmetry
 
 NULLSPACE_RTOL = 1e-10
@@ -261,7 +261,8 @@ def transform_field(field: VectorField, D) -> VectorField:
     def jac(x):
         return D @ jacobian(field, _matvec(Dinv, x)) @ Dinv
 
-    return VectorField(dim=n, func=func, jac=jac, vectorized=True)
+    return VectorField(dim=n, func=func, jac=jac, vectorized=True,
+                       degree=field.degree)
 
 
 @dataclass(frozen=True)
@@ -501,7 +502,8 @@ def consistency_check(field: VectorField, family: MatrixFamily, theta,
     D(y) g(y), x = D(y) y, from f.  By the homotopy formula F = d(kF) +
     k(dF) that is the antiexact part k(dF), which takes f's Jacobian
     B M^-1 (B = df/dy, M = dx/dy) at each ray point's inverse y."""
-    X, _, rule = _points(field, samples, quad)
+    # the configured rule, whatever field.degree: f(x) is not polynomial
+    X, rule = _as_points(field, samples).reshape(-1, field.dim), _rule(quad)
     ray = _ray(X, rule)
     Y = _invert(family, theta, ray)
     D, dD = family._evaluate(theta, family._tables(Y))

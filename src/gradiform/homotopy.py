@@ -10,7 +10,7 @@ import numpy as np
 
 from .fields import VectorField, _as_points, eval_field, jacobian
 
-DEFAULT_ORDER = 64  # the rule a call without one uses
+DEFAULT_ORDER = 64  # the rule a call without one is given (see _points)
 RULE_CACHE_SIZE = 32  # shared Gauss-Legendre rules kept, by order
 
 
@@ -76,9 +76,14 @@ def _rule(quad: QuadratureRule | None) -> QuadratureRule:
 
 def _points(field: VectorField, x, quad: QuadratureRule | None):
     """x as stacked points (M, N), whether it was a single point, and
-    the rule to integrate with."""
+    the rule to integrate with: the one given (see ``_rule``), or for a
+    field of declared degree p the p // 2 + 1-node Gauss-Legendre rule,
+    exact for every ray integrand, when it has fewer nodes."""
     X = _as_points(field, x)
-    return X.reshape(-1, X.shape[-1]), X.ndim == 1, _rule(quad)
+    rule = _rule(quad)
+    if field.degree is not None and field.degree // 2 + 1 < len(rule.nodes):
+        rule = QuadratureRule.gauss_legendre(field.degree // 2 + 1)
+    return X.reshape(-1, X.shape[-1]), X.ndim == 1, rule
 
 
 # The ray samples g(t x) and J(t x) at the rule's nodes t for every point

@@ -66,7 +66,7 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0,
         return J
 
     return VectorField(dim=3, func=func, jac=jac, vectorized=True,
-                       point=point)
+                       point=point, degree=2)
 
 
 def jj_circuit(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
@@ -106,7 +106,7 @@ def jj_circuit_linear(i: float = 0.0, r: float = 1.0, beta_c: float = 1.0,
     with np.errstate(all="ignore"):  # an overflow gives inf, as floats do
         J, b = g.jac(np.zeros(3)), g.func(np.zeros(3))
     return VectorField(dim=3, func=lambda p: _matvec(J, p) + b,
-                       jac=_constant_jacobian(J), vectorized=True)
+                       jac=_constant_jacobian(J), vectorized=True, degree=1)
 
 
 def quadratic(Q) -> VectorField:
@@ -115,7 +115,7 @@ def quadratic(Q) -> VectorField:
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
     return VectorField(dim=Q.shape[0], func=lambda x: _matvec(Q, x),
-                       jac=_constant_jacobian(Q), vectorized=True)
+                       jac=_constant_jacobian(Q), vectorized=True, degree=1)
 
 
 def _constant_jacobian(Q):
@@ -147,7 +147,7 @@ def double_well() -> VectorField:
         return np.array([[1.0 - 3.0 * (x0 * x0)]]).T
 
     return VectorField(dim=1, func=func, jac=jac, vectorized=True,
-                       point=point)
+                       point=point, degree=3)
 
 
 def ou(theta: float = 1.0) -> VectorField:
@@ -157,7 +157,7 @@ def ou(theta: float = 1.0) -> VectorField:
         raise ValueError("theta must be positive")
     return VectorField(dim=1, func=lambda x: -theta * x,
                        jac=lambda x: np.full(x.shape + (1,), -theta),
-                       vectorized=True)
+                       vectorized=True, degree=1)
 
 
 # quadratic's entries when none is given
@@ -203,10 +203,12 @@ def build_system(spec: SystemSpec) -> VectorField:
 
 
 def describe_system(name: str) -> dict:
-    """Defaults, the dim they build (quadratic's: None) and grid range."""
+    """Defaults, the dim and degree they build (quadratic's dim: None)
+    and grid range."""
     build, quad = REGISTRY[name]["build"], name == "quadratic"
+    field = build()
     return {"defaults": dict(_QUADRATIC_DEFAULTS) if quad else {
                 k: p.default
                 for k, p in inspect.signature(build).parameters.items()},
-            "dim": None if quad else build().dim,
+            "dim": None if quad else field.dim, "degree": field.degree,
             "grid_range": REGISTRY[name]["grid_range"]}

@@ -408,27 +408,29 @@ class TestReports:
 
     def test_zoo_list_contents(self, tmp_path):
         # sorted by name; defaults from the builders' signatures
-        # (quadratic's one constant), dims from the built default fields,
-        # and no potential: graham's is the ray potential.  The text
-        # pins 1.0 against 1
+        # (quadratic's one constant), dims and polynomial degrees from the
+        # built default fields (jj_circuit's sine has none), and no
+        # potential: graham's is the ray potential.  The text pins 1.0
+        # against 1
         _, rep = run_cli(tmp_path, "zoo-list")
         jj = {"beta_L": 1.0, "beta_c": 1.0, "i": 0.0, "r": 1.0}
         two = [-2.0, 2.0]
         want = {"systems": [
-            {"defaults": {}, "dim": 1, "grid_range": two,
+            {"defaults": {}, "degree": 3, "dim": 1, "grid_range": two,
              "name": "double_well"},
-            {"defaults": jj, "dim": 3, "grid_range": two,
+            {"defaults": jj, "degree": None, "dim": 3, "grid_range": two,
              "name": "jj_circuit"},
-            {"defaults": jj, "dim": 3, "grid_range": two,
+            {"defaults": jj, "degree": 1, "dim": 3, "grid_range": two,
              "name": "jj_circuit_linear"},
             {"defaults": {"beta": 2.6666666666666665, "rho": 28.0,
                           "sigma": 10.0},
-             "dim": 3, "grid_range": [-30.0, 50.0], "name": "lorenz"},
-            {"defaults": {"theta": 1.0}, "dim": 1, "grid_range": two,
-             "name": "ou"},
-            {"defaults": {"q_0_0": -1.0}, "dim": None, "grid_range": two,
-             "name": "quadratic"},
-            {"defaults": {}, "dim": 2, "grid_range": two,
+             "degree": 2, "dim": 3, "grid_range": [-30.0, 50.0],
+             "name": "lorenz"},
+            {"defaults": {"theta": 1.0}, "degree": 1, "dim": 1,
+             "grid_range": two, "name": "ou"},
+            {"defaults": {"q_0_0": -1.0}, "degree": 1, "dim": None,
+             "grid_range": two, "name": "quadratic"},
+            {"defaults": {}, "degree": 1, "dim": 2, "grid_range": two,
              "name": "rotation"}]}
         assert json.dumps(rep["result"], sort_keys=True) \
             == json.dumps(want, sort_keys=True)
@@ -561,6 +563,31 @@ class TestReports:
                 field, family, theta, samples, quad)
         assert general[16]["consistency_residual"] != \
             general[64]["consistency_residual"]
+
+    def test_general_report_does_not_read_the_degree(self, tmp_path,
+                                                     monkeypatch):
+        # the general solver's consistency check integrates f(x) =
+        # D(y) g(y), which is not polynomial in x, on the configured rule:
+        # lorenz gives the same report with its degree declared or not
+        sets = ["gradientize", "--set", "solver.run_general=true"]
+        _, declared = run_cli(tmp_path, *sets, name="declared.json")
+        monkeypatch.setitem(REGISTRY["lorenz"], "build", lambda **kw:
+                            dataclasses.replace(lorenz(**kw), degree=None))
+        _, bare = run_cli(tmp_path, *sets, name="bare.json")
+        assert bare["result"]["general"]["consistency_residual"] > 0
+        assert _to_json(declared["result"]) == _to_json(bare["result"])
+
+    def test_quadrature_order_is_an_upper_bound(self, tmp_path):
+        # lorenz is quadratic: its rays take the 2-node rule at any
+        # quadrature_order of 2 or more, and a 1-node order still wins
+        result = {}
+        for order in (1, 2, 64):
+            code, rep = run_cli(tmp_path, "decompose", "--set",
+                                f"quadrature_order={order}",
+                                name=f"order{order}.json")
+            assert code == 0
+            result[order] = _to_json(rep["result"])
+        assert result[2] == result[64] != result[1]
 
     def test_simulate_double_well_monotone(self, tmp_path):
         code, rep = run_cli(tmp_path, "simulate",

@@ -51,6 +51,20 @@ def test_field_needs_a_dimension(dim):
         VectorField(dim=dim, func=lambda x: x)
 
 
+@pytest.mark.parametrize("degree", [-1, True, False, 2.0, "2",
+                                    np.int64(2)])
+def test_field_degree_is_none_or_an_int(degree):
+    with pytest.raises(ValueError,
+                       match="degree must be None or an integer >= 0"):
+        VectorField(dim=1, func=lambda x: x, degree=degree)
+
+
+@pytest.mark.parametrize("degree", [None, 0, 1, 7])
+def test_field_takes_a_degree(degree):
+    assert VectorField(dim=1, func=lambda x: x, degree=degree).degree \
+        == degree
+
+
 def test_eval_nonfinite_flagged():
     f = VectorField(dim=1, func=lambda x: np.array([1.0 / x[0]]))
     with pytest.raises(FieldEvalError), \

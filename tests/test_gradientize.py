@@ -411,6 +411,13 @@ class TestTransformField:
         g = eval_field(field, swap @ x)
         assert np.allclose(eval_field(t, x), [g[1], g[0]])
 
+    @pytest.mark.parametrize("field", [lorenz(), double_well(),
+                                       jj_circuit(), quadratic(np.eye(2))])
+    def test_carries_the_degree(self, field):
+        # x = D y keeps a polynomial's degree; a field with none has none
+        D = np.eye(field.dim) + 0.5 * np.tri(field.dim, k=-1)
+        assert transform_field(field, D).degree == field.degree
+
     def test_jacobian_similarity(self):
         D = np.array([[1.0, 0.5], [0.0, 2.0]])
         field = quadratic([[1.0, 2.0], [3.0, 4.0]])
