@@ -217,12 +217,10 @@ def _emit(obj, out):
             _emit_floats(obj, out)
         else:
             _emit(obj.tolist(), out)
-    elif isinstance(obj, np.floating):
+    elif isinstance(obj, np.floating):  # a long double's item() is itself
         _emit(float(obj), out)
-    elif isinstance(obj, np.integer):
-        _emit(int(obj), out)
-    elif isinstance(obj, np.bool_):
-        _emit(bool(obj), out)
+    elif isinstance(obj, (np.integer, np.bool_)):
+        _emit(obj.item(), out)
     elif isinstance(obj, enum.Enum):
         _emit(obj.value, out)
     elif dataclasses.is_dataclass(obj):
@@ -348,15 +346,13 @@ def cmd_simulate(cfg, traj_dir=None):
     else:
         flow, D = field, None
 
-    def candidate(X):  # descends along xdot = g when the form is closed
-        return -potential(flow, X, quad)
-
     def lyapunov_row(traj):
-        # the candidate's ray integral or its increments can overflow on
-        # finite states; such a trajectory counts as unfinished, no figures
+        # the candidate V descends along xdot = g when the form is closed;
+        # its ray integral or its increments can overflow on finite
+        # states: such a trajectory counts as unfinished, no figures
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                V = candidate(traj.states)
+                V = -potential(flow, traj.states, quad)
                 x = traj.states[-1]  # grad V = -d(kG), the exact part
                 grad = -decompose(flow, x, quad).exact_part
                 ortho = float((eval_field(flow, x) + grad) @ grad)

@@ -57,8 +57,7 @@ class ConstantSolveReport:
 
 def _square(J) -> np.ndarray:
     J = np.asarray(J, dtype=float)
-    n = J.shape[0]
-    if J.shape != (n, n) or not np.all(np.isfinite(J)):
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or not np.isfinite(J).all():
         raise ValueError("J must be a finite square matrix")
     return J
 
@@ -116,17 +115,15 @@ def solve_consistency_constant(J) -> ConstantSolveReport:
 
     chosen = None
     if basis:
-        # one draw per row from one seeded stream; each norm stays one
-        # call per row and per matrix, so D and the pick (the first of
-        # largest |det|) equal those of a draw-by-draw search bit for bit
+        # norms are the dot products np.linalg.norm takes, so D and the pick
+        # (the first of largest |det|) equal a draw-by-draw search's
         C = np.random.default_rng(SEARCH_SEED).standard_normal(
             (SEARCH_DRAWS, len(basis)))
-        C /= np.array([np.linalg.norm(c) for c in C])[:, None]
-        D = np.zeros((SEARCH_DRAWS, n, n))
-        for c, B in zip(C.T, basis):
-            D += c[:, None, None] * B
-        D /= (np.array([np.linalg.norm(d, "fro") for d in D])
-              / np.sqrt(n))[:, None, None]
+        C /= np.sqrt(C[:, None, :] @ C[:, :, None])[:, 0]
+        D = np.add.reduce(C[:, :, None, None] * np.array(basis), axis=1,
+                          initial=0.0)
+        F = D.reshape(SEARCH_DRAWS, -1)
+        D /= np.sqrt(F[:, None, :] @ F[:, :, None]) / np.sqrt(n)
         dets = np.abs(np.linalg.det(D))
         best = int(np.argmax(dets))
         if dets[best] > DET_FLOOR:
@@ -134,15 +131,12 @@ def solve_consistency_constant(J) -> ConstantSolveReport:
     return _constant_solve_report(J, basis, chosen)
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
-    out = []
-    for i, j in combinations_with_replacement(range(n), 2):
-        B = np.zeros((n, n))
-        if i == j:
-            B[i, i] = 1.0
-        else:
-            B[i, j] = B[j, i] = 1.0 / np.sqrt(2.0)
-        out.append(B)
+def _sym_basis(n: int) -> np.ndarray:
+    """A Frobenius-orthonormal basis of symmetric matrices: (i, j), i <= j."""
+    i, j = np.triu_indices(n)
+    k = np.arange(len(i))
+    out = np.zeros((len(i), n, n))
+    out[k, i, j] = out[k, j, i] = np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
     return out
 
 
@@ -224,7 +218,7 @@ def solve_symmetrizer(J) -> ConstantSolveReport:
     """
     J = _square(J)
     n = J.shape[0]
-    sym_basis = np.array(_sym_basis(n))
+    sym_basis = _sym_basis(n)
     k = len(sym_basis)
     coeffs = np.array(_null_basis(
         (sym_basis @ J - J.T @ sym_basis).reshape(k, -1).T)).reshape(-1, k)
@@ -294,9 +288,8 @@ class MatrixFamily:
 
     def identity_params(self) -> np.ndarray:
         theta = np.zeros(self.n_params)
-        nm = len(self.monomials)
-        for i in range(self.dim):
-            theta[(i * self.dim + i) * nm] = 1.0
+        # the constant term of each diagonal entry (i, i)
+        theta[::(self.dim + 1) * len(self.monomials)] = 1.0
         return theta
 
     def _coeffs(self, theta) -> np.ndarray:
@@ -444,14 +437,12 @@ def solve_general(field: VectorField, family: MatrixFamily, samples,
                                                             1e-12)), -grad)
         try:
             r_new, J_new = sweep(theta + step)
-        except BarrierViolation:
-            lam *= nu
-            nu *= 2.0
-            continue
-        actual = float(r @ r - r_new @ r_new)
-        predicted = float(-step @ (2.0 * grad + H @ step))
-        gain = actual / predicted if predicted > 0 else -1.0
+            actual = float(r @ r - r_new @ r_new)
+        except BarrierViolation:  # a singular step is a rejected step
+            actual = -np.inf
         if actual > 0:
+            predicted = float(-step @ (2.0 * grad + H @ step))
+            gain = actual / predicted if predicted > 0 else -1.0
             theta = theta + step
             r, Jr = r_new, J_new
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)

@@ -846,8 +846,9 @@ def test_jsonable_matches_elementwise_reference():
              np.empty((0, 3)), np.empty((3, 0)), np.empty((2, 0, 3)),
              np.full((2, 3, 2, 2), np.inf), sparse, sparse[:, ::-1],
              np.ones((2, 2, 2)), np.float64(-0.0), np.float32(0.1),
-             np.int64(7), np.bool_(True), Color.RED, Color.BLUE,
-             Pair(sparse, Color.BLUE), "naïve \u2192 \"q\"\n", {"ключ": "€"},
+             np.longdouble(0.1), np.int64(7), np.bool_(True), Color.RED,
+             Color.BLUE, Pair(sparse, Color.BLUE), "naïve \u2192 \"q\"\n",
+             {"ключ": "€"},
              {"grid": a, "rows": [a[0], (np.float64(np.inf), -0.0)]}]
     for obj in cases:
         assert _to_json(obj) == reference_text(obj)
@@ -925,6 +926,31 @@ def test_report_over_an_existing_file(tmp_path):
     assert out.read_text() == '{"a": 1.5}\n'
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_failed_rename_keeps_the_old_report(tmp_path, capsys,
+                                            monkeypatch):
+    # the rename over the old report fails: the temporary file is removed,
+    # the old report is kept, and main exits 2 with one line
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+
+    def replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["zoo-list", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "output error: rename refused\n"
+    assert out.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": [1j]},
+                                 {"b": np.complex128(1j)}],
+                         ids=["object", "complex", "numpy-complex"])
+def test_writer_rejects_what_json_cannot_write(obj):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _to_json(obj)
 
 
 def test_report_mode_leaves_the_umask_alone(tmp_path, monkeypatch):

@@ -157,6 +157,28 @@ class TestConsistencyConstant:
         else:
             assert rep.chosen_D.tobytes() == ref.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chosen_D_equals_draw_by_draw_search_on_form_preserving_J(
+            self, n, m, seed):
+        # J = expm(A^-1 K), A symmetric nondegenerate and K skew, keeps the
+        # form A (J^T A J = A), so D = A J^(-1/2) solves D = J^T D^T and
+        # the search always runs.  K lives on the leading m coordinates:
+        # nullspaces of dimension 1 to 10, so the order in which each D
+        # sums its terms shows
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = Q @ np.diag(rng.uniform(0.5, 2.0, n)
+                        * rng.choice([-1.0, 1.0], n)) @ Q.T
+        K = np.zeros((n, n))
+        K[:m, :m] = rng.standard_normal((min(m, n),) * 2)
+        rep = solve_consistency_constant(expm(np.linalg.solve(A, K - K.T)))
+        assert rep.nullspace_basis
+        ref = chosen_D_reference(rep.nullspace_basis, n)
+        assert rep.chosen_D.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("J", [ROT, np.eye(3), np.random.default_rng(
         1).standard_normal((3, 3)), np.random.default_rng(2).standard_normal(
             (4, 4))])
@@ -197,6 +219,17 @@ class TestConsistencyConstant:
     def test_det_precondition_reported(self):
         rep = solve_consistency_constant(ROT)
         assert rep.det_precondition_gap == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("solver", [solve_consistency_constant,
+                                    solve_symmetrizer])
+@pytest.mark.parametrize("J", [
+    np.ones((2, 3)), np.ones(3), np.float64(1.0), np.ones((2, 2, 2)),
+    [[1.0, np.nan], [0.0, 1.0]], [[np.inf]]],
+    ids=["2x3", "vector", "scalar", "stack", "nan", "inf"])
+def test_constant_solvers_take_only_a_finite_square_J(solver, J):
+    with pytest.raises(ValueError, match="finite square matrix"):
+        solver(J)
 
 
 class TestCheckNecessary:
